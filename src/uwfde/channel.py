@@ -13,7 +13,7 @@ Monte Carlo workers each own their own stream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -109,6 +109,59 @@ class LinkState:
             raise ValueError("relay gain must be finite and positive")
 
 
+@dataclass
+class CascadeSpectra:
+    """Per-bin hop responses of U relay cascades.
+
+    ``h_f`` (source to relay) and ``g_f`` (relay to destination) are DFTs of
+    the zero-padded hop taps, shape ``(U, N)``, or ``(..., U, N)`` with one
+    response per block when the taps drift. ``zeta``, ``sigma2_relay`` and
+    ``sigma2_dest`` hold one value per relay; ``num_taps`` is the longest
+    hop's tap count, the memory a cyclic prefix must cover.
+    """
+
+    h_f: np.ndarray
+    g_f: np.ndarray
+    zeta: np.ndarray
+    sigma2_relay: np.ndarray
+    sigma2_dest: np.ndarray
+    num_taps: int
+
+    @classmethod
+    def from_taps(cls, taps: np.ndarray, block_size: int, zeta, sigma2_relay,
+                  sigma2_dest) -> "CascadeSpectra":
+        """Transform hop taps of shape ``(..., 2U, L)``, relay u's source and
+        destination hops in rows ``2u`` and ``2u + 1``; gains and noise
+        powers are scalars or one value per relay."""
+        response = freq_response(taps, block_size)
+        relays = response.shape[-2] // 2
+
+        def per_relay(value):
+            return np.broadcast_to(np.asarray(value, dtype=float), (relays,))
+
+        return cls(response[..., 0::2, :], response[..., 1::2, :],
+                   per_relay(zeta), per_relay(sigma2_relay),
+                   per_relay(sigma2_dest), taps.shape[-1])
+
+    @classmethod
+    def from_links(cls, links: list[LinkState], block_size: int) -> "CascadeSpectra":
+        if not links:
+            raise ValueError("need at least one link")
+        hops = [tap for link in links for tap in (link.h_sr.taps, link.h_rd.taps)]
+        if any(tap is None for tap in hops):
+            raise ValueError("link channels must be quantized to taps")
+        taps = np.zeros((len(hops), max(len(tap) for tap in hops)), dtype=complex)
+        for row, tap in zip(taps, hops):
+            row[: len(tap)] = tap
+        return cls.from_taps(taps, block_size, [link.zeta for link in links],
+                             [link.sigma2_relay for link in links],
+                             [link.sigma2_dest for link in links])
+
+    def __getitem__(self, blocks) -> "CascadeSpectra":
+        """The responses of the selected blocks (leading axes)."""
+        return replace(self, h_f=self.h_f[blocks], g_f=self.g_f[blocks])
+
+
 def complex_noise(rng: np.random.Generator, size, var) -> np.ndarray:
     """Circular complex Gaussian samples with total variance ``var`` each."""
     scale = np.sqrt(np.asarray(var, dtype=float) / 2.0)
@@ -185,7 +238,8 @@ def quantize_to_taps(real: ChannelRealization, sample_period: float,
 
 def evolve_channel(taps: np.ndarray, fd_norm: float, rng: np.random.Generator,
                    stationary_power: np.ndarray | None = None) -> np.ndarray:
-    """One block step of the Gauss-Markov tap drift.
+    """One block step of the Gauss-Markov tap drift, on one tap vector or a
+    stack of them along the last axis.
 
     ``rho = exp(-2*pi*fd_norm)`` per block; the innovation keeps each tap's
     stationary power (defaults to the current tap powers) in expectation.
@@ -196,7 +250,7 @@ def evolve_channel(taps: np.ndarray, fd_norm: float, rng: np.random.Generator,
         return np.array(taps, copy=True)
     power = np.abs(taps) ** 2 if stationary_power is None else stationary_power
     rho = np.exp(-TWO_PI * fd_norm)
-    drive = complex_noise(rng, len(taps), power)
+    drive = complex_noise(rng, np.shape(taps), power)
     return rho * taps + np.sqrt(1.0 - rho * rho) * drive
 
 
@@ -212,10 +266,12 @@ def circulant_from_taps(taps: np.ndarray, block_size: int) -> np.ndarray:
 
 
 def freq_response(taps: np.ndarray, block_size: int) -> np.ndarray:
-    """Per-bin response of the circulant channel: DFT of the padded taps."""
-    if len(taps) > block_size:
+    """Per-bin response of the circulant channel: DFT of the padded taps,
+    along the last axis of a tap vector or stack."""
+    taps = np.asarray(taps, dtype=complex)
+    if taps.shape[-1] > block_size:
         raise ValueError("more taps than the block size")
-    return np.fft.fft(np.asarray(taps, dtype=complex), n=block_size)
+    return np.fft.fft(taps, n=block_size)
 
 
 def path_gain(delta: float, eta: float) -> tuple[float, float]:

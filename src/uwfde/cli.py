@@ -20,9 +20,9 @@ import numpy as np
 
 from . import __version__
 from .channel import generate_channel, quantize_to_taps, sv_profile
-from .harness import (ExperimentResult, SimConfig, run_ber_sweep,
-                      run_convergence, run_multirelay, run_placement_sweep,
-                      trial_seed)
+from .harness import (STREAM_VERSION, ExperimentResult, SimConfig,
+                      run_ber_sweep, run_convergence, run_multirelay,
+                      run_placement_sweep, trial_seed)
 
 BER_COLUMNS = ["experiment", "detector", "snr_db", "fd_norm", "delta", "U",
                "bits", "errors", "ber", "ci_half_width", "seed"]
@@ -56,6 +56,7 @@ def _write_manifest(path: str, experiment: str, config: SimConfig,
     manifest = {
         "experiment": experiment,
         "version": __version__,
+        "stream_version": STREAM_VERSION,
         "master_seed": config.master_seed,
         "duration_s": round(time.monotonic() - started, 3),
         "outputs": outputs,
@@ -90,10 +91,15 @@ def _parse_grid(text: str) -> list[float]:
         start, step, stop = (float(p) for p in parts)
         if step <= 0:
             raise ValueError("range step must be positive")
+        if stop < start:
+            raise ValueError("range stop must not be below its start")
         count = int(round((stop - start) / step))
         grid = [round(start + k * step, 10) for k in range(count + 1)]
         return [g for g in grid if g <= stop + 1e-9]
-    return [float(p) for p in text.split(",") if p.strip()]
+    grid = [float(p) for p in text.split(",") if p.strip()]
+    if not grid:
+        raise ValueError("grid must hold at least one value")
+    return grid
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -127,6 +133,13 @@ def _read_config_file(parser: argparse.ArgumentParser,
     except (OSError, json.JSONDecodeError) as exc:
         parser.error(f"cannot read config file: {exc}")
     if isinstance(loaded, dict) and "config" in loaded and "version" in loaded:
+        stream = loaded.get("stream_version", "1 (unversioned)")
+        if stream != STREAM_VERSION:
+            parser.error(f"{args.config} was written with random stream "
+                         f"version {stream}, but this uwfde draws stream "
+                         f"version {STREAM_VERSION}, so its CSV cannot be "
+                         "replayed; pass its config section as a plain config "
+                         "to rerun it under the current stream")
         return dict(loaded["config"]), dict(loaded.get("extras", {}))
     return dict(loaded), {}
 
@@ -162,15 +175,20 @@ def _build_config(parser: argparse.ArgumentParser, args: argparse.Namespace,
         parser.error(str(exc))
 
 
+def _grid(parser: argparse.ArgumentParser, text: str) -> list[float]:
+    """``_parse_grid`` with a malformed grid reported as a usage error."""
+    try:
+        return _parse_grid(text)
+    except ValueError as exc:
+        parser.error(str(exc))
+
+
 def _apply_grid_flags(parser, args, data, snr_default: str,
                       detector_default: str) -> None:
     """Fold --snr and --detectors into the config data; explicit flags win,
     then config-file values, then the command's defaults."""
     if args.snr is not None:
-        try:
-            data["snr_grid"] = tuple(_parse_grid(args.snr))
-        except ValueError as exc:
-            parser.error(str(exc))
+        data["snr_grid"] = tuple(_grid(parser, args.snr))
     elif "snr_grid" not in data:
         data["snr_grid"] = tuple(_parse_grid(snr_default))
     if getattr(args, "detectors", None) is not None:
@@ -210,9 +228,11 @@ def cmd_placement(parser, args) -> int:
     data, extras = _read_config_file(parser, args)
     _apply_grid_flags(parser, args, data, "0,10,20,30", "lms,rls")
     grid_text = args.delta_grid or extras.get("delta_grid") or "0.1:0.1:0.9"
-    deltas = _parse_grid(grid_text)
+    deltas = _grid(parser, grid_text)
     if not all(0.0 < d < 1.0 for d in deltas):
         parser.error("delta grid values must lie strictly inside (0, 1)")
+    if len(set(deltas)) != len(deltas):
+        parser.error("delta grid values must be distinct")
     config = _build_config(parser, args, data)
     started = time.monotonic()
     result = run_placement_sweep(config, deltas)
@@ -226,7 +246,7 @@ def cmd_multirelay(parser, args) -> int:
     data, extras = _read_config_file(parser, args)
     _apply_grid_flags(parser, args, data, "0:5:30", "rls")
     grid_text = args.relays or extras.get("relay_grid") or "1,2,3"
-    relay_grid = [int(u) for u in _parse_grid(grid_text)]
+    relay_grid = [int(u) for u in _grid(parser, grid_text)]
     if not all(u >= 1 for u in relay_grid):
         parser.error("relay counts must be >= 1")
     config = _build_config(parser, args, data)

@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channel import LinkState
+from .channel import CascadeSpectra
 from .txrx import ModulationScheme
 
 # Exhaustive search cap: constellation_order ** block_size candidates.
@@ -66,25 +66,21 @@ class RlsState:
         return cls(FdeWeights.zeros(block_size), np.ones(block_size), lambda_rls)
 
 
-def effective_channel(links: list[LinkState], block_size: int) -> EffectiveChannel:
+def effective_channel(links, block_size: int | None = None) -> EffectiveChannel:
     """Combined per-bin response and noise variance over all relay slots.
 
-    Each cascade contributes ``zeta * G(f) * H(f)`` to the response; its slot
-    adds relay noise shaped by ``|G(f)|^2`` plus one destination-noise term.
+    ``links`` is a ``CascadeSpectra``, whose block axes carry through to the
+    result, or a list of ``LinkState`` that is transformed at
+    ``block_size`` first. Each cascade contributes ``zeta * G(f) * H(f)`` to
+    the response; its slot adds relay noise shaped by ``|G(f)|^2`` plus one
+    destination-noise term.
     """
-    if not links:
-        raise ValueError("need at least one link")
-    response = np.zeros(block_size, dtype=complex)
-    noise = np.zeros(block_size, dtype=float)
-    for link in links:
-        h, g = link.h_sr.taps, link.h_rd.taps
-        if h is None or g is None:
-            raise ValueError("link channels must be quantized to taps")
-        if len(h) > block_size or len(g) > block_size:
-            raise ValueError("channel taps exceed the block size")
-        g_f = np.fft.fft(g, n=block_size)
-        response += link.zeta * np.fft.fft(h, n=block_size) * g_f
-        noise += link.zeta ** 2 * np.abs(g_f) ** 2 * link.sigma2_relay + link.sigma2_dest
+    if not isinstance(links, CascadeSpectra):
+        links = CascadeSpectra.from_links(links, block_size)
+    zeta = links.zeta[:, None]
+    response = np.sum(zeta * links.h_f * links.g_f, axis=-2)
+    noise = np.sum(zeta ** 2 * np.abs(links.g_f) ** 2 * links.sigma2_relay[:, None]
+                   + links.sigma2_dest[:, None], axis=-2)
     return EffectiveChannel(response, noise)
 
 
@@ -209,7 +205,3 @@ def mmse_error_floor(ch: EffectiveChannel) -> float:
                         where=denom > 0)
     return float(np.mean(per_bin))
 
-
-def apply_and_transform(weights: FdeWeights, r_f: np.ndarray) -> np.ndarray:
-    """Equalize in frequency and return the time-domain symbol estimates."""
-    return np.fft.ifft(weights.apply(r_f), norm="ortho")

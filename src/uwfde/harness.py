@@ -22,14 +22,23 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .channel import (ChannelRealization, LinkState, SvParams, evolve_channel,
+from .channel import (CascadeSpectra, SvParams, complex_noise, evolve_channel,
                       generate_channel, path_gain, quantize_to_taps, sv_profile)
-from .detectors import (FdeWeights, MlDetector, RlsState, effective_channel,
-                        lms_step, mmse_error_floor, mmse_weights, mrc_weights,
-                        rls_step)
-from .relay import af_gain, relay_forward, relay_receive
-from .txrx import (BlockFrame, ModulationScheme, append_cp, demodulate,
-                   modulate, unitary_fft, unitary_ifft)
+from .detectors import (ML_SEARCH_LIMIT, EffectiveChannel, FdeWeights,
+                        MlDetector, RlsState, effective_channel, lms_step,
+                        mmse_error_floor, mmse_weights, mrc_weights, rls_step)
+# relay_receive and relay_forward are the time-domain reference for
+# transmit_block and no longer run here; bench/spans.py traces them by
+# their names in this module, so the names stay.
+from .relay import af_gain, relay_forward, relay_receive  # noqa: F401
+from .txrx import (BlockFrame, ModulationScheme, demodulate, modulate,
+                   unitary_fft, unitary_ifft)
+
+# Layout of a trial's random stream (see run_point_trial). A manifest
+# replays its CSV byte for byte only under the layout that wrote it, so any
+# change to the draws bumps this number. 1 (v0.1.0) drew per block; 2
+# draws per trial: hop taps, drift track, block bits, then hop noise.
+STREAM_VERSION = 2
 
 DETECTOR_NAMES = ("mrc", "mmse", "ml", "lms", "rls")
 ADAPTIVE_DETECTORS = ("lms", "rls")
@@ -81,9 +90,17 @@ class SimConfig:
             raise ValueError("cp_len must cover the channel memory")
         if self.scheme.lower() not in ("bpsk", "qpsk"):
             raise ValueError(f"unknown scheme: {self.scheme!r}")
+        if not self.detectors:
+            raise ValueError("detectors must not be empty")
         unknown = set(self.detectors) - set(DETECTOR_NAMES)
         if unknown:
             raise ValueError(f"unknown detectors: {sorted(unknown)}")
+        if len(set(self.detectors)) != len(self.detectors):
+            raise ValueError(f"duplicate detectors: {list(self.detectors)}")
+        order = ModulationScheme.from_name(self.scheme).order
+        if "ml" in self.detectors and order ** self.block_size > ML_SEARCH_LIMIT:
+            raise ValueError(f"ml searches {order}^{self.block_size} blocks, "
+                             f"more than the limit of {ML_SEARCH_LIMIT}")
         if self.num_relays < 1:
             raise ValueError("num_relays must be >= 1")
         if not 0.0 <= self.fd_norm < 0.5:
@@ -94,10 +111,14 @@ class SimConfig:
             raise ValueError("mu must be nonnegative")
         if not 0.0 < self.lambda_rls <= 1.0:
             raise ValueError("lambda_rls must be in (0, 1]")
-        if self.pilot_frames < 0 or self.data_frames < 0:
-            raise ValueError("frame counts must be nonnegative")
+        if self.pilot_frames < 0:
+            raise ValueError("pilot_frames must be nonnegative")
+        if self.data_frames < 1:
+            raise ValueError("data_frames must be >= 1")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if not self.snr_grid:
+            raise ValueError("snr_grid must not be empty")
         if not all(math.isfinite(s) for s in self.snr_grid):
             raise ValueError("snr_grid values must be finite")
         if self.relay_noise_factor < 0:
@@ -205,9 +226,12 @@ def noise_powers(config: SimConfig, snr_db: float,
 
 @dataclass
 class _TrialChannels:
-    links: list[LinkState]
-    powers_sr: list[np.ndarray]
-    powers_rd: list[np.ndarray]
+    """One trial's relay cascades: the taps of every hop, stacked ``(2U, L)``
+    with relay u's source and destination hops in rows ``2u`` and ``2u + 1``,
+    and their per-bin responses."""
+
+    taps: np.ndarray
+    links: CascadeSpectra
 
 
 def _draw_taps(config: SimConfig, rng: np.random.Generator) -> np.ndarray:
@@ -224,42 +248,56 @@ def _build_links(config: SimConfig, point: GridPoint,
     gain_sr, gain_rd = path_gain(point.delta, config.eta)
     scheme = ModulationScheme.from_name(config.scheme)
     sigma_dest, sigma_relay = noise_powers(config, point.snr_db, scheme)
-    links, powers_sr, powers_rd = [], [], []
-    for _ in range(point.num_relays):
-        taps_sr = _draw_taps(config, rng) * math.sqrt(gain_sr)
-        taps_rd = _draw_taps(config, rng) * math.sqrt(gain_rd)
-        links.append(LinkState(
-            h_sr=ChannelRealization(np.array([]), np.array([]), taps_sr),
-            h_rd=ChannelRealization(np.array([]), np.array([]), taps_rd),
-            zeta=af_gain(gain_sr, sigma_relay),
-            sigma2_relay=sigma_relay,
-            sigma2_dest=sigma_dest,
-            sigma2_hsr=gain_sr,
-        ))
-        powers_sr.append(np.abs(taps_sr) ** 2)
-        powers_rd.append(np.abs(taps_rd) ** 2)
-    return _TrialChannels(links, powers_sr, powers_rd)
+    taps = np.array([_draw_taps(config, rng)
+                     for _ in range(2 * point.num_relays)])
+    taps *= np.sqrt(np.tile([gain_sr, gain_rd], point.num_relays))[:, None]
+    links = CascadeSpectra.from_taps(taps, config.block_size,
+                                     af_gain(gain_sr, sigma_relay), sigma_relay,
+                                     sigma_dest)
+    return _TrialChannels(taps, links)
 
 
-def _evolve_links(chans: _TrialChannels, fd_norm: float,
-                  rng: np.random.Generator) -> None:
-    for link, p_sr, p_rd in zip(chans.links, chans.powers_sr, chans.powers_rd):
-        link.h_sr.taps = evolve_channel(link.h_sr.taps, fd_norm, rng, p_sr)
-        link.h_rd.taps = evolve_channel(link.h_rd.taps, fd_norm, rng, p_rd)
+def _tap_track(taps: np.ndarray, fd_norm: float, blocks: int,
+               rng: np.random.Generator) -> np.ndarray:
+    """Taps of every block, ``(blocks, 2U, L)``: one Gauss-Markov step of all
+    hops between consecutive blocks, around the powers of the first."""
+    track = np.empty((blocks,) + taps.shape, dtype=complex)
+    track[0] = taps
+    power = np.abs(taps) ** 2
+    for b in range(1, blocks):
+        track[b] = evolve_channel(track[b - 1], fd_norm, rng, power)
+    return track
 
 
-def transmit_block(x: np.ndarray, links: list[LinkState], cp_len: int,
-                   rng: np.random.Generator) -> np.ndarray:
-    """Send one symbol block through every relay slot; return the combined
-    frequency-domain observation."""
-    tx = append_cp(BlockFrame(x), cp_len)
-    total = np.zeros(len(x), dtype=complex)
-    for link in links:
-        at_relay = relay_receive(tx, link.h_sr.taps, link.sigma2_relay, rng)
-        forwarded = relay_forward(at_relay, link.zeta, cp_len)
-        at_dest = relay_receive(forwarded, link.h_rd.taps, link.sigma2_dest, rng)
-        total += at_dest.symbols
-    return unitary_fft(total)
+def transmit_block(x: np.ndarray, links: CascadeSpectra, cp_len: int,
+                   rng: np.random.Generator | None,
+                   noise: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+    """Send time-domain symbol blocks ``(..., N)`` through every relay slot;
+    return the combined frequency-domain observation ``(..., N)``.
+
+    A prefix at least as long as the channel memory makes every hop
+    circulant within a block, so per bin the destination sees
+    ``R = sum_u zeta_u G_u (H_u X + N_r,u) + N_d,u`` with ``X`` the unitary
+    DFT of the block. The hop noise is drawn directly in the frequency
+    domain (the unitary DFT of white circular Gaussian noise is white with
+    the same variance): for each relay in turn its relay-hop noise, then its
+    destination-hop noise. ``noise`` passes given ``(relay, destination)``
+    spectra, each ``(..., U, N)``, instead.
+    """
+    if cp_len < links.num_taps - 1:
+        raise ValueError("prefix shorter than the channel memory")
+    x_f = unitary_fft(x)
+    shape = np.broadcast_shapes(x_f.shape, links.h_f.shape[:-2] + x_f.shape[-1:])
+    total = np.zeros(shape, dtype=complex)
+    for u in range(len(links.zeta)):
+        if noise is None:
+            relay = complex_noise(rng, shape, links.sigma2_relay[u])
+            dest = complex_noise(rng, shape, links.sigma2_dest[u])
+        else:
+            relay, dest = noise[0][..., u, :], noise[1][..., u, :]
+        total += (links.zeta[u] * links.g_f[..., u, :]
+                  * (links.h_f[..., u, :] * x_f + relay) + dest)
+    return total
 
 
 @dataclass
@@ -270,89 +308,92 @@ class TrialOutput:
     mmse_floor: float | None = None
 
 
+def _ml_decisions(ch: EffectiveChannel, r_f: np.ndarray,
+                  scheme: ModulationScheme, n: int) -> np.ndarray:
+    """Exhaustive decisions for the blocks of ``r_f``: one search table for a
+    fixed channel, one per block when ``ch`` carries a block axis."""
+    if ch.response.ndim == 1:
+        ml = MlDetector(ch, scheme, n)
+        return np.array([ml.detect(r) for r in r_f])
+    return np.array([MlDetector(EffectiveChannel(h, v), scheme, n).detect(r)
+                     for h, v, r in zip(ch.response, ch.noise_var, r_f)])
+
+
 def run_point_trial(config: SimConfig, point: GridPoint,
                     rng: np.random.Generator,
                     collect_mse: bool = False) -> TrialOutput:
-    """One trial at one grid point.
+    """One trial at one grid point, run as arrays over its blocks.
 
     Draws fresh cascades, trains the adaptive detectors on pilot blocks,
     then counts bit errors over the data blocks. Taps are constant within
     a block; with nonzero Doppler they take one Gauss-Markov step between
     consecutive blocks, pilots and data alike, so the adaptive weights
     carry a tracking lag while ideal-CSI detectors follow the drift.
+
+    With ``collect_mse`` the trial is a learning-curve run: it sends only
+    the pilot blocks, trains both adaptive filters and records their
+    per-block MSE and the Wiener floor at the last pilot block.
+
+    Random stream (``STREAM_VERSION``): hop taps, the drift track, the bits
+    of every block, then the hop noise.
     """
     scheme = ModulationScheme.from_name(config.scheme)
-    chans = _build_links(config, point, rng)
-    cp_len = config.effective_cp_len
     n = config.block_size
-    fd = point.fd_norm
+    chans = _build_links(config, point, rng)
 
-    adaptive = [d for d in config.detectors if d in ADAPTIVE_DETECTORS]
-    ideal = [d for d in config.detectors if d not in ADAPTIVE_DETECTORS]
-    train_lms = "lms" in adaptive or collect_mse
-    train_rls = "rls" in adaptive or collect_mse
+    train_lms = "lms" in config.detectors or collect_mse
+    train_rls = "rls" in config.detectors or collect_mse
+    pilots = config.pilot_frames if train_lms or train_rls else 0
+    blocks = pilots + (0 if collect_mse else config.data_frames)
 
-    blocks_sent = 0
+    links = chans.links
+    drifting = point.fd_norm > 0
+    if drifting:
+        track = _tap_track(chans.taps, point.fd_norm, blocks, rng)
+        links = CascadeSpectra.from_taps(track, n, links.zeta, links.sigma2_relay,
+                                         links.sigma2_dest)
+    bits = rng.integers(0, 2, size=(blocks, n * scheme.bits_per_symbol))
+    x = modulate(bits, scheme).symbols
+    r_f = transmit_block(x, links, config.effective_cp_len, rng)
 
-    def next_block_channel() -> None:
-        nonlocal blocks_sent
-        if fd > 0 and blocks_sent > 0:
-            _evolve_links(chans, fd, rng)
-        blocks_sent += 1
-
+    s_f = unitary_fft(x[:pilots])
     lms_w = FdeWeights.zeros(n)
     rls_state = RlsState.initial(n, config.lambda_rls)
-    lms_trace = np.zeros(config.pilot_frames)
-    rls_trace = np.zeros(config.pilot_frames)
+    traces = {"lms": np.zeros(pilots), "rls": np.zeros(pilots)} if collect_mse else None
+    for b in range(pilots):
+        if train_lms:
+            lms_w, err = lms_step(lms_w, r_f[b], s_f[b], config.mu)
+            if collect_mse:
+                traces["lms"][b] = np.mean(np.abs(err) ** 2)
+        if train_rls:
+            rls_state, err = rls_step(rls_state, r_f[b], s_f[b])
+            if collect_mse:
+                traces["rls"][b] = np.mean(np.abs(err) ** 2)
 
-    if train_lms or train_rls:
-        for i in range(config.pilot_frames):
-            next_block_channel()
-            bits = rng.integers(0, 2, size=n * scheme.bits_per_symbol)
-            x = modulate(bits, scheme).symbols
-            r_f = transmit_block(x, chans.links, cp_len, rng)
-            s_f = unitary_fft(x)
-            if train_lms:
-                lms_w, err = lms_step(lms_w, r_f, s_f, config.mu)
-                lms_trace[i] = np.mean(np.abs(err) ** 2)
-            if train_rls:
-                rls_state, err = rls_step(rls_state, r_f, s_f)
-                rls_trace[i] = np.mean(np.abs(err) ** 2)
-
-    floor = None
     if collect_mse:
-        floor = mmse_error_floor(effective_channel(chans.links, n))
+        floor = mmse_error_floor(effective_channel(links[-1] if drifting else links))
+        return TrialOutput(dict.fromkeys(config.detectors, 0), 0, traces, floor)
 
+    r_data, bits_data = r_f[pilots:], bits[pilots:]
     trained = {"lms": lms_w, "rls": rls_state.weights}
-    errors = {d: 0 for d in config.detectors}
-    bits_total = 0
-    ch = ml = None
-
-    for _ in range(config.data_frames):
-        next_block_channel()
-        if ideal and (ch is None or fd > 0):
-            ch = effective_channel(chans.links, n)
-            ml = MlDetector(ch, scheme, n) if "ml" in ideal else None
-        bits = rng.integers(0, 2, size=n * scheme.bits_per_symbol)
-        x = modulate(bits, scheme).symbols
-        r_f = transmit_block(x, chans.links, cp_len, rng)
-        for det in config.detectors:
-            if det == "ml":
-                decided = ml.detect(r_f)
+    ch = None
+    if any(d not in ADAPTIVE_DETECTORS for d in config.detectors):
+        ch = effective_channel(links[pilots:] if drifting else links)
+    errors = {}
+    for det in config.detectors:
+        if det == "ml":
+            decided = _ml_decisions(ch, r_data, scheme, n)
+        else:
+            if det == "mrc":
+                w = mrc_weights(ch)
+            elif det == "mmse":
+                w = mmse_weights(ch)
             else:
-                if det == "mrc":
-                    w = mrc_weights(ch)
-                elif det == "mmse":
-                    w = mmse_weights(ch)
-                else:
-                    w = trained[det]
-                decided = unitary_ifft(w.apply(r_f))
-            got = demodulate(BlockFrame(decided), scheme)
-            errors[det] += int(np.count_nonzero(got != bits))
-        bits_total += bits.size
-
-    traces = {"lms": lms_trace, "rls": rls_trace} if collect_mse else None
-    return TrialOutput(errors, bits_total, traces, floor)
+                w = trained[det]
+            decided = unitary_ifft(w.apply(r_data))
+        got = demodulate(BlockFrame(decided), scheme)
+        errors[det] = int(np.count_nonzero(got != bits_data))
+    return TrialOutput(errors, bits_data.size)
 
 
 def run_trial(config: SimConfig, trial_seed_value) -> dict[str, tuple[int, int]]:
@@ -432,7 +473,7 @@ def run_convergence(config: SimConfig,
     """Ensemble learning curves of both adaptive detectors at one SNR."""
     if config.pilot_frames < 1:
         raise ValueError("convergence needs at least one pilot frame")
-    config = replace(config, data_frames=0, detectors=("lms", "rls"))
+    config = replace(config, detectors=("lms", "rls"))
     point = GridPoint(config.snr_grid[0], config.fd_norm, config.delta,
                       config.num_relays)
     return run_points(config, [point], experiment, collect_mse=True)
@@ -444,7 +485,8 @@ def run_placement_sweep(config: SimConfig, delta_grid,
 
     Reported BER at position ``d`` is the two-direction service average:
     counts from the sweeps at ``d`` and ``1 - d`` are pooled whenever the
-    mirror position is on the grid. A one-way fixed-gain cascade has no
+    mirror position is on the grid; the midpoint is its own mirror and
+    stays one-way. A one-way fixed-gain cascade has no
     interior optimum (forwarded relay noise rides the second hop, so a
     relay near the destination sees effectively single-hop fading); the
     round-trip average is the quantity with a midpoint optimum.
@@ -452,6 +494,8 @@ def run_placement_sweep(config: SimConfig, delta_grid,
     deltas = [float(d) for d in delta_grid]
     if not all(0.0 < d < 1.0 for d in deltas):
         raise ValueError("delta grid values must be in (0, 1)")
+    if len(set(deltas)) != len(deltas):
+        raise ValueError("delta grid values must be distinct")
     points = [GridPoint(s, config.fd_norm, d, config.num_relays)
               for d in deltas for s in config.snr_grid]
     result = run_points(config, points, experiment)
@@ -460,7 +504,7 @@ def run_placement_sweep(config: SimConfig, delta_grid,
     pooled = []
     for r in result.records:
         mirror = one_way.get((r.detector, r.snr_db, round(1.0 - r.delta, 9)))
-        if mirror is None:
+        if mirror is None or mirror is r:
             pooled.append(r)
             continue
         pooled.append(replace(r, bits=r.bits + mirror.bits,

@@ -42,7 +42,8 @@ class BlockFrame:
     """Length-N symbol block, in time or frequency domain, with CP state.
 
     With a prefix attached the stored vector is the prefix followed by the
-    body, so its length is ``block_size + cp_len``.
+    body, so its length is ``block_size + cp_len``. A stack of blocks keeps
+    them along the last axis.
     """
 
     symbols: np.ndarray
@@ -59,22 +60,24 @@ class BlockFrame:
 
     @property
     def block_size(self) -> int:
-        return len(self.symbols) - (self.cp_len if self.has_cp else 0)
+        return self.symbols.shape[-1] - (self.cp_len if self.has_cp else 0)
 
 
 def modulate(bits: np.ndarray, scheme: ModulationScheme) -> BlockFrame:
-    """Map a bit vector onto a time-domain symbol block."""
+    """Map a bit vector, or a stack of them along the last axis, onto
+    time-domain symbol blocks."""
     bits = np.asarray(bits, dtype=int)
-    if bits.size % scheme.bits_per_symbol != 0:
+    if bits.shape[-1] % scheme.bits_per_symbol != 0:
         raise ValueError("bit count is not a multiple of bits per symbol")
-    groups = bits.reshape(-1, scheme.bits_per_symbol)
+    groups = bits.reshape(*bits.shape[:-1], -1, scheme.bits_per_symbol)
     weights = 1 << np.arange(scheme.bits_per_symbol - 1, -1, -1)
     labels = groups @ weights
     return BlockFrame(scheme.points[labels])
 
 
 def demodulate(frame: BlockFrame, scheme: ModulationScheme) -> np.ndarray:
-    """Minimum-distance symbol decisions, inverted to bits.
+    """Minimum-distance symbol decisions, inverted to bits; a stack of
+    blocks gives one bit vector per block.
 
     Equidistant points resolve to the lowest label (argmin tie-break).
     """
@@ -82,10 +85,10 @@ def demodulate(frame: BlockFrame, scheme: ModulationScheme) -> np.ndarray:
         raise ValueError("demodulation expects a time-domain frame")
     if frame.has_cp:
         raise ValueError("remove the prefix before demodulating")
-    dist = np.abs(frame.symbols[:, None] - scheme.points[None, :])
-    labels = np.argmin(dist, axis=1)
+    dist = np.abs(frame.symbols[..., None] - scheme.points)
+    labels = np.argmin(dist, axis=-1)
     shifts = np.arange(scheme.bits_per_symbol - 1, -1, -1)
-    return ((labels[:, None] >> shifts) & 1).reshape(-1)
+    return ((labels[..., None] >> shifts) & 1).reshape(*labels.shape[:-1], -1)
 
 
 def append_cp(frame: BlockFrame, cp_len: int) -> BlockFrame:

@@ -9,6 +9,7 @@ import os
 import pytest
 
 from uwfde.cli import _parse_grid, main
+from uwfde.harness import STREAM_VERSION
 
 
 def run_cli(args):
@@ -47,6 +48,11 @@ class TestGridParsing:
         with pytest.raises(ValueError):
             _parse_grid("0:-1:30")
 
+    @pytest.mark.parametrize("text", ["10:2:0", ",", ""])
+    def test_empty_or_reversed_grid_rejected(self, text):
+        with pytest.raises(ValueError):
+            _parse_grid(text)
+
 
 class TestBerCommand:
     def test_grid_times_detectors_rows(self, tmp_path):
@@ -74,6 +80,18 @@ class TestBerCommand:
                      str(tmp_path / "x.csv"), *FAST])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("flags", [
+        ["--detectors", "mmse,mmse"],
+        ["--snr", "10:2:0"],
+        ["--data-frames", "0"],
+        ["--detectors", "ml", "--N", "32"],
+    ])
+    def test_bad_grid_or_frames_is_usage_error(self, tmp_path, flags):
+        with pytest.raises(SystemExit) as err:
+            run_cli(["ber", "--out", str(tmp_path / "x.csv"), *FAST, *flags])
+        assert err.value.code == 2
+        assert not (tmp_path / "x.csv").exists()
+
     def test_same_seed_reproduces_bytes(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for out in (a, b):
@@ -100,6 +118,7 @@ class TestBerCommand:
         assert manifest["config"]["trials"] == 3
         assert manifest["outputs"] == [str(out)]
         assert manifest["duration_s"] >= 0
+        assert manifest["stream_version"] == STREAM_VERSION
 
     def test_rerun_from_manifest_reproduces_bytes(self, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -108,6 +127,24 @@ class TestBerCommand:
         run_cli(["ber", "--config", str(out1) + ".manifest.json",
                  "--out", str(out2)])
         assert file_hash(out1) == file_hash(out2)
+
+    @pytest.mark.parametrize("stale", [None, STREAM_VERSION - 1])
+    def test_manifest_of_another_stream_is_usage_error(self, tmp_path, capsys,
+                                                         stale):
+        out = tmp_path / "a.csv"
+        run_cli(["ber", "--snr", "0", "--out", str(out), "--seed", "1", *FAST])
+        path = tmp_path / "a.csv.manifest.json"
+        manifest = json.loads(path.read_text())
+        if stale is None:
+            del manifest["stream_version"]
+        else:
+            manifest["stream_version"] = stale
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(SystemExit) as err:
+            run_cli(["ber", "--config", str(path), "--out", str(tmp_path / "b.csv")])
+        assert err.value.code == 2
+        assert "stream" in capsys.readouterr().err
+        assert not (tmp_path / "b.csv").exists()
 
 
 class TestConfigHandling:
@@ -130,6 +167,14 @@ class TestConfigHandling:
     def test_missing_config_file_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as err:
             run_cli(["ber", "--config", str(tmp_path / "nope.json"),
+                     "--out", str(tmp_path / "o.csv"), *FAST])
+        assert err.value.code == 2
+
+    def test_empty_detector_list_is_usage_error(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"detectors": []}))
+        with pytest.raises(SystemExit) as err:
+            run_cli(["ber", "--config", str(cfg_path),
                      "--out", str(tmp_path / "o.csv"), *FAST])
         assert err.value.code == 2
 

@@ -5,13 +5,46 @@ import math
 import numpy as np
 import pytest
 
-from uwfde.channel import sv_profile
+from uwfde.channel import (CascadeSpectra, complex_noise, evolve_channel,
+                           sv_profile)
+from uwfde.detectors import effective_channel
 from uwfde.harness import (GridPoint, SimConfig, noise_powers, run_ber_sweep,
                            run_convergence, run_multirelay,
                            run_placement_sweep, run_points, run_trial,
                            transmit_block, trial_seed, wilson_half_width,
                            _build_links)
-from uwfde.txrx import ModulationScheme
+from uwfde.relay import relay_forward, relay_receive
+from uwfde.txrx import BlockFrame, ModulationScheme, append_cp, unitary_fft
+
+
+def time_domain_chain(x, taps, zeta, sigma2_relay, sigma2_dest, cp_len, rng):
+    """Reference transmit over ``x`` (blocks, N) and ``taps`` (blocks, 2U, L),
+    relay u's hops in rows 2u and 2u + 1: per block and relay, prefix,
+    convolve, strip, forward, convolve, strip; returns the unitary FFT of
+    the summed destination blocks."""
+    out = []
+    for block, hops in zip(x, taps):
+        sent = append_cp(BlockFrame(block), cp_len)
+        total = np.zeros(len(block), dtype=complex)
+        for h, g in zip(hops[0::2], hops[1::2]):
+            at_relay = relay_receive(sent, h, sigma2_relay, rng)
+            forwarded = relay_forward(at_relay, zeta, cp_len)
+            total += relay_receive(forwarded, g, sigma2_dest, rng).symbols
+        out.append(unitary_fft(total))
+    return np.array(out)
+
+
+def replayed_hop_noise(seed, blocks, relays, n, sigma2_relay, sigma2_dest):
+    """Spectra of the noise ``time_domain_chain`` draws from
+    ``default_rng(seed)``, replayed in its draw order; each (blocks, U, N)."""
+    rng = np.random.default_rng(seed)
+    relay = np.empty((blocks, relays, n), dtype=complex)
+    dest = np.empty_like(relay)
+    for b in range(blocks):
+        for u in range(relays):
+            relay[b, u] = complex_noise(rng, n, sigma2_relay)
+            dest[b, u] = complex_noise(rng, n, sigma2_dest)
+    return unitary_fft(relay), unitary_fft(dest)
 
 
 def small_config(**overrides):
@@ -45,10 +78,18 @@ class TestSimConfig:
         dict(channel_model="ray"),
         dict(workers=0),
         dict(mu=-0.1),
+        dict(detectors=("mmse", "mmse")),   # each row would count twice
+        dict(snr_grid=()),
+        dict(detectors=()),
+        dict(detectors=("ml",), block_size=32),  # 2^32 candidates
+        dict(data_frames=0),                # a BER over zero bits
     ])
     def test_invalid_configs_rejected(self, bad):
         with pytest.raises(ValueError):
             small_config(**bad)
+
+    def test_ml_at_the_search_limit_is_accepted(self):
+        assert small_config(detectors=("ml",), block_size=16).block_size == 16
 
     def test_dict_round_trip(self):
         cfg = small_config(detectors=("mmse", "rls"), mu=0.07)
@@ -185,7 +226,18 @@ class TestPlacement:
         right = res.record("mmse", delta=0.75)
         assert (left.errors, left.bits) == (right.errors, right.bits)
         center = res.record("mmse", delta=0.5)
-        assert center.bits == left.bits  # 0.5 pools with itself
+        assert 2 * center.bits == left.bits  # 0.5 is its own mirror
+
+    def test_midpoint_is_not_pooled_with_itself(self):
+        cfg = small_config(trials=4, data_frames=5)
+        res = run_placement_sweep(cfg, [0.3, 0.5])
+        one_way = 4 * 5 * 16
+        assert res.record("mmse", delta=0.3).bits == one_way
+        assert res.record("mmse", delta=0.5).bits == one_way
+
+    def test_repeated_delta_rejected(self):
+        with pytest.raises(ValueError):
+            run_placement_sweep(small_config(), [0.3, 0.3])
 
     def test_unpaired_delta_stays_one_way(self):
         cfg = small_config(trials=4, data_frames=2)
@@ -240,3 +292,48 @@ class TestTransmitBlock:
         x = np.exp(2j * np.pi * rng.uniform(size=16))
         r_f = transmit_block(x, chans.links, cfg.effective_cp_len, rng)
         assert np.max(np.abs(r_f - np.fft.fft(x, norm="ortho"))) < 1e-9
+
+    @pytest.mark.parametrize("relays,blocks,drift", [
+        (1, 1, False), (2, 1, False), (3, 1, False),  # one block, 1-D input
+        (3, 6, False),                                # block stack, fixed taps
+        (2, 6, True),                                 # drifting tap track
+    ])
+    def test_matches_time_domain_chain(self, relays, blocks, drift):
+        n, num_taps, cp_len = 16, 4, 5
+        zeta, sigma2_relay, sigma2_dest = 0.8, 0.3, 0.2
+        rng = np.random.default_rng(10 * relays + blocks)
+        track = np.empty((blocks, 2 * relays, num_taps), dtype=complex)
+        track[0] = complex_noise(rng, track.shape[1:], 1.0)
+        for b in range(1, blocks):
+            track[b] = evolve_channel(track[b - 1], 0.05 if drift else 0.0, rng,
+                                      np.ones(num_taps))
+        x = complex_noise(rng, (blocks, n), 1.0)
+        expected = time_domain_chain(x, track, zeta, sigma2_relay, sigma2_dest,
+                                     cp_len, np.random.default_rng(7))
+        noise = replayed_hop_noise(7, blocks, relays, n, sigma2_relay,
+                                   sigma2_dest)
+        links = CascadeSpectra.from_taps(track if drift else track[0], n, zeta,
+                                         sigma2_relay, sigma2_dest)
+        if blocks == 1:
+            x, expected = x[0], expected[0]
+            noise = (noise[0][0], noise[1][0])
+        got = transmit_block(x, links, cp_len, None, noise=noise)
+        assert got.shape == expected.shape
+        assert np.max(np.abs(got - expected)) <= 1e-10
+
+    def test_drawn_noise_matches_the_effective_channel(self):
+        # zero input: the per-bin power is exactly the modelled noise variance
+        rng = np.random.default_rng(3)
+        links = CascadeSpectra.from_taps(complex_noise(rng, (4, 3), 0.5), 16,
+                                         0.9, 0.4, 0.1)
+        r_f = transmit_block(np.zeros((4000, 16)), links, 2, rng)
+        measured = np.mean(np.abs(r_f) ** 2, axis=0)
+        expected = effective_channel(links).noise_var
+        assert np.max(np.abs(measured / expected - 1.0)) < 0.08
+
+    def test_prefix_shorter_than_memory_rejected(self):
+        rng = np.random.default_rng(4)
+        links = CascadeSpectra.from_taps(complex_noise(rng, (2, 4), 1.0), 16,
+                                         1.0, 0.1, 0.1)
+        with pytest.raises(ValueError):
+            transmit_block(np.ones(16), links, 2, rng)
