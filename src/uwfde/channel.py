@@ -145,6 +145,7 @@ class CascadeSpectra:
 
     @classmethod
     def from_links(cls, links: list[LinkState], block_size: int) -> "CascadeSpectra":
+        """Transform the hops of ``links``, zero-padding the shorter ones."""
         if not links:
             raise ValueError("need at least one link")
         hops = [tap for link in links for tap in (link.h_sr.taps, link.h_rd.taps)]
