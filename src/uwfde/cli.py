@@ -21,8 +21,8 @@ import numpy as np
 from . import __version__
 from .channel import generate_channel, quantize_to_taps, sv_profile
 from .harness import (STREAM_VERSION, ExperimentResult, SimConfig,
-                      run_ber_sweep, run_convergence, run_multirelay,
-                      run_placement_sweep, trial_seed)
+                      _worker_count, run_ber_sweep, run_convergence,
+                      run_multirelay, run_placement_sweep, trial_seed)
 
 BER_COLUMNS = ["experiment", "detector", "snr_db", "fd_norm", "delta", "U",
                "bits", "errors", "ber", "ci_half_width", "seed"]
@@ -170,9 +170,11 @@ def _build_config(parser: argparse.ArgumentParser, args: argparse.Namespace,
     if args.num_taps is not None and "sv" not in data:
         data["sv"] = sv_profile(args.num_taps)
     try:
-        return SimConfig.from_dict(data)
+        config = SimConfig.from_dict(data)
+        _worker_count(config)  # a malformed UWFDE_WORKERS is a usage error
     except (TypeError, ValueError) as exc:
         parser.error(str(exc))
+    return config
 
 
 def _grid(parser: argparse.ArgumentParser, text: str) -> list[float]:
@@ -249,6 +251,8 @@ def cmd_multirelay(parser, args) -> int:
     relay_grid = [int(u) for u in _grid(parser, grid_text)]
     if not all(u >= 1 for u in relay_grid):
         parser.error("relay counts must be >= 1")
+    if len(set(relay_grid)) != len(relay_grid):
+        parser.error("relay counts must be distinct")
     config = _build_config(parser, args, data)
     started = time.monotonic()
     result = run_multirelay(config, relay_grid)

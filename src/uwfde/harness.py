@@ -7,9 +7,12 @@ and, under nonzero Doppler, take one Gauss-Markov step between consecutive
 blocks. Trials are independent and embarrassingly parallel.
 
 A trial's random stream is derived purely from (master seed, experiment
-tag, trial index) and re-instantiated at every grid point, so points of
-one sweep share their channel and noise draws (paired comparisons across
-the grid) and aggregate results are bit-identical for any worker count.
+tag, trial index), and every grid point of a trial starts from that seed,
+so the points of a sweep are paired comparisons and aggregate results are
+bit-identical for any worker count. Points that differ only in SNR are run
+together: they share one draw of the taps, drift and bits, and each
+replays the same noise draws at its own noise powers, which gives exactly
+the numbers a separate run per point would.
 """
 
 from __future__ import annotations
@@ -113,6 +116,10 @@ class SimConfig:
             raise ValueError("lambda_rls must be in (0, 1]")
         if self.pilot_frames < 0:
             raise ValueError("pilot_frames must be nonnegative")
+        adaptive = [d for d in self.detectors if d in ADAPTIVE_DETECTORS]
+        if adaptive and self.pilot_frames == 0:
+            raise ValueError(f"{'/'.join(adaptive)} must be trained: "
+                             "pilot_frames must be >= 1")
         if self.data_frames < 1:
             raise ValueError("data_frames must be >= 1")
         if self.trials < 1:
@@ -121,6 +128,8 @@ class SimConfig:
             raise ValueError("snr_grid must not be empty")
         if not all(math.isfinite(s) for s in self.snr_grid):
             raise ValueError("snr_grid values must be finite")
+        if len(set(self.snr_grid)) != len(self.snr_grid):
+            raise ValueError("snr_grid values must be distinct")
         if self.relay_noise_factor < 0:
             raise ValueError("relay_noise_factor must be nonnegative")
         if self.channel_model not in ("sv", "flat"):
@@ -243,18 +252,34 @@ def _draw_taps(config: SimConfig, rng: np.random.Generator) -> np.ndarray:
     return quantize_to_taps(realization, config.sv.sample_period, config.num_taps)
 
 
-def _build_links(config: SimConfig, point: GridPoint,
-                 rng: np.random.Generator) -> _TrialChannels:
-    gain_sr, gain_rd = path_gain(point.delta, config.eta)
+def _cascade_powers(config: SimConfig,
+                    point: GridPoint) -> tuple[float, float, float]:
+    """(relay gain, relay noise, destination noise) at a grid point: the
+    fields of a ``CascadeSpectra`` that depend on its SNR."""
+    gain_sr, _ = path_gain(point.delta, config.eta)
     scheme = ModulationScheme.from_name(config.scheme)
     sigma_dest, sigma_relay = noise_powers(config, point.snr_db, scheme)
+    return af_gain(gain_sr, sigma_relay), sigma_relay, sigma_dest
+
+
+def _build_links(config: SimConfig, point: GridPoint,
+                 rng: np.random.Generator) -> _TrialChannels:
     taps = np.array([_draw_taps(config, rng)
                      for _ in range(2 * point.num_relays)])
-    taps *= np.sqrt(np.tile([gain_sr, gain_rd], point.num_relays))[:, None]
+    taps *= np.sqrt(np.tile(path_gain(point.delta, config.eta),
+                            point.num_relays))[:, None]
     links = CascadeSpectra.from_taps(taps, config.block_size,
-                                     af_gain(gain_sr, sigma_relay), sigma_relay,
-                                     sigma_dest)
+                                     *_cascade_powers(config, point))
     return _TrialChannels(taps, links)
+
+
+def _at_snr(links: CascadeSpectra, config: SimConfig,
+            point: GridPoint) -> CascadeSpectra:
+    """``links`` with the relay gain and noise powers of ``point``."""
+    zeta, sigma2_relay, sigma2_dest = (np.full(len(links.zeta), value)
+                                       for value in _cascade_powers(config, point))
+    return replace(links, zeta=zeta, sigma2_relay=sigma2_relay,
+                   sigma2_dest=sigma2_dest)
 
 
 def _tap_track(taps: np.ndarray, fd_norm: float, blocks: int,
@@ -319,10 +344,11 @@ def _ml_decisions(ch: EffectiveChannel, r_f: np.ndarray,
                      for h, v, r in zip(ch.response, ch.noise_var, r_f)])
 
 
-def run_point_trial(config: SimConfig, point: GridPoint,
+def run_point_trial(config: SimConfig, points: list[GridPoint],
                     rng: np.random.Generator,
-                    collect_mse: bool = False) -> TrialOutput:
-    """One trial at one grid point, run as arrays over its blocks.
+                    collect_mse: bool = False) -> list[TrialOutput]:
+    """One trial at grid points that differ only in SNR, run as arrays over
+    its blocks; one output per point, in order.
 
     Draws fresh cascades, trains the adaptive detectors on pilot blocks,
     then counts bit errors over the data blocks. Taps are constant within
@@ -335,28 +361,53 @@ def run_point_trial(config: SimConfig, point: GridPoint,
     per-block MSE and the Wiener floor at the last pilot block.
 
     Random stream (``STREAM_VERSION``): hop taps, the drift track, the bits
-    of every block, then the hop noise.
+    of every block, then the hop noise. Only the noise depends on SNR, and
+    only through its scale, so the taps, drift and bits are drawn once for
+    all points and every point after the first replays the noise draws of
+    the first at its own powers: each output equals a separate run of its
+    point from the same generator state.
     """
     scheme = ModulationScheme.from_name(config.scheme)
     n = config.block_size
-    chans = _build_links(config, point, rng)
+    chans = _build_links(config, points[0], rng)
 
-    train_lms = "lms" in config.detectors or collect_mse
-    train_rls = "rls" in config.detectors or collect_mse
-    pilots = config.pilot_frames if train_lms or train_rls else 0
+    adaptive = collect_mse or any(d in ADAPTIVE_DETECTORS for d in config.detectors)
+    pilots = config.pilot_frames if adaptive else 0
     blocks = pilots + (0 if collect_mse else config.data_frames)
 
     links = chans.links
-    drifting = point.fd_norm > 0
+    drifting = points[0].fd_norm > 0
     if drifting:
-        track = _tap_track(chans.taps, point.fd_norm, blocks, rng)
+        track = _tap_track(chans.taps, points[0].fd_norm, blocks, rng)
         links = CascadeSpectra.from_taps(track, n, links.zeta, links.sigma2_relay,
                                          links.sigma2_dest)
     bits = rng.integers(0, 2, size=(blocks, n * scheme.bits_per_symbol))
     x = modulate(bits, scheme).symbols
-    r_f = transmit_block(x, links, config.effective_cp_len, rng)
+    noise_state = rng.bit_generator.state if len(points) > 1 else None
 
-    s_f = unitary_fft(x[:pilots])
+    outputs = []
+    for i, point in enumerate(points):
+        if i:
+            links = _at_snr(links, config, point)
+            rng.bit_generator.state = noise_state
+        r_f = transmit_block(x, links, config.effective_cp_len, rng)
+        outputs.append(_receive(config, scheme, links, drifting, r_f,
+                                x[:pilots], bits[pilots:], collect_mse))
+    return outputs
+
+
+def _receive(config: SimConfig, scheme: ModulationScheme, links: CascadeSpectra,
+             drifting: bool, r_f: np.ndarray, x_pilots: np.ndarray,
+             bits_data: np.ndarray, collect_mse: bool) -> TrialOutput:
+    """Train the adaptive detectors on the pilot blocks of ``r_f``, sent as
+    ``x_pilots``, then count each detector's bit errors over the data
+    blocks that follow; ``collect_mse`` records learning curves instead
+    (see ``run_point_trial``)."""
+    n = config.block_size
+    pilots = len(x_pilots)
+    s_f = unitary_fft(x_pilots)
+    train_lms = "lms" in config.detectors or collect_mse
+    train_rls = "rls" in config.detectors or collect_mse
     lms_w = FdeWeights.zeros(n)
     rls_state = RlsState.initial(n, config.lambda_rls)
     traces = {"lms": np.zeros(pilots), "rls": np.zeros(pilots)} if collect_mse else None
@@ -374,7 +425,7 @@ def run_point_trial(config: SimConfig, point: GridPoint,
         floor = mmse_error_floor(effective_channel(links[-1] if drifting else links))
         return TrialOutput(dict.fromkeys(config.detectors, 0), 0, traces, floor)
 
-    r_data, bits_data = r_f[pilots:], bits[pilots:]
+    r_data = r_f[pilots:]
     trained = {"lms": lms_w, "rls": rls_state.weights}
     ch = None
     if any(d not in ADAPTIVE_DETECTORS for d in config.detectors):
@@ -401,25 +452,40 @@ def run_trial(config: SimConfig, trial_seed_value) -> dict[str, tuple[int, int]]
     rng = np.random.default_rng(trial_seed_value)
     point = GridPoint(config.snr_grid[0], config.fd_norm, config.delta,
                       config.num_relays)
-    out = run_point_trial(config, point, rng)
+    out, = run_point_trial(config, [point], rng)
     return {det: (err, out.bits) for det, err in out.errors.items()}
 
 
 def _trial_job(args) -> list[TrialOutput]:
+    """One trial over every grid point: one ``run_point_trial`` per group of
+    points sharing (Doppler, relay position, relay count), each from a
+    fresh generator on the trial's seed; outputs in point order."""
     config, points, experiment, index, collect_mse = args
-    outputs = []
-    for point in points:
-        rng = np.random.default_rng(
-            trial_seed(config.master_seed, experiment, index))
-        outputs.append(run_point_trial(config, point, rng, collect_mse))
+    seed = trial_seed(config.master_seed, experiment, index)
+    groups: dict[tuple, list[int]] = {}
+    for i, p in enumerate(points):
+        groups.setdefault((p.fd_norm, p.delta, p.num_relays), []).append(i)
+    outputs = [None] * len(points)
+    for members in groups.values():
+        group = run_point_trial(config, [points[i] for i in members],
+                                np.random.default_rng(seed), collect_mse)
+        for i, out in zip(members, group):
+            outputs[i] = out
     return outputs
 
 
 def _worker_count(config: SimConfig) -> int:
+    """Worker processes for a run: ``UWFDE_WORKERS`` when set, else
+    ``config.workers``, capped at the CPU count and the trial count."""
+    requested = config.workers
     env = os.environ.get(WORKERS_ENV_VAR)
     if env:
-        return max(1, int(env))
-    return config.workers
+        try:
+            requested = int(env)
+        except ValueError:
+            raise ValueError(f"{WORKERS_ENV_VAR} must be an integer, "
+                             f"got {env!r}") from None
+    return max(1, min(requested, os.cpu_count() or 1, config.trials))
 
 
 def run_points(config: SimConfig, points: list[GridPoint], experiment: str,
@@ -519,6 +585,8 @@ def run_multirelay(config: SimConfig, relay_grid,
     counts = [int(u) for u in relay_grid]
     if not all(u >= 1 for u in counts):
         raise ValueError("relay counts must be >= 1")
+    if len(set(counts)) != len(counts):
+        raise ValueError("relay counts must be distinct")
     points = [GridPoint(s, config.fd_norm, config.delta, u)
               for u in counts for s in config.snr_grid]
     return run_points(config, points, experiment)

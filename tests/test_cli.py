@@ -85,6 +85,8 @@ class TestBerCommand:
         ["--snr", "10:2:0"],
         ["--data-frames", "0"],
         ["--detectors", "ml", "--N", "32"],
+        ["--detectors", "rls,mmse"],        # FAST sends no pilot blocks
+        ["--snr", "10,10"],
     ])
     def test_bad_grid_or_frames_is_usage_error(self, tmp_path, flags):
         with pytest.raises(SystemExit) as err:
@@ -108,6 +110,14 @@ class TestBerCommand:
         monkeypatch.setenv("UWFDE_WORKERS", "2")
         run_cli([*args, "--out", str(b)])
         assert file_hash(a) == file_hash(b)
+
+    def test_non_integer_worker_env_is_usage_error(self, tmp_path,
+                                                    monkeypatch):
+        monkeypatch.setenv("UWFDE_WORKERS", "two")
+        with pytest.raises(SystemExit) as err:
+            run_cli(["ber", "--out", str(tmp_path / "x.csv"), *FAST])
+        assert err.value.code == 2
+        assert not (tmp_path / "x.csv").exists()
 
     def test_manifest_written(self, tmp_path):
         out = tmp_path / "ber.csv"
@@ -249,6 +259,13 @@ class TestMultirelayCommand:
             run_cli(["multirelay", "--relays", "0,1",
                      "--out", str(tmp_path / "x.csv"), *FAST])
         assert err.value.code == 2
+
+    def test_repeated_relay_count_rejected(self, tmp_path):
+        with pytest.raises(SystemExit) as err:
+            run_cli(["multirelay", "--relays", "2,2", "--detectors", "mmse",
+                     "--out", str(tmp_path / "x.csv"), *FAST])
+        assert err.value.code == 2
+        assert not (tmp_path / "x.csv").exists()
 
 
 class TestChannelDumpCommand:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uwfde.channel import (CascadeSpectra, complex_noise, evolve_channel,
                            sv_profile)
@@ -12,7 +14,7 @@ from uwfde.harness import (GridPoint, SimConfig, noise_powers, run_ber_sweep,
                            run_convergence, run_multirelay,
                            run_placement_sweep, run_points, run_trial,
                            transmit_block, trial_seed, wilson_half_width,
-                           _build_links)
+                           _build_links, _worker_count)
 from uwfde.relay import relay_forward, relay_receive
 from uwfde.txrx import BlockFrame, ModulationScheme, append_cp, unitary_fft
 
@@ -83,6 +85,9 @@ class TestSimConfig:
         dict(detectors=()),
         dict(detectors=("ml",), block_size=32),  # 2^32 candidates
         dict(data_frames=0),                # a BER over zero bits
+        dict(detectors=("rls", "mmse")),    # untrained weights, BER near 0.5
+        dict(detectors=("lms",)),
+        dict(snr_grid=(10.0, 10.0)),        # two rows record cannot tell apart
     ])
     def test_invalid_configs_rejected(self, bad):
         with pytest.raises(ValueError):
@@ -92,7 +97,7 @@ class TestSimConfig:
         assert small_config(detectors=("ml",), block_size=16).block_size == 16
 
     def test_dict_round_trip(self):
-        cfg = small_config(detectors=("mmse", "rls"), mu=0.07)
+        cfg = small_config(detectors=("mmse", "rls"), mu=0.07, pilot_frames=1)
         clone = SimConfig.from_dict(cfg.to_dict())
         assert clone == cfg
 
@@ -194,6 +199,85 @@ class TestRunPoints:
         assert bers[0] > bers[1] > bers[2]
 
 
+class TestWorkerCount:
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
+        monkeypatch.delenv("UWFDE_WORKERS", raising=False)
+
+    @pytest.mark.parametrize("workers,trials,expected", [
+        (1, 5, 1), (2, 5, 2), (8, 5, 2), (8, 1, 1),
+    ])
+    def test_config_workers_capped(self, workers, trials, expected):
+        cfg = small_config(workers=workers, trials=trials)
+        assert _worker_count(cfg) == expected
+
+    @pytest.mark.parametrize("env,trials,expected", [
+        ("1", 5, 1), ("64", 5, 2), ("64", 1, 1), ("0", 5, 1),
+    ])
+    def test_env_override_capped(self, monkeypatch, env, trials, expected):
+        monkeypatch.setenv("UWFDE_WORKERS", env)
+        assert _worker_count(small_config(workers=2, trials=trials)) == expected
+
+    @pytest.mark.parametrize("env", ["two", "1.5"])
+    def test_non_integer_env_rejected(self, monkeypatch, env):
+        monkeypatch.setenv("UWFDE_WORKERS", env)
+        with pytest.raises(ValueError, match="UWFDE_WORKERS"):
+            _worker_count(small_config())
+
+
+def counts(result):
+    return [(r.detector, r.snr_db, r.fd_norm, r.delta, r.num_relays,
+             r.errors, r.bits) for r in result.records]
+
+
+def single_point_counts(cfg, records, experiment):
+    """Counts of a separate one-point ``run_points`` call per record."""
+    return [counts(run_points(cfg, [GridPoint(r.snr_db, r.fd_norm, r.delta,
+                                              r.num_relays)], experiment))
+            [cfg.detectors.index(r.detector)] for r in records]
+
+
+class TestPairing:
+    """Each record of a sweep equals a separate run of its grid point with
+    the same seed and tag: running points together changes no number."""
+
+    def test_drifting_two_relay_ber_sweep(self):
+        cfg = small_config(block_size=8, num_taps=3, sv=sv_profile(3),
+                           snr_grid=(0.0, 9.0, 18.0), fd_norm=0.01,
+                           num_relays=2, pilot_frames=4, data_frames=3,
+                           trials=3, detectors=("mmse", "mrc", "lms", "rls"))
+        res = run_ber_sweep(cfg)
+        assert counts(res) == single_point_counts(cfg, res.records, "ber")
+
+    def test_placement_sweep(self):
+        # no mirrored pair on the grid, so every record is one-way
+        cfg = small_config(snr_grid=(4.0, 12.0), trials=3, data_frames=3,
+                           pilot_frames=3, detectors=("mmse", "lms"))
+        res = run_placement_sweep(cfg, [0.3, 0.6])
+        assert counts(res) == single_point_counts(cfg, res.records, "placement")
+
+    def test_multirelay_sweep(self):
+        cfg = small_config(snr_grid=(4.0, 12.0), trials=3, data_frames=3,
+                           pilot_frames=3, detectors=("rls", "mmse"))
+        res = run_multirelay(cfg, [1, 2])
+        assert counts(res) == single_point_counts(cfg, res.records, "multirelay")
+
+    @settings(max_examples=20, deadline=None)
+    @given(snrs=st.lists(st.integers(-10, 40), min_size=1, max_size=4,
+                         unique=True),
+           fd_norm=st.sampled_from([0.0, 0.02]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_random_snr_grids(self, snrs, fd_norm, seed):
+        cfg = small_config(block_size=8, num_taps=3, sv=sv_profile(3),
+                           snr_grid=tuple(float(s) for s in snrs),
+                           fd_norm=fd_norm, pilot_frames=2, data_frames=2,
+                           trials=2, master_seed=seed,
+                           detectors=("mmse", "rls"))
+        res = run_ber_sweep(cfg)
+        assert counts(res) == single_point_counts(cfg, res.records, "ber")
+
+
 class TestConvergence:
     def test_trace_length_and_monotone_start(self):
         cfg = small_config(pilot_frames=12, trials=30)
@@ -257,6 +341,10 @@ class TestMultirelay:
     def test_relay_count_validated(self):
         with pytest.raises(ValueError):
             run_multirelay(small_config(), [0, 2])
+
+    def test_repeated_relay_count_rejected(self):
+        with pytest.raises(ValueError):
+            run_multirelay(small_config(), [2, 2])
 
     def test_more_relays_more_bits_same_total(self):
         cfg = small_config(trials=4)
