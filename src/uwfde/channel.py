@@ -237,22 +237,36 @@ def quantize_to_taps(real: ChannelRealization, sample_period: float,
     return taps / np.sqrt(power)
 
 
-def evolve_channel(taps: np.ndarray, fd_norm: float, rng: np.random.Generator,
+def evolve_channel(taps: np.ndarray, fd_norm: float, blocks: int,
+                   rng: np.random.Generator,
                    stationary_power: np.ndarray | None = None) -> np.ndarray:
-    """One block step of the Gauss-Markov tap drift, on one tap vector or a
-    stack of them along the last axis.
+    """Gauss-Markov tap drift over ``blocks`` blocks of one tap vector or a
+    stack of them along the last axis: the ``(blocks,) + taps.shape`` track
+    whose row 0 is ``taps`` and whose every later row is one block step on
+    from the row before.
 
     ``rho = exp(-2*pi*fd_norm)`` per block; the innovation keeps each tap's
-    stationary power (defaults to the current tap powers) in expectation.
+    stationary power (defaults to the powers of ``taps``) in expectation.
+    The innovations are drawn as one array, the real then the imaginary
+    parts of each step in turn, which is the stream a step-by-step
+    recursion drawing ``complex_noise`` per step consumes.
     """
     if not 0.0 <= fd_norm < 0.5:
         raise ValueError("fd_norm must be in [0, 0.5)")
+    if blocks < 1:
+        raise ValueError("blocks must be >= 1")
+    track = np.empty((blocks,) + np.shape(taps), dtype=complex)
+    track[:] = taps
     if fd_norm == 0.0:
-        return np.array(taps, copy=True)
+        return track
     power = np.abs(taps) ** 2 if stationary_power is None else stationary_power
     rho = np.exp(-TWO_PI * fd_norm)
-    drive = complex_noise(rng, np.shape(taps), power)
-    return rho * taps + np.sqrt(1.0 - rho * rho) * drive
+    draws = rng.standard_normal((blocks - 1, 2) + np.shape(taps))
+    scale = np.sqrt(np.asarray(power, dtype=float) / 2.0)
+    step = np.sqrt(1.0 - rho * rho) * (scale * (draws[:, 0] + 1j * draws[:, 1]))
+    for b in range(1, blocks):
+        track[b] = rho * track[b - 1] + step[b - 1]
+    return track
 
 
 def circulant_from_taps(taps: np.ndarray, block_size: int) -> np.ndarray:

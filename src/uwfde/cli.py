@@ -21,8 +21,9 @@ import numpy as np
 from . import __version__
 from .channel import generate_channel, quantize_to_taps, sv_profile
 from .harness import (STREAM_VERSION, ExperimentResult, SimConfig,
-                      _worker_count, run_ber_sweep, run_convergence,
-                      run_multirelay, run_placement_sweep, trial_seed)
+                      _relay_counts, _worker_count, run_ber_sweep,
+                      run_convergence, run_multirelay, run_placement_sweep,
+                      trial_seed)
 
 BER_COLUMNS = ["experiment", "detector", "snr_db", "fd_norm", "delta", "U",
                "bits", "errors", "ber", "ci_half_width", "seed"]
@@ -218,6 +219,8 @@ def cmd_converge(parser, args) -> int:
     elif "snr_grid" not in data:
         data["snr_grid"] = (5.0,)
     config = _build_config(parser, args, data)
+    if config.pilot_frames < 1:
+        parser.error("converge needs at least one pilot frame")
     started = time.monotonic()
     result = run_convergence(config)
     _write_csv(args.out, CONVERGE_COLUMNS, _converge_rows(result))
@@ -248,11 +251,10 @@ def cmd_multirelay(parser, args) -> int:
     data, extras = _read_config_file(parser, args)
     _apply_grid_flags(parser, args, data, "0:5:30", "rls")
     grid_text = args.relays or extras.get("relay_grid") or "1,2,3"
-    relay_grid = [int(u) for u in _grid(parser, grid_text)]
-    if not all(u >= 1 for u in relay_grid):
-        parser.error("relay counts must be >= 1")
-    if len(set(relay_grid)) != len(relay_grid):
-        parser.error("relay counts must be distinct")
+    try:
+        relay_grid = _relay_counts(_grid(parser, grid_text))
+    except ValueError as exc:
+        parser.error(str(exc))
     config = _build_config(parser, args, data)
     started = time.monotonic()
     result = run_multirelay(config, relay_grid)

@@ -9,10 +9,14 @@ blocks. Trials are independent and embarrassingly parallel.
 A trial's random stream is derived purely from (master seed, experiment
 tag, trial index), and every grid point of a trial starts from that seed,
 so the points of a sweep are paired comparisons and aggregate results are
-bit-identical for any worker count. Points that differ only in SNR are run
-together: they share one draw of the taps, drift and bits, and each
-replays the same noise draws at its own noise powers, which gives exactly
-the numbers a separate run per point would.
+bit-identical for any worker count. A trial runs as one call over all of
+its grid points. It draws the hop taps once, since every (Doppler, relay
+position, relay count) cell starts with the same hops, and each cell
+resumes from the generator state after its own hops. Points that differ
+only in SNR also share one draw of the drift and bits, and each replays
+the same noise draws at its own noise powers. The adaptive filters of all
+points train as one scan over the pilot blocks. Each point's numbers are
+exactly those a separate run of that point would give.
 """
 
 from __future__ import annotations
@@ -235,12 +239,29 @@ def noise_powers(config: SimConfig, snr_db: float,
 
 @dataclass
 class _TrialChannels:
-    """One trial's relay cascades: the taps of every hop, stacked ``(2U, L)``
-    with relay u's source and destination hops in rows ``2u`` and ``2u + 1``,
-    and their per-bin responses."""
+    """One trial's hop taps, unscaled, stacked ``(2U, L)`` for the largest
+    relay count U on its grid, relay u's source and destination hops in
+    rows ``2u`` and ``2u + 1``, plus the generator state right after the
+    hops of each relay count on the grid (none for a one-cell trial)."""
 
     taps: np.ndarray
-    links: CascadeSpectra
+    states: dict[int, dict]
+
+    def cascade(self, config: SimConfig, point: GridPoint, blocks: int,
+                rng: np.random.Generator) -> CascadeSpectra:
+        """Per-bin responses of ``point``'s cell: its first ``2U`` hops at its
+        path gains, drifting over ``blocks`` blocks when its Doppler is
+        nonzero. Leaves ``rng`` where a trial of that cell alone would be
+        after its drift."""
+        relays = point.num_relays
+        taps = self.taps[:2 * relays] * np.sqrt(
+            np.tile(path_gain(point.delta, config.eta), relays))[:, None]
+        if self.states:
+            rng.bit_generator.state = self.states[relays]
+        if point.fd_norm > 0:
+            taps = evolve_channel(taps, point.fd_norm, blocks, rng)
+        return CascadeSpectra.from_taps(taps, config.block_size,
+                                        *_cascade_powers(config, point))
 
 
 def _draw_taps(config: SimConfig, rng: np.random.Generator) -> np.ndarray:
@@ -262,15 +283,19 @@ def _cascade_powers(config: SimConfig,
     return af_gain(gain_sr, sigma_relay), sigma_relay, sigma_dest
 
 
-def _build_links(config: SimConfig, point: GridPoint,
+def _build_links(config: SimConfig, cells: list[GridPoint],
                  rng: np.random.Generator) -> _TrialChannels:
-    taps = np.array([_draw_taps(config, rng)
-                     for _ in range(2 * point.num_relays)])
-    taps *= np.sqrt(np.tile(path_gain(point.delta, config.eta),
-                            point.num_relays))[:, None]
-    links = CascadeSpectra.from_taps(taps, config.block_size,
-                                     *_cascade_powers(config, point))
-    return _TrialChannels(taps, links)
+    """Draw the hops of a trial whose (Doppler, position, relay count) cells
+    are led by ``cells``: every cell's stream starts with the same hops, so
+    those of the largest relay count are drawn once, and with more than one
+    cell the state after each cell's relay count is saved to resume from."""
+    counts = {point.num_relays for point in cells}
+    hops, states = [], {}
+    for relays in range(1, max(counts) + 1):
+        hops += [_draw_taps(config, rng), _draw_taps(config, rng)]
+        if len(cells) > 1 and relays in counts:
+            states[relays] = rng.bit_generator.state
+    return _TrialChannels(np.array(hops), states)
 
 
 def _at_snr(links: CascadeSpectra, config: SimConfig,
@@ -280,18 +305,6 @@ def _at_snr(links: CascadeSpectra, config: SimConfig,
                                        for value in _cascade_powers(config, point))
     return replace(links, zeta=zeta, sigma2_relay=sigma2_relay,
                    sigma2_dest=sigma2_dest)
-
-
-def _tap_track(taps: np.ndarray, fd_norm: float, blocks: int,
-               rng: np.random.Generator) -> np.ndarray:
-    """Taps of every block, ``(blocks, 2U, L)``: one Gauss-Markov step of all
-    hops between consecutive blocks, around the powers of the first."""
-    track = np.empty((blocks,) + taps.shape, dtype=complex)
-    track[0] = taps
-    power = np.abs(taps) ** 2
-    for b in range(1, blocks):
-        track[b] = evolve_channel(track[b - 1], fd_norm, rng, power)
-    return track
 
 
 def transmit_block(x: np.ndarray, links: CascadeSpectra, cp_len: int,
@@ -344,11 +357,10 @@ def _ml_decisions(ch: EffectiveChannel, r_f: np.ndarray,
                      for h, v, r in zip(ch.response, ch.noise_var, r_f)])
 
 
-def run_point_trial(config: SimConfig, points: list[GridPoint],
-                    rng: np.random.Generator,
+def run_point_trial(config: SimConfig, points: list[GridPoint], seed,
                     collect_mse: bool = False) -> list[TrialOutput]:
-    """One trial at grid points that differ only in SNR, run as arrays over
-    its blocks; one output per point, in order.
+    """One trial over all of its grid points, from a generator on ``seed``;
+    one output per point, in order.
 
     Draws fresh cascades, trains the adaptive detectors on pilot blocks,
     then counts bit errors over the data blocks. Taps are constant within
@@ -360,118 +372,139 @@ def run_point_trial(config: SimConfig, points: list[GridPoint],
     the pilot blocks, trains both adaptive filters and records their
     per-block MSE and the Wiener floor at the last pilot block.
 
-    Random stream (``STREAM_VERSION``): hop taps, the drift track, the bits
-    of every block, then the hop noise. Only the noise depends on SNR, and
-    only through its scale, so the taps, drift and bits are drawn once for
-    all points and every point after the first replays the noise draws of
-    the first at its own powers: each output equals a separate run of its
-    point from the same generator state.
+    Random stream (``STREAM_VERSION``), per (Doppler, position, relay
+    count) cell of the grid: hop taps, the drift track, the bits of every
+    block, then the hop noise. Every cell's stream starts with the same
+    hops, and the relay position only scales them, so the taps are drawn
+    once per trial and each cell resumes from the generator state after
+    its own hops. Within a cell only the noise depends on SNR, and only
+    through its scale, so the drift and bits are drawn once for the cell
+    and every point after its first replays the noise draws of the first
+    at its own powers. Each output therefore equals a separate run of its
+    point from the same seed. The ideal-CSI detectors run per point; the
+    adaptive filters of all points train together as one scan over the
+    pilot blocks on ``(points, N)`` rows.
     """
+    rng = np.random.default_rng(seed)
     scheme = ModulationScheme.from_name(config.scheme)
     n = config.block_size
-    chans = _build_links(config, points[0], rng)
+    cells: dict[tuple, list[int]] = {}
+    for i, p in enumerate(points):
+        cells.setdefault((p.fd_norm, p.delta, p.num_relays), []).append(i)
+    chans = _build_links(config, [points[m[0]] for m in cells.values()], rng)
 
-    adaptive = collect_mse or any(d in ADAPTIVE_DETECTORS for d in config.detectors)
+    adaptive = [d for d in ADAPTIVE_DETECTORS
+                if collect_mse or d in config.detectors]
     pilots = config.pilot_frames if adaptive else 0
     blocks = pilots + (0 if collect_mse else config.data_frames)
-
-    links = chans.links
-    drifting = points[0].fd_norm > 0
-    if drifting:
-        track = _tap_track(chans.taps, points[0].fd_norm, blocks, rng)
-        links = CascadeSpectra.from_taps(track, n, links.zeta, links.sigma2_relay,
-                                         links.sigma2_dest)
-    bits = rng.integers(0, 2, size=(blocks, n * scheme.bits_per_symbol))
-    x = modulate(bits, scheme).symbols
-    noise_state = rng.bit_generator.state if len(points) > 1 else None
-
-    outputs = []
-    for i, point in enumerate(points):
-        if i:
-            links = _at_snr(links, config, point)
-            rng.bit_generator.state = noise_state
-        r_f = transmit_block(x, links, config.effective_cp_len, rng)
-        outputs.append(_receive(config, scheme, links, drifting, r_f,
-                                x[:pilots], bits[pilots:], collect_mse))
+    if adaptive:
+        r_stack = np.empty((len(points), blocks, n), dtype=complex)
+        s_stack = np.empty((len(points), pilots, n), dtype=complex)
+    outputs: list[TrialOutput] = [None] * len(points)
+    data_bits: list[np.ndarray] = [None] * len(points)
+    for members in cells.values():
+        links = chans.cascade(config, points[members[0]], blocks, rng)
+        drifting = points[members[0]].fd_norm > 0
+        bits = rng.integers(0, 2, size=(blocks, n * scheme.bits_per_symbol))
+        x = modulate(bits, scheme).symbols
+        bits_data = bits[pilots:].copy()
+        if adaptive:
+            s_stack[members] = unitary_fft(x[:pilots])
+        noise_state = rng.bit_generator.state if len(members) > 1 else None
+        for k, i in enumerate(members):
+            if k:
+                links = _at_snr(links, config, points[i])
+                rng.bit_generator.state = noise_state
+            r_f = transmit_block(x, links, config.effective_cp_len, rng)
+            outputs[i] = _detect_ideal(config, scheme, links, drifting, r_f,
+                                       pilots, bits_data, collect_mse)
+            if adaptive:
+                r_stack[i] = r_f
+                data_bits[i] = bits_data
+    if adaptive:
+        _detect_adaptive(config, scheme, adaptive, r_stack, s_stack, data_bits,
+                         outputs, collect_mse)
     return outputs
 
 
-def _receive(config: SimConfig, scheme: ModulationScheme, links: CascadeSpectra,
-             drifting: bool, r_f: np.ndarray, x_pilots: np.ndarray,
-             bits_data: np.ndarray, collect_mse: bool) -> TrialOutput:
-    """Train the adaptive detectors on the pilot blocks of ``r_f``, sent as
-    ``x_pilots``, then count each detector's bit errors over the data
-    blocks that follow; ``collect_mse`` records learning curves instead
-    (see ``run_point_trial``)."""
-    n = config.block_size
-    pilots = len(x_pilots)
-    s_f = unitary_fft(x_pilots)
-    train_lms = "lms" in config.detectors or collect_mse
-    train_rls = "rls" in config.detectors or collect_mse
-    lms_w = FdeWeights.zeros(n)
-    rls_state = RlsState.initial(n, config.lambda_rls)
-    traces = {"lms": np.zeros(pilots), "rls": np.zeros(pilots)} if collect_mse else None
-    for b in range(pilots):
-        if train_lms:
-            lms_w, err = lms_step(lms_w, r_f[b], s_f[b], config.mu)
-            if collect_mse:
-                traces["lms"][b] = np.mean(np.abs(err) ** 2)
-        if train_rls:
-            rls_state, err = rls_step(rls_state, r_f[b], s_f[b])
-            if collect_mse:
-                traces["rls"][b] = np.mean(np.abs(err) ** 2)
-
+def _detect_ideal(config: SimConfig, scheme: ModulationScheme,
+                  links: CascadeSpectra, drifting: bool, r_f: np.ndarray,
+                  pilots: int, bits_data: np.ndarray,
+                  collect_mse: bool) -> TrialOutput:
+    """One point's output with the bit errors of its ideal-CSI detectors over
+    the data blocks of ``r_f``, which follow ``pilots`` pilot blocks; with
+    ``collect_mse``, its Wiener floor at the last pilot block instead."""
     if collect_mse:
         floor = mmse_error_floor(effective_channel(links[-1] if drifting else links))
-        return TrialOutput(dict.fromkeys(config.detectors, 0), 0, traces, floor)
-
+        return TrialOutput(dict.fromkeys(config.detectors, 0), 0, None, floor)
+    errors = dict.fromkeys(config.detectors, 0)
+    ideal = [d for d in config.detectors if d not in ADAPTIVE_DETECTORS]
+    if not ideal:
+        return TrialOutput(errors, bits_data.size)
     r_data = r_f[pilots:]
-    trained = {"lms": lms_w, "rls": rls_state.weights}
-    ch = None
-    if any(d not in ADAPTIVE_DETECTORS for d in config.detectors):
-        ch = effective_channel(links[pilots:] if drifting else links)
-    errors = {}
-    for det in config.detectors:
+    ch = effective_channel(links[pilots:] if drifting else links)
+    for det in ideal:
         if det == "ml":
-            decided = _ml_decisions(ch, r_data, scheme, n)
+            decided = _ml_decisions(ch, r_data, scheme, config.block_size)
         else:
-            if det == "mrc":
-                w = mrc_weights(ch)
-            elif det == "mmse":
-                w = mmse_weights(ch)
-            else:
-                w = trained[det]
+            w = mrc_weights(ch) if det == "mrc" else mmse_weights(ch)
             decided = unitary_ifft(w.apply(r_data))
         got = demodulate(BlockFrame(decided), scheme)
         errors[det] = int(np.count_nonzero(got != bits_data))
     return TrialOutput(errors, bits_data.size)
 
 
+def _detect_adaptive(config: SimConfig, scheme: ModulationScheme,
+                     adaptive: list[str], r_stack: np.ndarray,
+                     s_stack: np.ndarray, data_bits: list[np.ndarray],
+                     outputs: list[TrialOutput], collect_mse: bool) -> None:
+    """Train the adaptive filters of every point at once on the pilot blocks
+    of ``r_stack`` (points, blocks, N), sent as the spectra ``s_stack``
+    (points, pilots, N), then count each point's bit errors over its data
+    blocks into ``outputs``; ``collect_mse`` records each point's learning
+    curves instead (see ``run_point_trial``)."""
+    n = config.block_size
+    pilots = s_stack.shape[1]
+    lms_w = FdeWeights.zeros(n)
+    rls_state = RlsState.initial(n, config.lambda_rls)
+    traces = ({det: np.zeros((len(outputs), pilots)) for det in adaptive}
+              if collect_mse else None)
+    for b in range(pilots):
+        if "lms" in adaptive:
+            lms_w, err = lms_step(lms_w, r_stack[:, b], s_stack[:, b], config.mu)
+            if collect_mse:
+                traces["lms"][:, b] = np.mean(np.abs(err) ** 2, axis=-1)
+        if "rls" in adaptive:
+            rls_state, err = rls_step(rls_state, r_stack[:, b], s_stack[:, b])
+            if collect_mse:
+                traces["rls"][:, b] = np.mean(np.abs(err) ** 2, axis=-1)
+
+    trained = {"lms": lms_w.w, "rls": rls_state.weights.w}
+    for i, out in enumerate(outputs):
+        if collect_mse:
+            out.mse_traces = {det: traces[det][i] for det in adaptive}
+            continue
+        for det in adaptive:
+            decided = unitary_ifft(FdeWeights(trained[det][i]).apply(
+                r_stack[i, pilots:]))
+            got = demodulate(BlockFrame(decided), scheme)
+            out.errors[det] = int(np.count_nonzero(got != data_bits[i]))
+
+
 def run_trial(config: SimConfig, trial_seed_value) -> dict[str, tuple[int, int]]:
     """Run one trial at the first grid point; deterministic in the seed."""
-    rng = np.random.default_rng(trial_seed_value)
     point = GridPoint(config.snr_grid[0], config.fd_norm, config.delta,
                       config.num_relays)
-    out, = run_point_trial(config, [point], rng)
+    out, = run_point_trial(config, [point], trial_seed_value)
     return {det: (err, out.bits) for det, err in out.errors.items()}
 
 
 def _trial_job(args) -> list[TrialOutput]:
-    """One trial over every grid point: one ``run_point_trial`` per group of
-    points sharing (Doppler, relay position, relay count), each from a
-    fresh generator on the trial's seed; outputs in point order."""
+    """One trial over every grid point, seeded from its index."""
     config, points, experiment, index, collect_mse = args
-    seed = trial_seed(config.master_seed, experiment, index)
-    groups: dict[tuple, list[int]] = {}
-    for i, p in enumerate(points):
-        groups.setdefault((p.fd_norm, p.delta, p.num_relays), []).append(i)
-    outputs = [None] * len(points)
-    for members in groups.values():
-        group = run_point_trial(config, [points[i] for i in members],
-                                np.random.default_rng(seed), collect_mse)
-        for i, out in zip(members, group):
-            outputs[i] = out
-    return outputs
+    return run_point_trial(config, points,
+                           trial_seed(config.master_seed, experiment, index),
+                           collect_mse)
 
 
 def _worker_count(config: SimConfig) -> int:
@@ -579,14 +612,22 @@ def run_placement_sweep(config: SimConfig, delta_grid,
     return result
 
 
-def run_multirelay(config: SimConfig, relay_grid,
-                   experiment: str = "multirelay") -> ExperimentResult:
-    """Bit error rate as the number of forwarding relays grows."""
+def _relay_counts(relay_grid) -> list[int]:
+    """The relay-count grid as integers; each count must be a whole number
+    of at least one, and no count may repeat."""
+    if not all(float(u).is_integer() for u in relay_grid):
+        raise ValueError("relay counts must be whole numbers")
     counts = [int(u) for u in relay_grid]
     if not all(u >= 1 for u in counts):
         raise ValueError("relay counts must be >= 1")
     if len(set(counts)) != len(counts):
         raise ValueError("relay counts must be distinct")
+    return counts
+
+
+def run_multirelay(config: SimConfig, relay_grid,
+                   experiment: str = "multirelay") -> ExperimentResult:
+    """Bit error rate as the number of forwarding relays grows."""
     points = [GridPoint(s, config.fd_norm, config.delta, u)
-              for u in counts for s in config.snr_grid]
+              for u in _relay_counts(relay_grid) for s in config.snr_grid]
     return run_points(config, points, experiment)

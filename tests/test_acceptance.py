@@ -169,14 +169,15 @@ def test_criterion_05_wiener_convergence():
     cross = {"lms": np.zeros(n, dtype=complex),
              "rls": np.zeros(n, dtype=complex)}
     ref_power = np.zeros(n)
+    point = GridPoint(snr)
     for _ in range(channels):
-        chans = _build_links(cfg, GridPoint(snr), rng)
-        w_opt = mmse_weights(effective_channel(chans.links, n)).w
+        links = _build_links(cfg, [point], rng).cascade(cfg, point, 1, rng)
+        w_opt = mmse_weights(effective_channel(links, n)).w
         pilots_list = []
         for _ in range(pilots):
             bits = rng.integers(0, 2, size=n)
             x = modulate(bits, scheme).symbols
-            r_f = transmit_block(x, chans.links, cfg.effective_cp_len, rng)
+            r_f = transmit_block(x, links, cfg.effective_cp_len, rng)
             pilots_list.append((r_f, unitary_fft(x)))
         for det in ("lms", "rls"):
             w, _ = train_adaptive(det, pilots_list, mu=cfg.mu,
@@ -286,13 +287,8 @@ def test_criterion_09_statistical_generators():
 
     fd = 0.05
     rho = math.exp(-2.0 * math.pi * fd)
-    q = np.empty(100_001, dtype=complex)
-    q[0] = 1.0
-    state = np.array([1.0 + 0j])
     power = np.array([1.0])
-    for i in range(1, 100_001):
-        state = evolve_channel(state, fd, rng, power)
-        q[i] = state[0]
+    q = evolve_channel(np.array([1.0 + 0j]), fd, 100_001, rng, power)[:, 0]
     est = np.mean(q[1:] * np.conj(q[:-1])).real / np.mean(np.abs(q) ** 2)
     assert abs(est - rho) / rho < 0.02
     print("PASS criterion 9: generator moments and drift autocorrelation")

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from uwfde.channel import (ChannelRealization, LinkState, SvParams,
-                           circulant_from_taps, evolve_channel, freq_response,
-                           generate_channel, path_gain, quantize_to_taps,
-                           sample_cluster_arrivals, sample_nakagami,
-                           sample_ray_arrivals, sv_profile)
+                           circulant_from_taps, complex_noise, evolve_channel,
+                           freq_response, generate_channel, path_gain,
+                           quantize_to_taps, sample_cluster_arrivals,
+                           sample_nakagami, sample_ray_arrivals, sv_profile)
 
 # Cluster/ray timing constants quoted in nanoseconds by the channel
 # measurement literature this model follows.
@@ -192,12 +192,41 @@ class TestQuantize:
 class TestEvolve:
     def test_zero_doppler_identity(self):
         taps = np.array([0.6, 0.8j])
-        out = evolve_channel(taps, 0.0, np.random.default_rng(0))
-        assert np.array_equal(out, taps)
+        rng = np.random.default_rng(0)
+        out = evolve_channel(taps, 0.0, 5, rng)
+        assert out.shape == (5, 2)
+        assert all(np.array_equal(row, taps) for row in out)
+        assert rng.random() == np.random.default_rng(0).random()  # no draws
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
-            evolve_channel(np.array([1.0 + 0j]), 0.5, np.random.default_rng(0))
+            evolve_channel(np.array([1.0 + 0j]), 0.5, 2, np.random.default_rng(0))
+        with pytest.raises(ValueError):
+            evolve_channel(np.array([1.0 + 0j]), 0.01, 0, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("shape,blocks,given_power", [
+        ((2, 15), 70, False), ((6, 4), 9, True), ((3,), 1, False), ((1,), 2, True),
+    ])
+    def test_track_matches_stepwise_recurrence(self, shape, blocks, given_power):
+        # oracle: one Gauss-Markov step per block, real then imaginary draws
+        fd = 0.01
+        taps = complex_noise(np.random.default_rng(1), shape, 1.0)
+        power = np.linspace(0.5, 2.0, shape[-1]) if given_power else None
+        rng = np.random.default_rng(2)
+        track = evolve_channel(taps, fd, blocks, rng, power)
+
+        ref = np.random.default_rng(2)
+        rho = np.exp(-2 * np.pi * fd)
+        var = np.abs(taps) ** 2 if power is None else power
+        cur = taps
+        assert track.shape == (blocks,) + shape
+        assert np.array_equal(track[0], taps)
+        for b in range(1, blocks):
+            drive = np.sqrt(var / 2.0) * (ref.standard_normal(shape)
+                                          + 1j * ref.standard_normal(shape))
+            cur = rho * cur + np.sqrt(1.0 - rho * rho) * drive
+            assert np.array_equal(track[b], cur)
+        assert rng.random() == ref.random()  # the same stream consumed
 
     def test_lag_one_autocorrelation(self):
         # AR(1) oracle: inter-block correlation equals exp(-2 pi fd)
@@ -205,13 +234,8 @@ class TestEvolve:
         rho = np.exp(-2 * np.pi * fd)
         rng = np.random.default_rng(42)
         n = 100_000
-        q = np.empty(n + 1, dtype=complex)
-        q[0] = 1.0
         power = np.array([1.0])
-        cur = np.array([1.0 + 0j])
-        for i in range(1, n + 1):
-            cur = evolve_channel(cur, fd, rng, power)
-            q[i] = cur[0]
+        q = evolve_channel(np.array([1.0 + 0j]), fd, n + 1, rng, power)[:, 0]
         est = np.mean(q[1:] * np.conj(q[:-1])).real / np.mean(np.abs(q) ** 2)
         assert abs(est - rho) / rho < 0.02
 
@@ -221,8 +245,8 @@ class TestEvolve:
         m = 20_000
         state = np.full(m, 1.0 + 0j)
         power = np.ones(m)
-        for step in range(1, 1001):
-            state = evolve_channel(state, 0.01, rng, power)
+        for step in range(100, 1001, 100):  # tracks of 100 steps bound memory
+            state = evolve_channel(state, 0.01, 101, rng, power)[-1]
             if step in (100, 500, 1000):
                 assert abs(np.mean(np.abs(state) ** 2) - 1.0) < 0.02
 

@@ -222,6 +222,13 @@ class TestConvergeCommand:
                      "--N", "16", "--L", "4", "--out", str(out), "--seed", "6"])
         assert file_hash(a) == file_hash(b)
 
+    def test_zero_pilot_frames_rejected(self, tmp_path):
+        with pytest.raises(SystemExit) as err:
+            run_cli(["converge", "--pilot-frames", "0", "--trials", "2",
+                     "--N", "16", "--L", "4", "--out", str(tmp_path / "c.csv")])
+        assert err.value.code == 2
+        assert not (tmp_path / "c.csv").exists()
+
 
 class TestPlacementCommand:
     def test_rows_and_delta_column(self, tmp_path):
@@ -264,6 +271,14 @@ class TestMultirelayCommand:
         with pytest.raises(SystemExit) as err:
             run_cli(["multirelay", "--relays", "2,2", "--detectors", "mmse",
                      "--out", str(tmp_path / "x.csv"), *FAST])
+        assert err.value.code == 2
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("relays", ["1.7,2.2", "1,2.5"])
+    def test_fractional_relay_count_rejected(self, tmp_path, relays):
+        with pytest.raises(SystemExit) as err:
+            run_cli(["multirelay", "--relays", relays, "--detectors", "mmse",
+                     "--snr", "10", "--out", str(tmp_path / "x.csv"), *FAST])
         assert err.value.code == 2
         assert not (tmp_path / "x.csv").exists()
 

@@ -263,18 +263,39 @@ class TestPairing:
         res = run_multirelay(cfg, [1, 2])
         assert counts(res) == single_point_counts(cfg, res.records, "multirelay")
 
-    @settings(max_examples=20, deadline=None)
-    @given(snrs=st.lists(st.integers(-10, 40), min_size=1, max_size=4,
-                         unique=True),
-           fd_norm=st.sampled_from([0.0, 0.02]),
-           seed=st.integers(0, 2 ** 32 - 1))
-    def test_random_snr_grids(self, snrs, fd_norm, seed):
+    def test_doppler_grid(self):
         cfg = small_config(block_size=8, num_taps=3, sv=sv_profile(3),
-                           snr_grid=tuple(float(s) for s in snrs),
-                           fd_norm=fd_norm, pilot_frames=2, data_frames=2,
-                           trials=2, master_seed=seed,
-                           detectors=("mmse", "rls"))
-        res = run_ber_sweep(cfg)
+                           snr_grid=(20.0,), pilot_frames=5, data_frames=3,
+                           trials=3, lambda_rls=0.9,
+                           detectors=("lms", "rls", "mmse"))
+        points = [GridPoint(20.0, fd, 0.5, 2) for fd in (0.0, 1e-3, 1e-2)]
+        res = run_points(cfg, points, "doppler")
+        assert counts(res) == single_point_counts(cfg, res.records, "doppler")
+
+    def test_mixed_position_relays_and_doppler(self):
+        # cells of every kind in one call, relay counts out of order
+        cfg = small_config(block_size=8, num_taps=3, sv=sv_profile(3),
+                           pilot_frames=3, data_frames=2, trials=3,
+                           detectors=("mrc", "rls", "mmse", "lms"))
+        points = [GridPoint(6.0, 0.0, 0.5, 3), GridPoint(12.0, 0.0, 0.5, 3),
+                  GridPoint(12.0, 0.01, 0.3, 1), GridPoint(6.0, 0.01, 0.7, 2),
+                  GridPoint(6.0, 0.0, 0.3, 1), GridPoint(0.0, 0.01, 0.3, 1)]
+        res = run_points(cfg, points, "mixed")
+        assert counts(res) == single_point_counts(cfg, res.records, "mixed")
+
+    @settings(max_examples=20, deadline=None)
+    @given(cells=st.lists(st.tuples(st.integers(-10, 40),
+                                    st.sampled_from([0.0, 0.02]),
+                                    st.sampled_from([0.3, 0.5]),
+                                    st.integers(1, 3)),
+                          min_size=1, max_size=4, unique=True),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_random_snr_grids(self, cells, seed):
+        cfg = small_config(block_size=8, num_taps=3, sv=sv_profile(3),
+                           pilot_frames=2, data_frames=2, trials=2,
+                           master_seed=seed, detectors=("mmse", "rls"))
+        points = [GridPoint(float(s), fd, delta, u) for s, fd, delta, u in cells]
+        res = run_points(cfg, points, "ber")
         assert counts(res) == single_point_counts(cfg, res.records, "ber")
 
 
@@ -346,6 +367,11 @@ class TestMultirelay:
         with pytest.raises(ValueError):
             run_multirelay(small_config(), [2, 2])
 
+    @pytest.mark.parametrize("grid", [[1.7], [1, 2.5]])
+    def test_fractional_relay_count_rejected(self, grid):
+        with pytest.raises(ValueError, match="whole"):
+            run_multirelay(small_config(), grid)
+
     def test_more_relays_more_bits_same_total(self):
         cfg = small_config(trials=4)
         res = run_multirelay(cfg, [1, 2])
@@ -376,9 +402,10 @@ class TestTransmitBlock:
         cfg = small_config(channel_model="flat", num_taps=1,
                            relay_noise_factor=0.0, snr_grid=(200.0,))
         rng = np.random.default_rng(0)
-        chans = _build_links(cfg, GridPoint(200.0), rng)
+        point = GridPoint(200.0)
+        links = _build_links(cfg, [point], rng).cascade(cfg, point, 1, rng)
         x = np.exp(2j * np.pi * rng.uniform(size=16))
-        r_f = transmit_block(x, chans.links, cfg.effective_cp_len, rng)
+        r_f = transmit_block(x, links, cfg.effective_cp_len, rng)
         assert np.max(np.abs(r_f - np.fft.fft(x, norm="ortho"))) < 1e-9
 
     @pytest.mark.parametrize("relays,blocks,drift", [
@@ -390,11 +417,9 @@ class TestTransmitBlock:
         n, num_taps, cp_len = 16, 4, 5
         zeta, sigma2_relay, sigma2_dest = 0.8, 0.3, 0.2
         rng = np.random.default_rng(10 * relays + blocks)
-        track = np.empty((blocks, 2 * relays, num_taps), dtype=complex)
-        track[0] = complex_noise(rng, track.shape[1:], 1.0)
-        for b in range(1, blocks):
-            track[b] = evolve_channel(track[b - 1], 0.05 if drift else 0.0, rng,
-                                      np.ones(num_taps))
+        track = evolve_channel(complex_noise(rng, (2 * relays, num_taps), 1.0),
+                               0.05 if drift else 0.0, blocks, rng,
+                               np.ones(num_taps))
         x = complex_noise(rng, (blocks, n), 1.0)
         expected = time_domain_chain(x, track, zeta, sigma2_relay, sigma2_dest,
                                      cp_len, np.random.default_rng(7))
