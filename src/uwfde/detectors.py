@@ -6,7 +6,9 @@ equalizer here are diagonal in the DFT basis. All detectors therefore
 reduce to per-bin scalars: closed-form matched-filter (MRC) and Wiener
 (MMSE) weights, an exhaustive small-block maximum-likelihood search, and
 stochastic-gradient / recursive-least-squares adaptive filters that run as
-N independent scalar recursions.
+N independent scalar recursions. The search expands its per-bin distance
+so that every block received under one channel state is scored against
+all candidates by one real matrix product with cached candidate tables.
 
 Weight application convention, fixed across the module: the symbol
 estimate is ``conj(w) * r`` per bin, so the Wiener fixed point of both
@@ -25,6 +27,10 @@ from .txrx import ModulationScheme
 
 # Exhaustive search cap: constellation_order ** block_size candidates.
 ML_SEARCH_LIMIT = 2 ** 16
+# Received blocks searched per matrix product; with 8-byte costs this
+# keeps each (rows, candidates) buffer at 16 MB or less, whatever the
+# number of blocks (a drifting channel adds a second one for the energy).
+ML_SLICE_ROWS = 32
 
 
 @dataclass
@@ -98,44 +104,112 @@ def mmse_weights(ch: EffectiveChannel) -> FdeWeights:
 
 
 @lru_cache(maxsize=8)
-def _ml_candidates(scheme_name: str, block_size: int):
-    """All constellation blocks of a given size and their unitary spectra."""
+def _ml_tables(scheme_name: str, block_size: int):
+    """Search tables over all ``order ** block_size`` candidate blocks, one
+    column per candidate: the real form of the time-domain blocks, ``Re s``
+    stacked over ``-Im s`` (``(2N, count)``; ``Re s`` alone, ``(N, count)``,
+    for a real constellation), and the energy ``|S|^2`` of their unitary
+    spectra (``(N, count)``)."""
     scheme = ModulationScheme.from_name(scheme_name)
-    count = scheme.order ** block_size
-    idx = np.arange(count)
-    digits = (idx[:, None] // scheme.order ** np.arange(block_size - 1, -1, -1)
-              ) % scheme.order
-    blocks = scheme.points[digits]
-    return blocks, np.fft.fft(blocks, axis=1, norm="ortho")
+    blocks = scheme.points[_ml_digits(scheme, block_size,
+                                      np.arange(scheme.order ** block_size))]
+    power = np.abs(np.fft.fft(blocks, axis=1, norm="ortho").T) ** 2
+    if np.any(scheme.points.imag):
+        real_form = np.concatenate([blocks.real.T, -blocks.imag.T])
+    else:
+        real_form = blocks.real.T
+    tables = np.ascontiguousarray(real_form), np.ascontiguousarray(power)
+    for table in tables:
+        table.flags.writeable = False  # shared by every detector
+    return tables
+
+
+def _ml_digits(scheme: ModulationScheme, block_size: int,
+               index: np.ndarray) -> np.ndarray:
+    """Constellation indices, most significant symbol first, of the
+    candidate blocks numbered ``index``."""
+    powers = scheme.order ** np.arange(block_size - 1, -1, -1)
+    return (index[..., None] // powers) % scheme.order
 
 
 class MlDetector:
-    """Exhaustive block detector with candidate spectra precomputed once
-    per channel state."""
+    """Exhaustive block detector for one channel state, or one per block
+    when ``ch`` carries a block axis (a drifting channel).
+
+    The noise-whitened distance of candidate block ``s_j`` with spectrum
+    ``S_j`` from the received spectrum ``r`` expands as
+    ``sum_k v_k |r_k - g_k S_jk|^2 = sum_k v_k |r_k|^2
+    + sum_k v_k |g_k|^2 |S_jk|^2 - 2 Re(s_j . F(v g conj(r)))``, with ``F``
+    the unitary DFT and ``v`` the inverse noise variance. The first term is
+    the same for every candidate, the second is one energy per candidate
+    and channel state, and the third is one real matrix product with the
+    cached time-domain candidates, so ``detect`` minimises
+    ``energy / 2 - linear`` over all candidates.
+    """
 
     def __init__(self, ch: EffectiveChannel, scheme: ModulationScheme,
                  block_size: int):
         if scheme.order ** block_size > ML_SEARCH_LIMIT:
             raise ValueError("exhaustive search space exceeds the limit")
-        blocks, spectra = _ml_candidates(scheme.name, block_size)
-        self._blocks = blocks
-        self._signatures = spectra * ch.response
-        positive = ch.noise_var > 0
-        if positive.any():
-            floor = ch.noise_var[positive].min()
-            self._inv_noise = 1.0 / np.where(positive, ch.noise_var, floor)
-        else:
-            self._inv_noise = np.ones(block_size)
+        self._scheme = scheme
+        self._block_size = block_size
+        self._real_form, self._power = _ml_tables(scheme.name, block_size)
+        inv_noise = _inverse_noise(ch.noise_var)
+        self._weighted = inv_noise * ch.response
+        self._energy_weights = inv_noise * np.abs(ch.response) ** 2
+        # A fixed channel has one energy per candidate for every block.
+        self._half_energy = (0.5 * (self._energy_weights @ self._power)
+                             if ch.response.ndim == 1 else None)
 
     def detect(self, r_f: np.ndarray) -> np.ndarray:
-        cost = np.abs(r_f - self._signatures) ** 2 @ self._inv_noise
-        return self._blocks[np.argmin(cost)]
+        """Decided time-domain block for one received spectrum ``(N,)``,
+        or one per row of a ``(rows, N)`` stack; a drifting detector takes
+        one row per block of its channel."""
+        rows = np.atleast_2d(r_f)
+        if self._half_energy is None and rows.shape != self._weighted.shape:
+            raise ValueError("a drifting channel needs one received block "
+                             "per channel block")
+        z = np.fft.fft(self._weighted * np.conj(rows), axis=-1, norm="ortho")
+        if len(self._real_form) > self._block_size:
+            z = np.concatenate([z.real, z.imag], axis=-1)
+        else:
+            z = z.real
+        shape = (min(len(rows), ML_SLICE_ROWS), self._real_form.shape[1])
+        cost = np.empty(shape)
+        energy = np.empty(shape) if self._half_energy is None else None
+        best = np.empty(len(rows), dtype=np.intp)
+        for start in range(0, len(rows), ML_SLICE_ROWS):
+            part = slice(start, start + ML_SLICE_ROWS)
+            size = len(best[part])
+            linear = np.matmul(z[part], self._real_form, out=cost[:size])
+            if energy is None:
+                half_energy = self._half_energy
+            else:
+                half_energy = np.matmul(self._energy_weights[part],
+                                        self._power, out=energy[:size])
+                half_energy *= 0.5
+            best[part] = np.argmin(
+                np.subtract(half_energy, linear, out=linear), axis=1)
+        decided = self._scheme.points[_ml_digits(self._scheme,
+                                                 self._block_size, best)]
+        return decided if np.ndim(r_f) > 1 else decided[0]
+
+
+def _inverse_noise(noise_var: np.ndarray) -> np.ndarray:
+    """Per-bin ``1 / noise_var`` along the last axis; a noiseless bin takes
+    the smallest positive variance of its block, and a block with none
+    weights every bin by one."""
+    positive = noise_var > 0
+    floor = np.min(noise_var, axis=-1, keepdims=True, initial=np.inf,
+                   where=positive)
+    floor = np.where(np.isinf(floor), 1.0, floor)
+    return 1.0 / np.where(positive, noise_var, floor)
 
 
 def ml_detect(r_f: np.ndarray, ch: EffectiveChannel, scheme: ModulationScheme,
               block_size: int | None = None) -> np.ndarray:
     """Noise-whitened exhaustive search over all constellation blocks."""
-    return MlDetector(ch, scheme, block_size or len(r_f)).detect(r_f)
+    return MlDetector(ch, scheme, block_size or r_f.shape[-1]).detect(r_f)
 
 
 def lms_step(weights: FdeWeights, r_f: np.ndarray, s_f: np.ndarray,

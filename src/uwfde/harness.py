@@ -22,6 +22,7 @@ exactly those a separate run of that point would give.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import zlib
 from concurrent.futures import ProcessPoolExecutor
@@ -31,9 +32,9 @@ import numpy as np
 
 from .channel import (CascadeSpectra, SvParams, complex_noise, evolve_channel,
                       generate_channel, path_gain, quantize_to_taps, sv_profile)
-from .detectors import (ML_SEARCH_LIMIT, EffectiveChannel, FdeWeights,
-                        MlDetector, RlsState, effective_channel, lms_step,
-                        mmse_error_floor, mmse_weights, mrc_weights, rls_step)
+from .detectors import (ML_SEARCH_LIMIT, FdeWeights, MlDetector, RlsState,
+                        effective_channel, lms_step, mmse_error_floor,
+                        mmse_weights, mrc_weights, rls_step)
 # relay_receive and relay_forward are the time-domain reference for
 # transmit_block and no longer run here; bench/spans.py traces them by
 # their names in this module, so the names stay.
@@ -50,6 +51,19 @@ STREAM_VERSION = 2
 DETECTOR_NAMES = ("mrc", "mmse", "ml", "lms", "rls")
 ADAPTIVE_DETECTORS = ("lms", "rls")
 WORKERS_ENV_VAR = "UWFDE_WORKERS"
+# SimConfig fields that count something; a config file may give them as
+# floats, which must be whole numbers.
+_INTEGER_FIELDS = ("block_size", "cp_len", "num_taps", "num_relays",
+                   "pilot_frames", "data_frames", "trials", "master_seed",
+                   "workers")
+
+
+def _whole_number(value, name: str) -> int:
+    """``value`` as an int; a float counts when it is a whole number, such
+    as ``2.0``, and anything else is rejected."""
+    if not (isinstance(value, numbers.Real) and float(value).is_integer()):
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
 
 
 @dataclass
@@ -83,6 +97,9 @@ class SimConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
+        for name in _INTEGER_FIELDS:
+            if not (name == "cp_len" and self.cp_len is None):
+                setattr(self, name, _whole_number(getattr(self, name), name))
         self.snr_grid = tuple(float(s) for s in self.snr_grid)
         self.detectors = tuple(self.detectors)
         if isinstance(self.sv, dict):
@@ -346,17 +363,6 @@ class TrialOutput:
     mmse_floor: float | None = None
 
 
-def _ml_decisions(ch: EffectiveChannel, r_f: np.ndarray,
-                  scheme: ModulationScheme, n: int) -> np.ndarray:
-    """Exhaustive decisions for the blocks of ``r_f``: one search table for a
-    fixed channel, one per block when ``ch`` carries a block axis."""
-    if ch.response.ndim == 1:
-        ml = MlDetector(ch, scheme, n)
-        return np.array([ml.detect(r) for r in r_f])
-    return np.array([MlDetector(EffectiveChannel(h, v), scheme, n).detect(r)
-                     for h, v, r in zip(ch.response, ch.noise_var, r_f)])
-
-
 def run_point_trial(config: SimConfig, points: list[GridPoint], seed,
                     collect_mse: bool = False) -> list[TrialOutput]:
     """One trial over all of its grid points, from a generator on ``seed``;
@@ -445,7 +451,7 @@ def _detect_ideal(config: SimConfig, scheme: ModulationScheme,
     ch = effective_channel(links[pilots:] if drifting else links)
     for det in ideal:
         if det == "ml":
-            decided = _ml_decisions(ch, r_data, scheme, config.block_size)
+            decided = MlDetector(ch, scheme, config.block_size).detect(r_data)
         else:
             w = mrc_weights(ch) if det == "mrc" else mmse_weights(ch)
             decided = unitary_ifft(w.apply(r_data))
@@ -615,9 +621,7 @@ def run_placement_sweep(config: SimConfig, delta_grid,
 def _relay_counts(relay_grid) -> list[int]:
     """The relay-count grid as integers; each count must be a whole number
     of at least one, and no count may repeat."""
-    if not all(float(u).is_integer() for u in relay_grid):
-        raise ValueError("relay counts must be whole numbers")
-    counts = [int(u) for u in relay_grid]
+    counts = [_whole_number(u, "relay count") for u in relay_grid]
     if not all(u >= 1 for u in counts):
         raise ValueError("relay counts must be >= 1")
     if len(set(counts)) != len(counts):

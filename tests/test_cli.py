@@ -188,6 +188,31 @@ class TestConfigHandling:
                      "--out", str(tmp_path / "o.csv"), *FAST])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("bad", [{"num_relays": 1.7}, {"trials": 2.5},
+                                     {"cp_len": 3.5}, {"workers": "2"}])
+    def test_non_whole_config_value_is_usage_error(self, tmp_path, bad):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(bad))
+        with pytest.raises(SystemExit) as err:
+            run_cli(["ber", "--config", str(cfg_path), "--snr", "10",
+                     "--out", str(tmp_path / "o.csv"), *FAST[2:]])
+        assert err.value.code == 2
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_whole_float_config_value_runs_as_int(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"num_relays": 2.0, "trials": 2.0}))
+        out = tmp_path / "o.csv"
+        code = run_cli(["ber", "--config", str(cfg_path), "--snr", "10",
+                        "--out", str(out), *FAST[2:]])
+        assert code == 0
+        manifest = json.loads((tmp_path / "o.csv.manifest.json").read_text())
+        assert manifest["config"]["num_relays"] == 2
+        assert isinstance(manifest["config"]["num_relays"], int)
+        assert manifest["config"]["trials"] == 2
+        _, rows = read_csv(out)
+        assert len(rows) == 1
+
     def test_unknown_config_key_is_usage_error(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"block_sized": 16}))

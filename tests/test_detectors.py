@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from uwfde.channel import ChannelRealization, LinkState, circulant_from_taps
-from uwfde.detectors import (EffectiveChannel, FdeWeights, MlDetector, RlsState,
-                             effective_channel, lms_step, ml_detect,
-                             mmse_error_floor, mmse_weights, mrc_weights,
-                             rls_step, train_adaptive)
+from uwfde.detectors import (ML_SLICE_ROWS, EffectiveChannel, FdeWeights,
+                             MlDetector, RlsState, effective_channel,
+                             lms_step, ml_detect, mmse_error_floor,
+                             mmse_weights, mrc_weights, rls_step,
+                             train_adaptive)
 from uwfde.txrx import BlockFrame, ModulationScheme, demodulate, modulate, unitary_ifft
 
 
@@ -142,6 +143,102 @@ class TestMmseWeights:
         ch = EffectiveChannel(np.array([1.0 + 0j, 2.0 + 0j]),
                               np.array([1.0, 1.0]))
         assert mmse_error_floor(ch) == pytest.approx((0.5 + 0.2) / 2)
+
+
+def direct_ml(r_f, response, noise_var, scheme):
+    """Oracle search in the direct form: the candidate block minimising
+    ``|r - g S|^2 @ v`` over every constellation block, with ``v`` the
+    inverse noise variance (noiseless bins take the smallest positive
+    variance; all-noiseless weighs every bin by one)."""
+    n = len(r_f)
+    digits = (np.arange(scheme.order ** n)[:, None]
+              // scheme.order ** np.arange(n - 1, -1, -1)) % scheme.order
+    blocks = scheme.points[digits]
+    spectra = np.fft.fft(blocks, axis=1, norm="ortho")
+    positive = noise_var > 0
+    if positive.any():
+        inv = 1.0 / np.where(positive, noise_var, noise_var[positive].min())
+    else:
+        inv = np.ones(n)
+    return blocks[np.argmin(np.abs(r_f - spectra * response) ** 2 @ inv)]
+
+
+def ml_case(rng, scheme, n, rows, drifting=False):
+    """Random channel(s), noise variances and received spectra of ``rows``
+    noisy blocks; the channel has one row per block when ``drifting``."""
+    shape = (rows, n) if drifting else (n,)
+    g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    v = rng.uniform(0.05, 0.5, size=shape)
+    x = scheme.points[rng.integers(0, scheme.order, size=(rows, n))]
+    r_f = g * np.fft.fft(x, axis=1, norm="ortho") + 0.6 * (
+        rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n)))
+    return g, v, r_f
+
+
+class TestMlExpandedSearch:
+    """The expanded-form search decides exactly as the direct form."""
+
+    @staticmethod
+    def check(r_f, g, v, scheme):
+        n = r_f.shape[-1]
+        got = MlDetector(EffectiveChannel(g, v), scheme, n).detect(r_f)
+        gs = np.broadcast_to(g, r_f.shape)
+        vs = np.broadcast_to(v, r_f.shape)
+        want = np.array([direct_ml(r, h, w, scheme)
+                         for r, h, w in zip(r_f, gs, vs)])
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("scheme,n", [(ModulationScheme.bpsk(), 8),
+                                          (ModulationScheme.bpsk(), 16),
+                                          (ModulationScheme.qpsk(), 8)])
+    def test_random_channels(self, scheme, n):
+        rng = np.random.default_rng(40 + n)
+        for _ in range(3):
+            g, v, r_f = ml_case(rng, scheme, n, rows=4)
+            self.check(r_f, g, v, scheme)
+
+    def test_noiseless_bins(self):
+        rng = np.random.default_rng(41)
+        scheme = ModulationScheme.qpsk()
+        g, v, r_f = ml_case(rng, scheme, 6, rows=6)
+        v[[1, 4]] = 0.0
+        self.check(r_f, g, v, scheme)
+        self.check(r_f, g, np.zeros(6), scheme)
+
+    def test_single_block(self):
+        rng = np.random.default_rng(42)
+        scheme = ModulationScheme.bpsk()
+        g, v, r_f = ml_case(rng, scheme, 10, rows=1)
+        got = MlDetector(EffectiveChannel(g, v), scheme, 10).detect(r_f[0])
+        assert got.shape == (10,)
+        assert np.array_equal(got, direct_ml(r_f[0], g, v, scheme))
+        assert np.array_equal(ml_detect(r_f[0], EffectiveChannel(g, v),
+                                        scheme), got)
+
+    def test_stack_longer_than_one_slice(self):
+        rng = np.random.default_rng(43)
+        scheme = ModulationScheme.bpsk()
+        g, v, r_f = ml_case(rng, scheme, 8, rows=2 * ML_SLICE_ROWS + 5)
+        self.check(r_f, g, v, scheme)
+
+    @pytest.mark.parametrize("scheme", [ModulationScheme.bpsk(),
+                                        ModulationScheme.qpsk()])
+    def test_drifting_channel(self, scheme):
+        rng = np.random.default_rng(44)
+        g, v, r_f = ml_case(rng, scheme, 6, rows=ML_SLICE_ROWS + 3,
+                            drifting=True)
+        v[2, [0, 3]] = 0.0
+        v[5] = 0.0
+        self.check(r_f, g, v, scheme)
+
+    def test_drifting_channel_needs_a_block_per_state(self):
+        rng = np.random.default_rng(45)
+        scheme = ModulationScheme.bpsk()
+        g, v, r_f = ml_case(rng, scheme, 6, rows=4, drifting=True)
+        ml = MlDetector(EffectiveChannel(g, v), scheme, 6)
+        for wrong in (r_f[0], r_f[:3]):
+            with pytest.raises(ValueError):
+                ml.detect(wrong)
 
 
 class TestMlDetect:

@@ -93,6 +93,24 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             small_config(**bad)
 
+    @pytest.mark.parametrize("field", [
+        "block_size", "num_taps", "num_relays", "pilot_frames", "data_frames",
+        "trials", "workers", "cp_len", "master_seed"])
+    @pytest.mark.parametrize("value", [1.7, 2.5, "3", float("inf")])
+    def test_integer_fields_reject_non_whole_values(self, field, value):
+        with pytest.raises(ValueError, match="whole number"):
+            small_config(**{field: value})
+
+    def test_integer_fields_take_whole_floats_as_ints(self):
+        cfg = small_config(block_size=16.0, num_taps=4.0, num_relays=2.0,
+                           pilot_frames=0.0, data_frames=4.0, trials=5.0,
+                           workers=1.0, cp_len=3.0, master_seed=77.0)
+        for name in ("block_size", "num_taps", "num_relays", "pilot_frames",
+                     "data_frames", "trials", "workers", "cp_len",
+                     "master_seed"):
+            assert type(getattr(cfg, name)) is int
+        assert cfg == small_config(num_relays=2, cp_len=3)
+
     def test_ml_at_the_search_limit_is_accepted(self):
         assert small_config(detectors=("ml",), block_size=16).block_size == 16
 
@@ -297,6 +315,33 @@ class TestPairing:
         points = [GridPoint(float(s), fd, delta, u) for s, fd, delta, u in cells]
         res = run_points(cfg, points, "ber")
         assert counts(res) == single_point_counts(cfg, res.records, "ber")
+
+
+class TestMlCounts:
+    # Counts recorded from the direct-form search |r - g S|^2 @ (1/noise);
+    # the expanded-form search must reach the same decision on every block.
+    PINNED = [
+        ("ml", 4.0, 0.0, 1, 38), ("mmse", 4.0, 0.0, 1, 35),
+        ("ml", 8.0, 0.0, 1, 4), ("mmse", 8.0, 0.0, 1, 13),
+        ("ml", 4.0, 0.0, 2, 12), ("mmse", 4.0, 0.0, 2, 13),
+        ("ml", 8.0, 0.0, 2, 0), ("mmse", 8.0, 0.0, 2, 4),
+        ("ml", 4.0, 0.02, 1, 19), ("mmse", 4.0, 0.02, 1, 19),
+        ("ml", 8.0, 0.02, 1, 5), ("mmse", 8.0, 0.02, 1, 6),
+        ("ml", 4.0, 0.02, 2, 24), ("mmse", 4.0, 0.02, 2, 22),
+        ("ml", 8.0, 0.02, 2, 9), ("mmse", 8.0, 0.02, 2, 10),
+    ]
+
+    def test_counts_with_and_without_drift(self):
+        cfg = small_config(block_size=8, num_taps=4, cp_len=3,
+                           snr_grid=(4.0, 8.0), detectors=("ml", "mmse"),
+                           data_frames=6, trials=4, master_seed=31)
+        points = [GridPoint(s, fd, 0.5, u) for fd in (0.0, 0.02)
+                  for u in (1, 2) for s in (4.0, 8.0)]
+        res = run_points(cfg, points, "ml-pin")
+        got = [(r.detector, r.snr_db, r.fd_norm, r.num_relays, r.errors)
+               for r in res.records]
+        assert got == self.PINNED
+        assert all(r.bits == 4 * 6 * 8 for r in res.records)
 
 
 class TestConvergence:
