@@ -3,30 +3,28 @@ equalization over amplify-and-forward underwater acoustic relay channels."""
 
 __version__ = "0.1.0"
 
-from .channel import (ChannelRealization, LinkState, SvParams, circulant_from_taps,
-                      evolve_channel, freq_response, generate_channel, path_gain,
-                      quantize_to_taps, sv_profile)
-from .detectors import (EffectiveChannel, FdeWeights, RlsState, effective_channel,
-                        lms_step, ml_detect, mmse_weights, mrc_weights, rls_step,
-                        train_adaptive)
+from .channel import (SvParams, circulant_from_taps, evolve_channel, freq_response,
+                      generate_channel, path_gain, quantize_to_taps, sv_profile)
+from .detectors import (EffectiveChannel, FdeWeights, MlDetector, RlsState,
+                        effective_channel, lms_step, mmse_weights, mrc_weights,
+                        rls_step)
 from .harness import (BerRecord, ExperimentResult, GridPoint, SimConfig,
                       run_ber_sweep, run_convergence, run_multirelay,
-                      run_placement_sweep, run_trial)
+                      run_placement_sweep, train_adaptive)
 from .relay import af_gain, relay_forward, relay_receive
-from .txrx import (BlockFrame, ModulationScheme, append_cp, demodulate, fft,
-                   ifft, modulate, remove_cp)
+from .txrx import (ModulationScheme, append_cp, demodulate, modulate, unitary_fft,
+                   unitary_ifft)
 
 __all__ = [
-    "ChannelRealization", "LinkState", "SvParams", "circulant_from_taps",
-    "evolve_channel", "freq_response", "generate_channel", "path_gain",
-    "quantize_to_taps", "sv_profile",
-    "EffectiveChannel", "FdeWeights", "RlsState", "effective_channel",
-    "lms_step", "ml_detect", "mmse_weights", "mrc_weights", "rls_step",
-    "train_adaptive",
+    "SvParams", "circulant_from_taps", "evolve_channel", "freq_response",
+    "generate_channel", "path_gain", "quantize_to_taps", "sv_profile",
+    "EffectiveChannel", "FdeWeights", "MlDetector", "RlsState",
+    "effective_channel", "lms_step", "mmse_weights", "mrc_weights",
+    "rls_step",
     "BerRecord", "ExperimentResult", "GridPoint", "SimConfig",
     "run_ber_sweep", "run_convergence", "run_multirelay",
-    "run_placement_sweep", "run_trial",
+    "run_placement_sweep", "train_adaptive",
     "af_gain", "relay_forward", "relay_receive",
-    "BlockFrame", "ModulationScheme", "append_cp", "demodulate", "fft",
-    "ifft", "modulate", "remove_cp",
+    "ModulationScheme", "append_cp", "demodulate", "modulate",
+    "unitary_fft", "unitary_ifft",
 ]

@@ -13,11 +13,20 @@ Monte Carlo workers each own their own stream.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
+
+
+def _whole_number(value, name: str) -> int:
+    """``value`` as an int; a float counts when it is a whole number, such
+    as ``2.0``, and anything else is rejected."""
+    if not (isinstance(value, numbers.Real) and float(value).is_integer()):
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -45,6 +54,9 @@ class SvParams:
                 raise ValueError(f"{name} must be positive")
         if self.nakagami_m < 0.5:
             raise ValueError("nakagami_m must be >= 0.5")
+        for name in ("num_clusters", "rays_per_cluster"):
+            object.__setattr__(self, name,
+                               _whole_number(getattr(self, name), name))
         if self.num_clusters < 1 or self.rays_per_cluster < 1:
             raise ValueError("need at least one cluster and one ray per cluster")
 
@@ -77,39 +89,6 @@ def sv_profile(num_paths: int, sample_period: float = 1.0) -> SvParams:
 
 
 @dataclass
-class ChannelRealization:
-    """One channel draw: eigenray gains/delays plus the quantized tap vector."""
-
-    gains: np.ndarray
-    delays: np.ndarray
-    taps: np.ndarray | None = None
-
-    @property
-    def num_taps(self) -> int:
-        if self.taps is None:
-            raise ValueError("realization has not been quantized to taps")
-        return len(self.taps)
-
-
-@dataclass
-class LinkState:
-    """One source->relay->destination cascade with its gain and noise powers."""
-
-    h_sr: ChannelRealization
-    h_rd: ChannelRealization
-    zeta: float
-    sigma2_relay: float
-    sigma2_dest: float
-    sigma2_hsr: float
-
-    def __post_init__(self) -> None:
-        if self.sigma2_relay < 0 or self.sigma2_dest < 0 or self.sigma2_hsr < 0:
-            raise ValueError("noise/channel powers must be nonnegative")
-        if not np.isfinite(self.zeta) or self.zeta <= 0:
-            raise ValueError("relay gain must be finite and positive")
-
-
-@dataclass
 class CascadeSpectra:
     """Per-bin hop responses of U relay cascades.
 
@@ -135,6 +114,8 @@ class CascadeSpectra:
         powers are scalars or one value per relay."""
         response = freq_response(taps, block_size)
         relays = response.shape[-2] // 2
+        if relays < 1:
+            raise ValueError("need at least one relay")
 
         def per_relay(value):
             return np.broadcast_to(np.asarray(value, dtype=float), (relays,))
@@ -142,21 +123,6 @@ class CascadeSpectra:
         return cls(response[..., 0::2, :], response[..., 1::2, :],
                    per_relay(zeta), per_relay(sigma2_relay),
                    per_relay(sigma2_dest), taps.shape[-1])
-
-    @classmethod
-    def from_links(cls, links: list[LinkState], block_size: int) -> "CascadeSpectra":
-        """Transform the hops of ``links``, zero-padding the shorter ones."""
-        if not links:
-            raise ValueError("need at least one link")
-        hops = [tap for link in links for tap in (link.h_sr.taps, link.h_rd.taps)]
-        if any(tap is None for tap in hops):
-            raise ValueError("link channels must be quantized to taps")
-        taps = np.zeros((len(hops), max(len(tap) for tap in hops)), dtype=complex)
-        for row, tap in zip(taps, hops):
-            row[: len(tap)] = tap
-        return cls.from_taps(taps, block_size, [link.zeta for link in links],
-                             [link.sigma2_relay for link in links],
-                             [link.sigma2_dest for link in links])
 
     def __getitem__(self, blocks) -> "CascadeSpectra":
         """The responses of the selected blocks (leading axes)."""
@@ -191,8 +157,10 @@ def sample_nakagami(m: float, omega, rng: np.random.Generator, size=None):
     return np.sqrt(rng.gamma(shape=m, scale=omega / m, size=size))
 
 
-def generate_channel(params: SvParams, rng: np.random.Generator) -> ChannelRealization:
-    """Draw one realization and normalize its total eigenray power to one."""
+def generate_channel(params: SvParams,
+                     rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Draw one realization, its eigenray ``(gains, delays)``, with the total
+    eigenray power normalized to one."""
     cluster_times = sample_cluster_arrivals(params, rng)
     delays = np.concatenate(
         [t + sample_ray_arrivals(params, rng) for t in cluster_times]
@@ -210,12 +178,11 @@ def generate_channel(params: SvParams, rng: np.random.Generator) -> ChannelReali
                                       rng, size=int(alive.sum()))
     phases = rng.uniform(0.0, TWO_PI, size=len(delays))
     gains = amps * np.exp(1j * phases)
-    gains = gains / np.sqrt(np.sum(np.abs(gains) ** 2))
-    return ChannelRealization(gains=gains, delays=delays)
+    return gains / np.sqrt(np.sum(np.abs(gains) ** 2)), delays
 
 
-def quantize_to_taps(real: ChannelRealization, sample_period: float,
-                     max_taps: int) -> np.ndarray:
+def quantize_to_taps(gains: np.ndarray, delays: np.ndarray,
+                     sample_period: float, max_taps: int) -> np.ndarray:
     """Reduce eigenrays to a unit-power tapped delay line of ``max_taps`` bins.
 
     Each ray is added coherently into the nearest bin; rays beyond the last
@@ -225,12 +192,12 @@ def quantize_to_taps(real: ChannelRealization, sample_period: float,
         raise ValueError("sample_period must be positive")
     if max_taps < 1:
         raise ValueError("max_taps must be >= 1")
-    bins = np.rint(real.delays / sample_period).astype(int)
+    bins = np.rint(delays / sample_period).astype(int)
     keep = bins < max_taps
     if not keep.any():
         raise ValueError("all rays fall beyond the last tap bin")
     taps = np.zeros(max_taps, dtype=complex)
-    np.add.at(taps, bins[keep], real.gains[keep])
+    np.add.at(taps, bins[keep], gains[keep])
     power = np.sum(np.abs(taps) ** 2)
     if power <= 0.0:
         raise ValueError("quantized channel has no power")

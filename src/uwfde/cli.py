@@ -21,9 +21,9 @@ import numpy as np
 from . import __version__
 from .channel import generate_channel, quantize_to_taps, sv_profile
 from .harness import (STREAM_VERSION, ExperimentResult, SimConfig,
-                      _relay_counts, _worker_count, run_ber_sweep,
-                      run_convergence, run_multirelay, run_placement_sweep,
-                      trial_seed)
+                      _relay_counts, _relay_positions, _worker_count,
+                      run_ber_sweep, run_convergence, run_multirelay,
+                      run_placement_sweep, trial_seed)
 
 BER_COLUMNS = ["experiment", "detector", "snr_db", "fd_norm", "delta", "U",
                "bits", "errors", "ber", "ci_half_width", "seed"]
@@ -233,11 +233,10 @@ def cmd_placement(parser, args) -> int:
     data, extras = _read_config_file(parser, args)
     _apply_grid_flags(parser, args, data, "0,10,20,30", "lms,rls")
     grid_text = args.delta_grid or extras.get("delta_grid") or "0.1:0.1:0.9"
-    deltas = _grid(parser, grid_text)
-    if not all(0.0 < d < 1.0 for d in deltas):
-        parser.error("delta grid values must lie strictly inside (0, 1)")
-    if len(set(deltas)) != len(deltas):
-        parser.error("delta grid values must be distinct")
+    try:
+        deltas = _relay_positions(_grid(parser, grid_text))
+    except ValueError as exc:
+        parser.error(str(exc))
     config = _build_config(parser, args, data)
     started = time.monotonic()
     result = run_placement_sweep(config, deltas)
@@ -277,8 +276,9 @@ def cmd_channel_dump(parser, args) -> int:
         trial_seed(config.master_seed, "channel-dump", 0))
     rows = []
     for rid in range(count):
-        real = generate_channel(config.sv, rng)
-        taps = quantize_to_taps(real, config.sv.sample_period, config.num_taps)
+        gains, delays = generate_channel(config.sv, rng)
+        taps = quantize_to_taps(gains, delays, config.sv.sample_period,
+                                config.num_taps)
         for idx, tap in enumerate(taps):
             rows.append([rid, idx, float(tap.real), float(tap.imag),
                          float(abs(tap) ** 2)])

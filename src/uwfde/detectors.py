@@ -72,17 +72,14 @@ class RlsState:
         return cls(FdeWeights.zeros(block_size), np.ones(block_size), lambda_rls)
 
 
-def effective_channel(links, block_size: int | None = None) -> EffectiveChannel:
-    """Combined per-bin response and noise variance over all relay slots.
+def effective_channel(links: CascadeSpectra) -> EffectiveChannel:
+    """Combined per-bin response and noise variance over all relay slots;
+    the block axes of ``links`` carry through to the result.
 
-    ``links`` is a ``CascadeSpectra``, whose block axes carry through to the
-    result, or a list of ``LinkState`` that is transformed at
-    ``block_size`` first. Each cascade contributes ``zeta * G(f) * H(f)`` to
-    the response; its slot adds relay noise shaped by ``|G(f)|^2`` plus one
-    destination-noise term.
+    Each cascade contributes ``zeta * G(f) * H(f)`` to the response; its
+    slot adds relay noise shaped by ``|G(f)|^2`` plus one destination-noise
+    term.
     """
-    if not isinstance(links, CascadeSpectra):
-        links = CascadeSpectra.from_links(links, block_size)
     zeta = links.zeta[:, None]
     response = np.sum(zeta * links.h_f * links.g_f, axis=-2)
     noise = np.sum(zeta ** 2 * np.abs(links.g_f) ** 2 * links.sigma2_relay[:, None]
@@ -206,12 +203,6 @@ def _inverse_noise(noise_var: np.ndarray) -> np.ndarray:
     return 1.0 / np.where(positive, noise_var, floor)
 
 
-def ml_detect(r_f: np.ndarray, ch: EffectiveChannel, scheme: ModulationScheme,
-              block_size: int | None = None) -> np.ndarray:
-    """Noise-whitened exhaustive search over all constellation blocks."""
-    return MlDetector(ch, scheme, block_size or r_f.shape[-1]).detect(r_f)
-
-
 def lms_step(weights: FdeWeights, r_f: np.ndarray, s_f: np.ndarray,
              mu: float) -> tuple[FdeWeights, np.ndarray]:
     """One stochastic-gradient update of the per-bin filters.
@@ -243,33 +234,6 @@ def rls_step(state: RlsState, r_f: np.ndarray,
     if bad.any():
         p_next = np.where(bad, 1.0, p_next)
     return RlsState(FdeWeights(w_next), p_next, state.lambda_rls, reinits), err
-
-
-def train_adaptive(detector: str, pilots, mu: float = 0.05,
-                   lambda_rls: float = 0.995) -> tuple[FdeWeights, np.ndarray]:
-    """Run an adaptive filter over pilot frames.
-
-    ``pilots`` is an iterable of ``(r_f, s_f)`` pairs. Returns the final
-    weights and the per-iteration mean squared a priori error.
-    """
-    pilots = list(pilots)
-    if not pilots:
-        raise ValueError("need at least one pilot frame")
-    block_size = len(pilots[0][0])
-    trace = np.empty(len(pilots))
-    if detector == "lms":
-        weights = FdeWeights.zeros(block_size)
-        for i, (r_f, s_f) in enumerate(pilots):
-            weights, err = lms_step(weights, r_f, s_f, mu)
-            trace[i] = np.mean(np.abs(err) ** 2)
-        return weights, trace
-    if detector == "rls":
-        state = RlsState.initial(block_size, lambda_rls)
-        for i, (r_f, s_f) in enumerate(pilots):
-            state, err = rls_step(state, r_f, s_f)
-            trace[i] = np.mean(np.abs(err) ** 2)
-        return state.weights, trace
-    raise ValueError(f"unknown adaptive detector: {detector!r}")
 
 
 def mmse_error_floor(ch: EffectiveChannel) -> float:

@@ -22,7 +22,6 @@ exactly those a separate run of that point would give.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 import zlib
 from concurrent.futures import ProcessPoolExecutor
@@ -30,8 +29,9 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .channel import (CascadeSpectra, SvParams, complex_noise, evolve_channel,
-                      generate_channel, path_gain, quantize_to_taps, sv_profile)
+from .channel import (CascadeSpectra, SvParams, _whole_number, complex_noise,
+                      evolve_channel, generate_channel, path_gain,
+                      quantize_to_taps, sv_profile)
 from .detectors import (ML_SEARCH_LIMIT, FdeWeights, MlDetector, RlsState,
                         effective_channel, lms_step, mmse_error_floor,
                         mmse_weights, mrc_weights, rls_step)
@@ -39,8 +39,8 @@ from .detectors import (ML_SEARCH_LIMIT, FdeWeights, MlDetector, RlsState,
 # transmit_block and no longer run here; bench/spans.py traces them by
 # their names in this module, so the names stay.
 from .relay import af_gain, relay_forward, relay_receive  # noqa: F401
-from .txrx import (BlockFrame, ModulationScheme, demodulate, modulate,
-                   unitary_fft, unitary_ifft)
+from .txrx import (ModulationScheme, demodulate, modulate, unitary_fft,
+                   unitary_ifft)
 
 # Layout of a trial's random stream (see run_point_trial). A manifest
 # replays its CSV byte for byte only under the layout that wrote it, so any
@@ -56,14 +56,6 @@ WORKERS_ENV_VAR = "UWFDE_WORKERS"
 _INTEGER_FIELDS = ("block_size", "cp_len", "num_taps", "num_relays",
                    "pilot_frames", "data_frames", "trials", "master_seed",
                    "workers")
-
-
-def _whole_number(value, name: str) -> int:
-    """``value`` as an int; a float counts when it is a whole number, such
-    as ``2.0``, and anything else is rejected."""
-    if not (isinstance(value, numbers.Real) and float(value).is_integer()):
-        raise ValueError(f"{name} must be a whole number, got {value!r}")
-    return int(value)
 
 
 @dataclass
@@ -157,6 +149,8 @@ class SimConfig:
             raise ValueError(f"unknown channel_model: {self.channel_model!r}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if self.master_seed < 0:
+            raise ValueError("master_seed must be nonnegative")
 
     @property
     def effective_cp_len(self) -> int:
@@ -286,8 +280,9 @@ def _draw_taps(config: SimConfig, rng: np.random.Generator) -> np.ndarray:
         taps = np.zeros(config.num_taps, dtype=complex)
         taps[0] = 1.0
         return taps
-    realization = generate_channel(config.sv, rng)
-    return quantize_to_taps(realization, config.sv.sample_period, config.num_taps)
+    gains, delays = generate_channel(config.sv, rng)
+    return quantize_to_taps(gains, delays, config.sv.sample_period,
+                            config.num_taps)
 
 
 def _cascade_powers(config: SimConfig,
@@ -412,7 +407,7 @@ def run_point_trial(config: SimConfig, points: list[GridPoint], seed,
         links = chans.cascade(config, points[members[0]], blocks, rng)
         drifting = points[members[0]].fd_norm > 0
         bits = rng.integers(0, 2, size=(blocks, n * scheme.bits_per_symbol))
-        x = modulate(bits, scheme).symbols
+        x = modulate(bits, scheme)
         bits_data = bits[pilots:].copy()
         if adaptive:
             s_stack[members] = unitary_fft(x[:pilots])
@@ -455,9 +450,39 @@ def _detect_ideal(config: SimConfig, scheme: ModulationScheme,
         else:
             w = mrc_weights(ch) if det == "mrc" else mmse_weights(ch)
             decided = unitary_ifft(w.apply(r_data))
-        got = demodulate(BlockFrame(decided), scheme)
+        got = demodulate(decided, scheme)
         errors[det] = int(np.count_nonzero(got != bits_data))
     return TrialOutput(errors, bits_data.size)
+
+
+def train_adaptive(detectors, r_f: np.ndarray, s_f: np.ndarray, mu: float,
+                   lambda_rls: float, collect_mse: bool = False
+                   ) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
+    """Train the adaptive filters named in ``detectors`` on pilot blocks,
+    one step per block, from received spectra ``r_f`` sent as ``s_f``, both
+    ``(pilots, ..., N)``; every row of the middle axes trains filters of its
+    own. Returns each filter's final weights ``(..., N)`` and, with
+    ``collect_mse``, its mean squared a priori error per pilot block
+    ``(pilots, ...)``."""
+    unknown = set(detectors) - set(ADAPTIVE_DETECTORS)
+    if unknown:
+        raise ValueError(f"unknown adaptive detectors: {sorted(unknown)}")
+    if len(r_f) == 0:
+        raise ValueError("need at least one pilot block")
+    n = r_f.shape[-1]
+    filters = {"lms": FdeWeights.zeros(n), "rls": RlsState.initial(n, lambda_rls)}
+    traces = ({det: np.empty(r_f.shape[:-1]) for det in detectors}
+              if collect_mse else {})
+    for b in range(len(r_f)):
+        for det in detectors:
+            if det == "lms":
+                filters[det], err = lms_step(filters[det], r_f[b], s_f[b], mu)
+            else:
+                filters[det], err = rls_step(filters[det], r_f[b], s_f[b])
+            if collect_mse:
+                traces[det][b] = np.mean(np.abs(err) ** 2, axis=-1)
+    weights = {"lms": filters["lms"].w, "rls": filters["rls"].weights.w}
+    return {det: weights[det] for det in detectors}, traces
 
 
 def _detect_adaptive(config: SimConfig, scheme: ModulationScheme,
@@ -469,40 +494,19 @@ def _detect_adaptive(config: SimConfig, scheme: ModulationScheme,
     (points, pilots, N), then count each point's bit errors over its data
     blocks into ``outputs``; ``collect_mse`` records each point's learning
     curves instead (see ``run_point_trial``)."""
-    n = config.block_size
     pilots = s_stack.shape[1]
-    lms_w = FdeWeights.zeros(n)
-    rls_state = RlsState.initial(n, config.lambda_rls)
-    traces = ({det: np.zeros((len(outputs), pilots)) for det in adaptive}
-              if collect_mse else None)
-    for b in range(pilots):
-        if "lms" in adaptive:
-            lms_w, err = lms_step(lms_w, r_stack[:, b], s_stack[:, b], config.mu)
-            if collect_mse:
-                traces["lms"][:, b] = np.mean(np.abs(err) ** 2, axis=-1)
-        if "rls" in adaptive:
-            rls_state, err = rls_step(rls_state, r_stack[:, b], s_stack[:, b])
-            if collect_mse:
-                traces["rls"][:, b] = np.mean(np.abs(err) ** 2, axis=-1)
-
-    trained = {"lms": lms_w.w, "rls": rls_state.weights.w}
+    weights, traces = train_adaptive(
+        adaptive, r_stack[:, :pilots].swapaxes(0, 1), s_stack.swapaxes(0, 1),
+        config.mu, config.lambda_rls, collect_mse)
     for i, out in enumerate(outputs):
         if collect_mse:
-            out.mse_traces = {det: traces[det][i] for det in adaptive}
+            out.mse_traces = {det: traces[det][:, i] for det in adaptive}
             continue
         for det in adaptive:
-            decided = unitary_ifft(FdeWeights(trained[det][i]).apply(
+            decided = unitary_ifft(FdeWeights(weights[det][i]).apply(
                 r_stack[i, pilots:]))
-            got = demodulate(BlockFrame(decided), scheme)
+            got = demodulate(decided, scheme)
             out.errors[det] = int(np.count_nonzero(got != data_bits[i]))
-
-
-def run_trial(config: SimConfig, trial_seed_value) -> dict[str, tuple[int, int]]:
-    """Run one trial at the first grid point; deterministic in the seed."""
-    point = GridPoint(config.snr_grid[0], config.fd_norm, config.delta,
-                      config.num_relays)
-    out, = run_point_trial(config, [point], trial_seed_value)
-    return {det: (err, out.bits) for det, err in out.errors.items()}
 
 
 def _trial_job(args) -> list[TrialOutput]:
@@ -596,13 +600,8 @@ def run_placement_sweep(config: SimConfig, delta_grid,
     relay near the destination sees effectively single-hop fading); the
     round-trip average is the quantity with a midpoint optimum.
     """
-    deltas = [float(d) for d in delta_grid]
-    if not all(0.0 < d < 1.0 for d in deltas):
-        raise ValueError("delta grid values must be in (0, 1)")
-    if len(set(deltas)) != len(deltas):
-        raise ValueError("delta grid values must be distinct")
     points = [GridPoint(s, config.fd_norm, d, config.num_relays)
-              for d in deltas for s in config.snr_grid]
+              for d in _relay_positions(delta_grid) for s in config.snr_grid]
     result = run_points(config, points, experiment)
     one_way = {(r.detector, r.snr_db, round(r.delta, 9)): r
                for r in result.records}
@@ -616,6 +615,17 @@ def run_placement_sweep(config: SimConfig, delta_grid,
                               errors=r.errors + mirror.errors))
     result.records = pooled
     return result
+
+
+def _relay_positions(delta_grid) -> list[float]:
+    """The relay-position grid as floats; each position must lie strictly
+    inside (0, 1), and no position may repeat."""
+    deltas = [float(d) for d in delta_grid]
+    if not all(0.0 < d < 1.0 for d in deltas):
+        raise ValueError("delta grid values must be in (0, 1)")
+    if len(set(deltas)) != len(deltas):
+        raise ValueError("delta grid values must be distinct")
+    return deltas
 
 
 def _relay_counts(relay_grid) -> list[int]:

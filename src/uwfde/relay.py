@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .channel import complex_noise
-from .txrx import BlockFrame, append_cp
+from .txrx import append_cp
 
 
 def af_gain(sigma2_hsr: float, sigma2_relay: float) -> float:
@@ -18,29 +18,25 @@ def af_gain(sigma2_hsr: float, sigma2_relay: float) -> float:
     return 1.0 / np.sqrt(total)
 
 
-def relay_receive(tx: BlockFrame, taps: np.ndarray, sigma2: float,
-                  rng: np.random.Generator) -> BlockFrame:
-    """Propagate a prefixed block through the channel and strip the prefix.
+def relay_receive(tx: np.ndarray, cp_len: int, taps: np.ndarray, sigma2: float,
+                  rng: np.random.Generator) -> np.ndarray:
+    """Propagate a block sent with a ``cp_len``-symbol prefix through the
+    channel and strip the prefix.
 
     Linear convolution with the taps plus circular complex Gaussian noise;
     with the prefix at least as long as the channel memory the result is
     exactly the circular convolution of the body.
     """
-    if not tx.has_cp:
-        raise ValueError("transmit frame must carry a prefix")
     taps = np.asarray(taps, dtype=complex)
-    if tx.cp_len < len(taps) - 1:
+    if cp_len < len(taps) - 1:
         raise ValueError("prefix shorter than the channel memory")
-    body = tx.block_size
-    full = np.convolve(taps, tx.symbols)
-    received = full[tx.cp_len: tx.cp_len + body]
+    body = len(tx) - cp_len
+    received = np.convolve(taps, tx)[cp_len: cp_len + body]
     if sigma2 > 0:
         received = received + complex_noise(rng, body, sigma2)
-    return BlockFrame(received, "time")
+    return received
 
 
-def relay_forward(received: BlockFrame, zeta: float, cp_len: int) -> BlockFrame:
+def relay_forward(received: np.ndarray, zeta: float, cp_len: int) -> np.ndarray:
     """Scale the received block by the relay gain and re-append a prefix."""
-    if received.has_cp:
-        raise ValueError("received frame still carries a prefix")
-    return append_cp(BlockFrame(zeta * received.symbols, "time"), cp_len)
+    return append_cp(zeta * received, cp_len)

@@ -17,11 +17,10 @@ from uwfde.channel import (circulant_from_taps, evolve_channel,
                            sample_cluster_arrivals, sample_nakagami,
                            sample_ray_arrivals, sv_profile, SvParams)
 from uwfde.cli import main as cli_main
-from uwfde.detectors import (EffectiveChannel, effective_channel, mmse_weights,
-                             train_adaptive)
+from uwfde.detectors import EffectiveChannel, effective_channel, mmse_weights
 from uwfde.harness import (GridPoint, SimConfig, run_convergence,
                            run_multirelay, run_placement_sweep, run_points,
-                           _build_links, transmit_block)
+                           train_adaptive, _build_links, transmit_block)
 from uwfde.txrx import ModulationScheme, modulate, unitary_fft
 
 
@@ -172,17 +171,18 @@ def test_criterion_05_wiener_convergence():
     point = GridPoint(snr)
     for _ in range(channels):
         links = _build_links(cfg, [point], rng).cascade(cfg, point, 1, rng)
-        w_opt = mmse_weights(effective_channel(links, n)).w
+        w_opt = mmse_weights(effective_channel(links)).w
         pilots_list = []
         for _ in range(pilots):
             bits = rng.integers(0, 2, size=n)
-            x = modulate(bits, scheme).symbols
+            x = modulate(bits, scheme)
             r_f = transmit_block(x, links, cfg.effective_cp_len, rng)
             pilots_list.append((r_f, unitary_fft(x)))
+        r_pilots, s_pilots = (np.array(rows) for rows in zip(*pilots_list))
+        trained, _ = train_adaptive(("lms", "rls"), r_pilots, s_pilots, cfg.mu,
+                                    cfg.lambda_rls)
         for det in ("lms", "rls"):
-            w, _ = train_adaptive(det, pilots_list, mu=cfg.mu,
-                                  lambda_rls=cfg.lambda_rls)
-            cross[det] += w.w * np.conj(w_opt)
+            cross[det] += trained[det] * np.conj(w_opt)
         ref_power += np.abs(w_opt) ** 2
     for det in ("lms", "rls"):
         deviation = np.mean(np.abs(cross[det] / ref_power - 1.0))

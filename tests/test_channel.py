@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
-from uwfde.channel import (ChannelRealization, LinkState, SvParams,
-                           circulant_from_taps, complex_noise, evolve_channel,
-                           freq_response, generate_channel, path_gain,
-                           quantize_to_taps, sample_cluster_arrivals,
+from uwfde.channel import (SvParams, circulant_from_taps, complex_noise,
+                           evolve_channel, freq_response, generate_channel,
+                           path_gain, quantize_to_taps, sample_cluster_arrivals,
                            sample_nakagami, sample_ray_arrivals, sv_profile)
 
 # Cluster/ray timing constants quoted in nanoseconds by the channel
@@ -40,6 +39,19 @@ class TestSvParams:
             SvParams(cluster_rate=1.0, ray_rate=1.0, cluster_decay=1.0,
                      ray_decay=1.0, num_clusters=1, rays_per_cluster=1,
                      nakagami_m=0.3)
+
+    @pytest.mark.parametrize("field", ["num_clusters", "rays_per_cluster"])
+    @pytest.mark.parametrize("value", [2.5, "2", float("inf")])
+    def test_counts_reject_non_whole_values(self, field, value):
+        with pytest.raises(ValueError, match="whole number"):
+            SvParams(**{**sv_profile(4).__dict__, field: value})
+
+    def test_counts_take_whole_floats_as_ints(self):
+        params = SvParams(**{**sv_profile(4).__dict__, "num_clusters": 2.0,
+                             "rays_per_cluster": 2.0})
+        assert type(params.num_clusters) is int
+        assert type(params.rays_per_cluster) is int
+        assert params == sv_profile(4)
 
     def test_profile_factory(self):
         params = sv_profile(15)
@@ -115,15 +127,15 @@ class TestGenerateChannel:
     def test_unit_total_power(self):
         rng = np.random.default_rng(21)
         for _ in range(50):
-            real = generate_channel(sv_profile(15), rng)
-            assert abs(np.sum(np.abs(real.gains) ** 2) - 1.0) < 1e-9
+            gains, _ = generate_channel(sv_profile(15), rng)
+            assert abs(np.sum(np.abs(gains) ** 2) - 1.0) < 1e-9
 
     def test_single_ray_degenerate(self):
         params = SvParams(cluster_rate=1.0, ray_rate=1.0, cluster_decay=1.0,
                           ray_decay=1.0, num_clusters=1, rays_per_cluster=1)
-        real = generate_channel(params, np.random.default_rng(2))
-        assert real.delays.tolist() == [0.0]
-        assert abs(abs(real.gains[0]) - 1.0) < 1e-12
+        gains, delays = generate_channel(params, np.random.default_rng(2))
+        assert delays.tolist() == [0.0]
+        assert abs(abs(gains[0]) - 1.0) < 1e-12
 
     def test_tiny_cluster_decay_kills_later_clusters(self):
         params = SvParams(cluster_rate=1.0, ray_rate=1.0, cluster_decay=1e-6,
@@ -131,9 +143,9 @@ class TestGenerateChannel:
         rng = np.random.default_rng(5)
         power_first = power_rest = 0.0
         for _ in range(200):
-            real = generate_channel(params, rng)
-            power_first += np.abs(real.gains[0]) ** 2
-            power_rest += np.sum(np.abs(real.gains[1:]) ** 2)
+            gains, _ = generate_channel(params, rng)
+            power_first += np.abs(gains[0]) ** 2
+            power_rest += np.sum(np.abs(gains[1:]) ** 2)
         assert power_rest < 1e-6 * power_first
 
     def test_mean_profile_decays_with_delay(self):
@@ -143,8 +155,9 @@ class TestGenerateChannel:
         acc = np.zeros(15)
         n = 10_000
         for _ in range(n):
-            real = generate_channel(NS_PARAMS, rng)
-            acc += np.abs(quantize_to_taps(real, NS_PARAMS.sample_period, 15)) ** 2
+            gains, delays = generate_channel(NS_PARAMS, rng)
+            acc += np.abs(quantize_to_taps(gains, delays,
+                                           NS_PARAMS.sample_period, 15)) ** 2
         profile = acc / n
         slack = 0.01 * profile[0]
         assert np.all(np.diff(profile) <= slack)
@@ -153,40 +166,36 @@ class TestGenerateChannel:
 
 class TestQuantize:
     def test_single_ray_single_tap(self):
-        real = ChannelRealization(np.array([1.0 + 0j]), np.array([0.0]))
-        assert quantize_to_taps(real, 1.0, 1).tolist() == [1.0 + 0j]
+        taps = quantize_to_taps(np.array([1.0 + 0j]), np.array([0.0]), 1.0, 1)
+        assert taps.tolist() == [1.0 + 0j]
 
     def test_two_equal_rays_split_power(self):
-        real = ChannelRealization(np.array([1.0 + 0j, 1.0 + 0j]),
-                                  np.array([0.0, 1.0]))
-        taps = quantize_to_taps(real, 1.0, 2)
+        taps = quantize_to_taps(np.array([1.0 + 0j, 1.0 + 0j]),
+                                np.array([0.0, 1.0]), 1.0, 2)
         assert np.allclose(np.abs(taps), [1 / np.sqrt(2)] * 2)
 
     def test_pads_to_requested_count(self):
         rng = np.random.default_rng(4)
-        real = generate_channel(NS_PARAMS, rng)
-        taps = quantize_to_taps(real, NS_PARAMS.sample_period, 15)
+        gains, delays = generate_channel(NS_PARAMS, rng)
+        taps = quantize_to_taps(gains, delays, NS_PARAMS.sample_period, 15)
         assert len(taps) == 15
         assert abs(np.sum(np.abs(taps) ** 2) - 1.0) < 1e-9
 
     def test_colliding_rays_add_coherently(self):
-        real = ChannelRealization(np.array([0.6 + 0j, 0.3j]),
-                                  np.array([0.0, 0.01]))
-        taps = quantize_to_taps(real, 1.0, 2)
+        taps = quantize_to_taps(np.array([0.6 + 0j, 0.3j]),
+                                np.array([0.0, 0.01]), 1.0, 2)
         expected = (0.6 + 0.3j) / abs(0.6 + 0.3j)
         assert abs(taps[0] - expected) < 1e-12
         assert taps[1] == 0.0
 
     def test_rejects_cancelled_power(self):
-        real = ChannelRealization(np.array([0.6 + 0j, -0.6 + 0j]),
-                                  np.array([0.0, 0.01]))
         with pytest.raises(ValueError):
-            quantize_to_taps(real, 1.0, 2)
+            quantize_to_taps(np.array([0.6 + 0j, -0.6 + 0j]),
+                             np.array([0.0, 0.01]), 1.0, 2)
 
     def test_rejects_all_rays_beyond_window(self):
-        real = ChannelRealization(np.array([1.0 + 0j]), np.array([50.0]))
         with pytest.raises(ValueError):
-            quantize_to_taps(real, 1.0, 15)
+            quantize_to_taps(np.array([1.0 + 0j]), np.array([50.0]), 1.0, 15)
 
 
 class TestEvolve:
@@ -329,18 +338,3 @@ class TestPathGain:
         with pytest.raises(ValueError):
             path_gain(bad, 2.0)
 
-
-class TestLinkState:
-    def test_rejects_negative_noise(self):
-        real = ChannelRealization(np.array([1.0 + 0j]), np.array([0.0]),
-                                  np.array([1.0 + 0j]))
-        with pytest.raises(ValueError):
-            LinkState(real, real, zeta=1.0, sigma2_relay=-1.0,
-                      sigma2_dest=0.0, sigma2_hsr=1.0)
-
-    def test_rejects_nonfinite_gain(self):
-        real = ChannelRealization(np.array([1.0 + 0j]), np.array([0.0]),
-                                  np.array([1.0 + 0j]))
-        with pytest.raises(ValueError):
-            LinkState(real, real, zeta=np.inf, sigma2_relay=0.0,
-                      sigma2_dest=0.0, sigma2_hsr=1.0)

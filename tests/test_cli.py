@@ -213,6 +213,39 @@ class TestConfigHandling:
         _, rows = read_csv(out)
         assert len(rows) == 1
 
+    @pytest.mark.parametrize("counts", [{"num_clusters": 2.5},
+                                        {"rays_per_cluster": 1.5}])
+    def test_non_whole_cluster_count_is_usage_error(self, tmp_path, counts):
+        sv = {"cluster_rate": 0.5, "ray_rate": 1.0, "cluster_decay": 6.0,
+              "ray_decay": 2.0, "num_clusters": 2, "rays_per_cluster": 2}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"sv": {**sv, **counts}}))
+        with pytest.raises(SystemExit) as err:
+            run_cli(["ber", "--config", str(cfg_path), "--snr", "10",
+                     "--out", str(tmp_path / "o.csv"), *FAST])
+        assert err.value.code == 2
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_whole_float_cluster_count_runs_as_int(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"sv": {
+            "cluster_rate": 0.5, "ray_rate": 1.0, "cluster_decay": 6.0,
+            "ray_decay": 2.0, "num_clusters": 2.0, "rays_per_cluster": 2}}))
+        out = tmp_path / "o.csv"
+        code = run_cli(["ber", "--config", str(cfg_path), "--snr", "10",
+                        "--out", str(out), *FAST])
+        assert code == 0
+        manifest = json.loads((tmp_path / "o.csv.manifest.json").read_text())
+        assert manifest["config"]["sv"]["num_clusters"] == 2
+        assert isinstance(manifest["config"]["sv"]["num_clusters"], int)
+
+    def test_negative_seed_is_usage_error(self, tmp_path):
+        with pytest.raises(SystemExit) as err:
+            run_cli(["ber", "--snr", "10", "--seed", "-1",
+                     "--out", str(tmp_path / "o.csv"), *FAST])
+        assert err.value.code == 2
+        assert not (tmp_path / "o.csv").exists()
+
     def test_unknown_config_key_is_usage_error(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"block_sized": 16}))
@@ -273,6 +306,13 @@ class TestPlacementCommand:
             run_cli(["placement", "--delta-grid", "0,0.5",
                      "--out", str(tmp_path / "x.csv"), *FAST])
         assert err.value.code == 2
+
+    def test_repeated_delta_rejected(self, tmp_path):
+        with pytest.raises(SystemExit) as err:
+            run_cli(["placement", "--delta-grid", "0.3,0.3",
+                     "--out", str(tmp_path / "x.csv"), *FAST])
+        assert err.value.code == 2
+        assert not (tmp_path / "x.csv").exists()
 
 
 class TestMultirelayCommand:

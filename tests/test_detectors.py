@@ -4,13 +4,13 @@ filters, and their independent oracles."""
 import numpy as np
 import pytest
 
-from uwfde.channel import ChannelRealization, LinkState, circulant_from_taps
+from uwfde.channel import CascadeSpectra, circulant_from_taps
 from uwfde.detectors import (ML_SLICE_ROWS, EffectiveChannel, FdeWeights,
                              MlDetector, RlsState, effective_channel,
-                             lms_step, ml_detect, mmse_error_floor,
-                             mmse_weights, mrc_weights, rls_step,
-                             train_adaptive)
-from uwfde.txrx import BlockFrame, ModulationScheme, demodulate, modulate, unitary_ifft
+                             lms_step, mmse_error_floor, mmse_weights,
+                             mrc_weights, rls_step)
+from uwfde.harness import train_adaptive
+from uwfde.txrx import ModulationScheme, demodulate, modulate, unitary_ifft
 
 
 def unitary_dft(n):
@@ -18,49 +18,38 @@ def unitary_dft(n):
     return np.exp(-2j * np.pi * np.outer(idx, idx) / n) / np.sqrt(n)
 
 
-def make_link(rng, n_taps=3, zeta=1.0, sigma2_relay=0.1, sigma2_dest=0.1,
-              gain=1.0):
-    def draw():
-        taps = rng.standard_normal(n_taps) + 1j * rng.standard_normal(n_taps)
-        taps *= np.sqrt(gain) / np.linalg.norm(taps)
-        return ChannelRealization(np.array([]), np.array([]), taps)
-    return LinkState(draw(), draw(), zeta=zeta, sigma2_relay=sigma2_relay,
-                     sigma2_dest=sigma2_dest, sigma2_hsr=gain)
-
-
 class TestEffectiveChannel:
     def test_flat_single_link(self):
-        flat = ChannelRealization(np.array([]), np.array([]),
-                                  np.array([1.0 + 0j]))
-        link = LinkState(flat, flat, zeta=1.0, sigma2_relay=0.5,
-                         sigma2_dest=0.5, sigma2_hsr=1.0)
-        ch = effective_channel([link], 8)
+        links = CascadeSpectra.from_taps(np.ones((2, 1), dtype=complex), 8,
+                                         1.0, 0.5, 0.5)
+        ch = effective_channel(links)
         assert np.allclose(ch.response, 1.0)
         assert np.allclose(ch.noise_var, 1.0)
 
     def test_two_flat_links_superpose(self):
-        flat = ChannelRealization(np.array([]), np.array([]),
-                                  np.array([1.0 + 0j]))
-        link = LinkState(flat, flat, zeta=1.0, sigma2_relay=0.5,
-                         sigma2_dest=0.5, sigma2_hsr=1.0)
-        ch = effective_channel([link, link], 8)
+        links = CascadeSpectra.from_taps(np.ones((4, 1), dtype=complex), 8,
+                                         1.0, 0.5, 0.5)
+        ch = effective_channel(links)
         assert np.allclose(ch.response, 2.0)
         assert np.allclose(ch.noise_var, 2.0)
 
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(1)
         n = 8
-        links = [make_link(rng, zeta=0.8), make_link(rng, n_taps=2, zeta=1.3)]
-        ch = effective_channel(links, n)
+        zeta, sigma2_relay, sigma2_dest = [0.8, 1.3], [0.1, 0.2], [0.1, 0.3]
+        taps = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+        taps[2:, 2] = 0.0  # the second relay's hops are one tap shorter
+        ch = effective_channel(CascadeSpectra.from_taps(
+            taps, n, zeta, sigma2_relay, sigma2_dest))
         f = unitary_dft(n)
         dense_sum = np.zeros((n, n), dtype=complex)
         noise_sum = np.zeros((n, n), dtype=complex)
-        for link in links:
-            h = circulant_from_taps(link.h_sr.taps, n)
-            g = circulant_from_taps(link.h_rd.taps, n)
-            dense_sum += link.zeta * g @ h
-            noise_sum += (link.zeta ** 2 * g @ g.conj().T * link.sigma2_relay
-                          + link.sigma2_dest * np.eye(n))
+        for u in range(2):
+            h = circulant_from_taps(taps[2 * u], n)
+            g = circulant_from_taps(taps[2 * u + 1], n)
+            dense_sum += zeta[u] * g @ h
+            noise_sum += (zeta[u] ** 2 * g @ g.conj().T * sigma2_relay[u]
+                          + sigma2_dest[u] * np.eye(n))
         xi_dense = f @ dense_sum @ f.conj().T
         sigma_dense = f @ noise_sum @ f.conj().T
         assert np.max(np.abs(np.diag(xi_dense) - ch.response)) < 1e-9
@@ -69,14 +58,14 @@ class TestEffectiveChannel:
         assert np.max(np.abs(sigma_dense - np.diag(np.diag(sigma_dense)))) < 1e-9
 
     def test_rejects_oversized_taps(self):
-        rng = np.random.default_rng(2)
-        link = make_link(rng, n_taps=9)
         with pytest.raises(ValueError):
-            effective_channel([link], 8)
+            effective_channel(CascadeSpectra.from_taps(
+                np.ones((2, 9), dtype=complex), 8, 1.0, 0.1, 0.1))
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            effective_channel([], 8)
+            CascadeSpectra.from_taps(np.zeros((0, 1), dtype=complex), 8,
+                                     1.0, 0.1, 0.1)
 
 
 class TestMrcWeights:
@@ -105,8 +94,8 @@ class TestMrcWeights:
             r_f = c * np.fft.fft(x, norm="ortho")
             r_f += np.sqrt(0.125) * (rng.standard_normal(8)
                                      + 1j * rng.standard_normal(8))
-            a = demodulate(BlockFrame(unitary_ifft(mrc_weights(ch).apply(r_f))), scheme)
-            b = demodulate(BlockFrame(unitary_ifft(mmse_weights(ch).apply(r_f))), scheme)
+            a = demodulate(unitary_ifft(mrc_weights(ch).apply(r_f)), scheme)
+            b = demodulate(unitary_ifft(mmse_weights(ch).apply(r_f)), scheme)
             agree += int(np.array_equal(a, b))
         assert agree == 10_000
 
@@ -212,8 +201,6 @@ class TestMlExpandedSearch:
         got = MlDetector(EffectiveChannel(g, v), scheme, 10).detect(r_f[0])
         assert got.shape == (10,)
         assert np.array_equal(got, direct_ml(r_f[0], g, v, scheme))
-        assert np.array_equal(ml_detect(r_f[0], EffectiveChannel(g, v),
-                                        scheme), got)
 
     def test_stack_longer_than_one_slice(self):
         rng = np.random.default_rng(43)
@@ -250,9 +237,9 @@ class TestMlDetect:
         ch = EffectiveChannel(xi, np.zeros(n))
         for value in range(16):
             bits = np.array([(value >> k) & 1 for k in range(n)])
-            x = modulate(bits, scheme).symbols
+            x = modulate(bits, scheme)
             r_f = xi * np.fft.fft(x, norm="ortho")
-            assert np.allclose(ml_detect(r_f, ch, scheme, n), x)
+            assert np.allclose(MlDetector(ch, scheme, n).detect(r_f), x)
 
     def test_agrees_with_mmse_at_high_snr_flat(self):
         rng = np.random.default_rng(7)
@@ -266,7 +253,7 @@ class TestMlDetect:
                 rng.standard_normal(n) + 1j * rng.standard_normal(n))
             a = ml.detect(r_f)
             b_soft = unitary_ifft(mmse_weights(ch).apply(r_f))
-            b = modulate(demodulate(BlockFrame(b_soft), scheme), scheme).symbols
+            b = modulate(demodulate(b_soft, scheme), scheme)
             assert np.allclose(a, b)
 
     def test_noise_scale_invariant_argmin(self):
@@ -276,14 +263,15 @@ class TestMlDetect:
         xi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         sigma = rng.uniform(0.1, 1.0, size=n)
         r_f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        out1 = ml_detect(r_f, EffectiveChannel(xi, sigma), scheme, n)
-        out2 = ml_detect(r_f, EffectiveChannel(xi, 7.3 * sigma), scheme, n)
+        out1 = MlDetector(EffectiveChannel(xi, sigma), scheme, n).detect(r_f)
+        out2 = MlDetector(EffectiveChannel(xi, 7.3 * sigma), scheme,
+                          n).detect(r_f)
         assert np.allclose(out1, out2)
 
     def test_search_cap_enforced(self):
         ch = EffectiveChannel(np.ones(32, dtype=complex), np.ones(32))
         with pytest.raises(ValueError):
-            ml_detect(np.ones(32, dtype=complex), ch, ModulationScheme.bpsk(), 32)
+            MlDetector(ch, ModulationScheme.bpsk(), 32)
 
 
 class TestLms:
@@ -370,45 +358,62 @@ class TestRls:
 class TestTrainAdaptive:
     def test_requires_pilots(self):
         with pytest.raises(ValueError):
-            train_adaptive("lms", [])
+            train_adaptive(("lms",), np.empty((0, 2)), np.empty((0, 2)),
+                           0.05, 0.995)
 
     def test_unknown_detector(self):
         with pytest.raises(ValueError):
-            train_adaptive("zf", [(np.ones(2), np.ones(2))])
+            train_adaptive(("zf",), np.ones((1, 2)), np.ones((1, 2)),
+                           0.05, 0.995)
 
     def test_zero_step_size_is_inert(self):
         rng = np.random.default_rng(9)
-        pilots = [(rng.standard_normal(4) + 0j, rng.standard_normal(4) + 0j)
-                  for _ in range(10)]
-        w, trace = train_adaptive("lms", pilots, mu=0.0)
-        assert np.array_equal(w.w, np.zeros(4))
-        expected = [np.mean(np.abs(s) ** 2) for _, s in pilots]
-        assert np.allclose(trace, expected)
+        r = rng.standard_normal((10, 4)) + 0j
+        s = rng.standard_normal((10, 4)) + 0j
+        weights, traces = train_adaptive(("lms",), r, s, 0.0, 0.995,
+                                         collect_mse=True)
+        assert np.array_equal(weights["lms"], np.zeros(4))
+        assert np.allclose(traces["lms"], np.mean(np.abs(s) ** 2, axis=1))
 
     def test_rls_reaches_wiener_on_clean_flat_channel(self):
         # noiseless unit channel: one step lands halfway (initial ridge),
         # and the ridge washes out within tens of pilots
         rng = np.random.default_rng(10)
-        pilots = []
-        for _ in range(60):
-            s = np.exp(2j * np.pi * rng.uniform(size=4))
-            pilots.append((s.copy(), s.copy()))
-        w1, _ = train_adaptive("rls", pilots[:1], lambda_rls=1.0)
-        assert np.allclose(w1.w, 0.5 * pilots[0][0] * np.conj(pilots[0][1]))
-        w, _ = train_adaptive("rls", pilots, lambda_rls=1.0)
-        assert np.max(np.abs(np.conj(w.w) * pilots[0][0] / pilots[0][0] - 1.0)) < 0.02
+        s = np.exp(2j * np.pi * rng.uniform(size=(60, 4)))
+        w1 = train_adaptive(("rls",), s[:1], s[:1], 0.05, 1.0)[0]["rls"]
+        assert np.allclose(w1, 0.5 * s[0] * np.conj(s[0]))
+        w = train_adaptive(("rls",), s, s, 0.05, 1.0)[0]["rls"]
+        assert np.max(np.abs(np.conj(w) - 1.0)) < 0.02
 
     def test_rls_trace_not_above_lms_trace_late(self):
         rng = np.random.default_rng(11)
         xi = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        pilots = []
+        r, s = [], []
         for _ in range(80):
-            s = np.exp(2j * np.pi * rng.uniform(size=16))
+            s.append(np.exp(2j * np.pi * rng.uniform(size=16)))
             noise = 0.2 * (rng.standard_normal(16) + 1j * rng.standard_normal(16))
-            pilots.append((xi * s + noise, s))
-        _, lms_trace = train_adaptive("lms", pilots, mu=0.05)
-        _, rls_trace = train_adaptive("rls", pilots, lambda_rls=0.995)
-        assert np.mean(rls_trace[-20:]) <= np.mean(lms_trace[-20:])
+            r.append(xi * s[-1] + noise)
+        _, traces = train_adaptive(("lms", "rls"), np.array(r), np.array(s),
+                                   0.05, 0.995, collect_mse=True)
+        assert np.mean(traces["rls"][-20:]) <= np.mean(traces["lms"][-20:])
+
+    def test_rows_train_independently(self):
+        # a (pilots, 2, 3, N) stack trains each row exactly as it would alone
+        rng = np.random.default_rng(14)
+        shape = (12, 2, 3, 8)
+        r = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        s = np.exp(2j * np.pi * rng.uniform(size=shape))
+        weights, traces = train_adaptive(("lms", "rls"), r, s, 0.05, 0.9,
+                                         collect_mse=True)
+        assert traces["rls"].shape == (12, 2, 3)
+        for row in np.ndindex(2, 3):
+            alone, alone_traces = train_adaptive(
+                ("rls", "lms"), r[(slice(None),) + row],
+                s[(slice(None),) + row], 0.05, 0.9, collect_mse=True)
+            for det in ("lms", "rls"):
+                assert np.array_equal(weights[det][row], alone[det])
+                assert np.array_equal(traces[det][(slice(None),) + row],
+                                      alone_traces[det])
 
 
 class TestScaleInvariance:
@@ -424,14 +429,13 @@ class TestScaleInvariance:
         for _ in range(50):
             r_f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             for weigher in (mrc_weights, mmse_weights):
-                a = demodulate(BlockFrame(
-                    unitary_ifft(weigher(ch).apply(r_f))), scheme)
-                b = demodulate(BlockFrame(
-                    unitary_ifft(weigher(scaled).apply(np.sqrt(c) * r_f))), scheme)
+                a = demodulate(unitary_ifft(weigher(ch).apply(r_f)), scheme)
+                b = demodulate(unitary_ifft(weigher(scaled).apply(
+                    np.sqrt(c) * r_f)), scheme)
                 assert np.array_equal(a, b)
             assert np.allclose(
-                ml_detect(r_f, ch, scheme, n),
-                ml_detect(np.sqrt(c) * r_f, scaled, scheme, n))
+                MlDetector(ch, scheme, n).detect(r_f),
+                MlDetector(scaled, scheme, n).detect(np.sqrt(c) * r_f))
 
     def test_adaptive_decisions_with_coscaled_hyperparams(self):
         # scaling observations by sqrt(c) is undone by mu/c (LMS) and an
@@ -441,15 +445,16 @@ class TestScaleInvariance:
         n = 8
         pilots = [(rng.standard_normal(n) + 1j * rng.standard_normal(n),
                    np.exp(2j * np.pi * rng.uniform(size=n))) for _ in range(30)]
-        w_base, _ = train_adaptive("lms", pilots, mu=0.05)
-        scaled_pilots = [(np.sqrt(c) * r, s) for r, s in pilots]
-        w_scaled, _ = train_adaptive("lms", scaled_pilots, mu=0.05 / c)
-        assert np.max(np.abs(w_scaled.w - w_base.w / np.sqrt(c))) < 1e-10
+        r, s = (np.array(rows) for rows in zip(*pilots))
+        w_base = train_adaptive(("lms",), r, s, 0.05, 0.995)[0]["lms"]
+        w_scaled = train_adaptive(("lms",), np.sqrt(c) * r, s, 0.05 / c,
+                                  0.995)[0]["lms"]
+        assert np.max(np.abs(w_scaled - w_base / np.sqrt(c))) < 1e-10
 
         state = RlsState.initial(n, 0.995)
         state_scaled = RlsState(FdeWeights.zeros(n), np.full(n, 1.0 / c), 0.995)
-        for (r, s), (rs, ss) in zip(pilots, scaled_pilots):
-            state, _ = rls_step(state, r, s)
-            state_scaled, _ = rls_step(state_scaled, rs, ss)
+        for r_b, s_b in zip(r, s):
+            state, _ = rls_step(state, r_b, s_b)
+            state_scaled, _ = rls_step(state_scaled, np.sqrt(c) * r_b, s_b)
         assert np.max(np.abs(state_scaled.weights.w
                              - state.weights.w / np.sqrt(c))) < 1e-10

@@ -12,11 +12,11 @@ from uwfde.channel import (CascadeSpectra, complex_noise, evolve_channel,
 from uwfde.detectors import effective_channel
 from uwfde.harness import (GridPoint, SimConfig, noise_powers, run_ber_sweep,
                            run_convergence, run_multirelay,
-                           run_placement_sweep, run_points, run_trial,
+                           run_placement_sweep, run_point_trial, run_points,
                            transmit_block, trial_seed, wilson_half_width,
                            _build_links, _worker_count)
 from uwfde.relay import relay_forward, relay_receive
-from uwfde.txrx import BlockFrame, ModulationScheme, append_cp, unitary_fft
+from uwfde.txrx import ModulationScheme, append_cp, unitary_fft
 
 
 def time_domain_chain(x, taps, zeta, sigma2_relay, sigma2_dest, cp_len, rng):
@@ -26,12 +26,12 @@ def time_domain_chain(x, taps, zeta, sigma2_relay, sigma2_dest, cp_len, rng):
     the summed destination blocks."""
     out = []
     for block, hops in zip(x, taps):
-        sent = append_cp(BlockFrame(block), cp_len)
+        sent = append_cp(block, cp_len)
         total = np.zeros(len(block), dtype=complex)
         for h, g in zip(hops[0::2], hops[1::2]):
-            at_relay = relay_receive(sent, h, sigma2_relay, rng)
+            at_relay = relay_receive(sent, cp_len, h, sigma2_relay, rng)
             forwarded = relay_forward(at_relay, zeta, cp_len)
-            total += relay_receive(forwarded, g, sigma2_dest, rng).symbols
+            total += relay_receive(forwarded, cp_len, g, sigma2_dest, rng)
         out.append(unitary_fft(total))
     return np.array(out)
 
@@ -88,6 +88,7 @@ class TestSimConfig:
         dict(detectors=("rls", "mmse")),    # untrained weights, BER near 0.5
         dict(detectors=("lms",)),
         dict(snr_grid=(10.0, 10.0)),        # two rows record cannot tell apart
+        dict(master_seed=-1),               # no seed sequence takes it
     ])
     def test_invalid_configs_rejected(self, bad):
         with pytest.raises(ValueError):
@@ -160,14 +161,15 @@ class TestNoisePowers:
 class TestRunTrial:
     def test_deterministic_given_seed(self):
         cfg = small_config(detectors=("mmse", "mrc"))
-        assert run_trial(cfg, 123) == run_trial(cfg, 123)
+        points = [GridPoint(8.0)]
+        assert (run_point_trial(cfg, points, 123)
+                == run_point_trial(cfg, points, 123))
 
     def test_noise_free_mmse_is_error_free(self):
         cfg = small_config(snr_grid=(120.0,), relay_noise_factor=0.0)
-        counts = run_trial(cfg, 5)
-        errors, bits = counts["mmse"]
-        assert errors == 0
-        assert bits == 4 * 16
+        out, = run_point_trial(cfg, [GridPoint(120.0)], 5)
+        assert out.errors["mmse"] == 0
+        assert out.bits == 4 * 16
 
     def test_awgn_anchor_quick(self):
         # flat single-tap, relay noise off: plain coherent-detection theory
@@ -183,9 +185,9 @@ class TestRunTrial:
         cfg = small_config(detectors=("mmse", "mrc", "lms", "rls", "ml"),
                            block_size=4, num_taps=2, sv=sv_profile(2),
                            cp_len=1, pilot_frames=5)
-        counts = run_trial(cfg, 9)
-        assert set(counts) == {"mmse", "mrc", "lms", "rls", "ml"}
-        assert all(bits == 4 * 4 for _, bits in counts.values())
+        out, = run_point_trial(cfg, [GridPoint(8.0)], 9)
+        assert set(out.errors) == {"mmse", "mrc", "lms", "rls", "ml"}
+        assert out.bits == 4 * 4
 
 
 class TestRunPoints:
@@ -338,6 +340,43 @@ class TestMlCounts:
         points = [GridPoint(s, fd, 0.5, u) for fd in (0.0, 0.02)
                   for u in (1, 2) for s in (4.0, 8.0)]
         res = run_points(cfg, points, "ml-pin")
+        got = [(r.detector, r.snr_db, r.fd_norm, r.num_relays, r.errors)
+               for r in res.records]
+        assert got == self.PINNED
+        assert all(r.bits == 4 * 6 * 8 for r in res.records)
+
+
+class TestLinearAndAdaptiveCounts:
+    # Counts of the per-bin detectors and the adaptive training scan on the
+    # version-2 stream; any change to a draw or to the arithmetic moves them.
+    PINNED = [
+        ("mrc", 4.0, 0.0, 1, 30), ("mmse", 4.0, 0.0, 1, 21),
+        ("lms", 4.0, 0.0, 1, 44), ("rls", 4.0, 0.0, 1, 35),
+        ("mrc", 8.0, 0.0, 1, 22), ("mmse", 8.0, 0.0, 1, 8),
+        ("lms", 8.0, 0.0, 1, 27), ("rls", 8.0, 0.0, 1, 15),
+        ("mrc", 4.0, 0.0, 2, 20), ("mmse", 4.0, 0.0, 2, 15),
+        ("lms", 4.0, 0.0, 2, 24), ("rls", 4.0, 0.0, 2, 22),
+        ("mrc", 8.0, 0.0, 2, 12), ("mmse", 8.0, 0.0, 2, 4),
+        ("lms", 8.0, 0.0, 2, 13), ("rls", 8.0, 0.0, 2, 8),
+        ("mrc", 4.0, 0.02, 1, 37), ("mmse", 4.0, 0.02, 1, 31),
+        ("lms", 4.0, 0.02, 1, 55), ("rls", 4.0, 0.02, 1, 49),
+        ("mrc", 8.0, 0.02, 1, 22), ("mmse", 8.0, 0.02, 1, 11),
+        ("lms", 8.0, 0.02, 1, 45), ("rls", 8.0, 0.02, 1, 37),
+        ("mrc", 4.0, 0.02, 2, 38), ("mmse", 4.0, 0.02, 2, 39),
+        ("lms", 4.0, 0.02, 2, 82), ("rls", 4.0, 0.02, 2, 79),
+        ("mrc", 8.0, 0.02, 2, 21), ("mmse", 8.0, 0.02, 2, 14),
+        ("lms", 8.0, 0.02, 2, 77), ("rls", 8.0, 0.02, 2, 71),
+    ]
+
+    def test_counts_with_and_without_drift(self):
+        cfg = small_config(block_size=8, num_taps=4, cp_len=3,
+                           snr_grid=(4.0, 8.0),
+                           detectors=("mrc", "mmse", "lms", "rls"),
+                           pilot_frames=5, data_frames=6, trials=4,
+                           master_seed=32)
+        points = [GridPoint(s, fd, 0.5, u) for fd in (0.0, 0.02)
+                  for u in (1, 2) for s in (4.0, 8.0)]
+        res = run_points(cfg, points, "adaptive-pin")
         got = [(r.detector, r.snr_db, r.fd_norm, r.num_relays, r.errors)
                for r in res.records]
         assert got == self.PINNED
