@@ -14,7 +14,7 @@ Monte Carlo workers each own their own stream.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,10 +50,10 @@ class SvParams:
     def __post_init__(self) -> None:
         for name in ("cluster_rate", "ray_rate", "cluster_decay", "ray_decay",
                      "sample_period", "omega"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
-        if self.nakagami_m < 0.5:
-            raise ValueError("nakagami_m must be >= 0.5")
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        if not 0.5 <= self.nakagami_m < np.inf:
+            raise ValueError("nakagami_m must be finite and >= 0.5")
         for name in ("num_clusters", "rays_per_cluster"):
             object.__setattr__(self, name,
                                _whole_number(getattr(self, name), name))
@@ -95,8 +95,7 @@ class CascadeSpectra:
     ``h_f`` (source to relay) and ``g_f`` (relay to destination) are DFTs of
     the zero-padded hop taps, shape ``(U, N)``, or ``(..., U, N)`` with one
     response per block when the taps drift. ``zeta``, ``sigma2_relay`` and
-    ``sigma2_dest`` hold one value per relay; ``num_taps`` is the longest
-    hop's tap count, the memory a cyclic prefix must cover.
+    ``sigma2_dest`` hold one value per relay.
     """
 
     h_f: np.ndarray
@@ -104,7 +103,6 @@ class CascadeSpectra:
     zeta: np.ndarray
     sigma2_relay: np.ndarray
     sigma2_dest: np.ndarray
-    num_taps: int
 
     @classmethod
     def from_taps(cls, taps: np.ndarray, block_size: int, zeta, sigma2_relay,
@@ -122,11 +120,7 @@ class CascadeSpectra:
 
         return cls(response[..., 0::2, :], response[..., 1::2, :],
                    per_relay(zeta), per_relay(sigma2_relay),
-                   per_relay(sigma2_dest), taps.shape[-1])
-
-    def __getitem__(self, blocks) -> "CascadeSpectra":
-        """The responses of the selected blocks (leading axes)."""
-        return replace(self, h_f=self.h_f[blocks], g_f=self.g_f[blocks])
+                   per_relay(sigma2_dest))
 
 
 def complex_noise(rng: np.random.Generator, size, var) -> np.ndarray:

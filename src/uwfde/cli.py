@@ -58,6 +58,7 @@ def _write_manifest(path: str, experiment: str, config: SimConfig,
         "experiment": experiment,
         "version": __version__,
         "stream_version": STREAM_VERSION,
+        "workers_effective": _worker_count(config),
         "master_seed": config.master_seed,
         "duration_s": round(time.monotonic() - started, 3),
         "outputs": outputs,

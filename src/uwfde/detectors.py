@@ -54,6 +54,10 @@ class EffectiveChannel:
     response: np.ndarray
     noise_var: np.ndarray
 
+    def __getitem__(self, blocks) -> "EffectiveChannel":
+        """The responses and noise of the selected blocks (leading axes)."""
+        return EffectiveChannel(self.response[blocks], self.noise_var[blocks])
+
 
 @dataclass
 class RlsState:

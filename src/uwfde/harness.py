@@ -13,10 +13,11 @@ bit-identical for any worker count. A trial runs as one call over all of
 its grid points. It draws the hop taps once, since every (Doppler, relay
 position, relay count) cell starts with the same hops, and each cell
 resumes from the generator state after its own hops. Points that differ
-only in SNR also share one draw of the drift and bits, and each replays
-the same noise draws at its own noise powers. The adaptive filters of all
-points train as one scan over the pilot blocks. Each point's numbers are
-exactly those a separate run of that point would give.
+only in SNR also share one draw of the drift, the bits and a unit white
+noise array, which each scales to its own per-bin noise variance. The
+adaptive filters of all points train as one scan over the pilot blocks.
+Each point's numbers are exactly those a separate run of that point would
+give.
 """
 
 from __future__ import annotations
@@ -32,9 +33,9 @@ import numpy as np
 from .channel import (CascadeSpectra, SvParams, _whole_number, complex_noise,
                       evolve_channel, generate_channel, path_gain,
                       quantize_to_taps, sv_profile)
-from .detectors import (ML_SEARCH_LIMIT, FdeWeights, MlDetector, RlsState,
-                        effective_channel, lms_step, mmse_error_floor,
-                        mmse_weights, mrc_weights, rls_step)
+from .detectors import (ML_SEARCH_LIMIT, EffectiveChannel, FdeWeights,
+                        MlDetector, RlsState, effective_channel, lms_step,
+                        mmse_error_floor, mmse_weights, mrc_weights, rls_step)
 # relay_receive and relay_forward are the time-domain reference for
 # transmit_block and no longer run here; bench/spans.py traces them by
 # their names in this module, so the names stay.
@@ -44,9 +45,10 @@ from .txrx import (ModulationScheme, demodulate, modulate, unitary_fft,
 
 # Layout of a trial's random stream (see run_point_trial). A manifest
 # replays its CSV byte for byte only under the layout that wrote it, so any
-# change to the draws bumps this number. 1 (v0.1.0) drew per block; 2
-# draws per trial: hop taps, drift track, block bits, then hop noise.
-STREAM_VERSION = 2
+# change to the draws bumps this number. 1 (v0.1.0) drew per block; 2 drew
+# per trial: hop taps, drift track, block bits, then each hop's noise; 3
+# draws one unit white noise array per cell in place of the hop noise.
+STREAM_VERSION = 3
 
 DETECTOR_NAMES = ("mrc", "mmse", "ml", "lms", "rls")
 ADAPTIVE_DETECTORS = ("lms", "rls")
@@ -123,8 +125,8 @@ class SimConfig:
             raise ValueError("fd_norm must be in [0, 0.5)")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must be in (0, 1)")
-        if self.mu < 0:
-            raise ValueError("mu must be nonnegative")
+        if not 0 <= self.mu < math.inf:
+            raise ValueError("mu must be nonnegative and finite")
         if not 0.0 < self.lambda_rls <= 1.0:
             raise ValueError("lambda_rls must be in (0, 1]")
         if self.pilot_frames < 0:
@@ -143,8 +145,10 @@ class SimConfig:
             raise ValueError("snr_grid values must be finite")
         if len(set(self.snr_grid)) != len(self.snr_grid):
             raise ValueError("snr_grid values must be distinct")
-        if self.relay_noise_factor < 0:
-            raise ValueError("relay_noise_factor must be nonnegative")
+        if not 0 <= self.relay_noise_factor < math.inf:
+            raise ValueError("relay_noise_factor must be nonnegative and finite")
+        if not math.isfinite(self.eta):
+            raise ValueError("eta must be finite")
         if self.channel_model not in ("sv", "flat"):
             raise ValueError(f"unknown channel_model: {self.channel_model!r}")
         if self.workers < 1:
@@ -263,7 +267,10 @@ class _TrialChannels:
         """Per-bin responses of ``point``'s cell: its first ``2U`` hops at its
         path gains, drifting over ``blocks`` blocks when its Doppler is
         nonzero. Leaves ``rng`` where a trial of that cell alone would be
-        after its drift."""
+        after its drift. A prefix shorter than the hops' memory is refused:
+        the per-bin model holds only when it covers them."""
+        if config.effective_cp_len < self.taps.shape[-1] - 1:
+            raise ValueError("prefix shorter than the channel memory")
         relays = point.num_relays
         taps = self.taps[:2 * relays] * np.sqrt(
             np.tile(path_gain(point.delta, config.eta), relays))[:, None]
@@ -319,35 +326,20 @@ def _at_snr(links: CascadeSpectra, config: SimConfig,
                    sigma2_dest=sigma2_dest)
 
 
-def transmit_block(x: np.ndarray, links: CascadeSpectra, cp_len: int,
-                   rng: np.random.Generator | None,
-                   noise: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
-    """Send time-domain symbol blocks ``(..., N)`` through every relay slot;
-    return the combined frequency-domain observation ``(..., N)``.
+def transmit_block(x_f: np.ndarray, ch: EffectiveChannel,
+                   noise: np.ndarray) -> np.ndarray:
+    """Frequency-domain observation ``(..., N)`` of symbol blocks sent
+    through every relay slot of ``ch``, from their unitary DFTs ``x_f``.
 
     A prefix at least as long as the channel memory makes every hop
     circulant within a block, so per bin the destination sees
     ``R = sum_u zeta_u G_u (H_u X + N_r,u) + N_d,u`` with ``X`` the unitary
-    DFT of the block. The hop noise is drawn directly in the frequency
-    domain (the unitary DFT of white circular Gaussian noise is white with
-    the same variance): for each relay in turn its relay-hop noise, then its
-    destination-hop noise. ``noise`` passes given ``(relay, destination)``
-    spectra, each ``(..., U, N)``, instead.
+    DFT of the block. Given the taps, the noise terms are independent
+    circular Gaussians, so their sum is one circular Gaussian per bin, of
+    variance ``ch.noise_var``, independent across bins and blocks (the
+    unitary DFT of white noise is white). ``noise`` is a draw of that sum.
     """
-    if cp_len < links.num_taps - 1:
-        raise ValueError("prefix shorter than the channel memory")
-    x_f = unitary_fft(x)
-    shape = np.broadcast_shapes(x_f.shape, links.h_f.shape[:-2] + x_f.shape[-1:])
-    total = np.zeros(shape, dtype=complex)
-    for u in range(len(links.zeta)):
-        if noise is None:
-            relay = complex_noise(rng, shape, links.sigma2_relay[u])
-            dest = complex_noise(rng, shape, links.sigma2_dest[u])
-        else:
-            relay, dest = noise[0][..., u, :], noise[1][..., u, :]
-        total += (links.zeta[u] * links.g_f[..., u, :]
-                  * (links.h_f[..., u, :] * x_f + relay) + dest)
-    return total
+    return ch.response * x_f + noise
 
 
 @dataclass
@@ -375,16 +367,17 @@ def run_point_trial(config: SimConfig, points: list[GridPoint], seed,
 
     Random stream (``STREAM_VERSION``), per (Doppler, position, relay
     count) cell of the grid: hop taps, the drift track, the bits of every
-    block, then the hop noise. Every cell's stream starts with the same
-    hops, and the relay position only scales them, so the taps are drawn
-    once per trial and each cell resumes from the generator state after
-    its own hops. Within a cell only the noise depends on SNR, and only
-    through its scale, so the drift and bits are drawn once for the cell
-    and every point after its first replays the noise draws of the first
-    at its own powers. Each output therefore equals a separate run of its
-    point from the same seed. The ideal-CSI detectors run per point; the
-    adaptive filters of all points train together as one scan over the
-    pilot blocks on ``(points, N)`` rows.
+    block, then one unit-variance white noise array ``(blocks, N)``. Every
+    cell's stream starts with the same hops, and the relay position only
+    scales them, so the taps are drawn once per trial and each cell
+    resumes from the generator state after its own hops. Within a cell
+    only the noise depends on SNR, and only through its per-bin variance
+    (see ``transmit_block``), so every point of the cell scales the same
+    white array by the root of its own ``noise_var``. Each output
+    therefore equals a separate run of its point from the same seed. The
+    ideal-CSI detectors run per point; the adaptive filters of all points
+    train together as one scan over the pilot blocks on ``(points, N)``
+    rows.
     """
     rng = np.random.default_rng(seed)
     scheme = ModulationScheme.from_name(config.scheme)
@@ -407,17 +400,17 @@ def run_point_trial(config: SimConfig, points: list[GridPoint], seed,
         links = chans.cascade(config, points[members[0]], blocks, rng)
         drifting = points[members[0]].fd_norm > 0
         bits = rng.integers(0, 2, size=(blocks, n * scheme.bits_per_symbol))
-        x = modulate(bits, scheme)
+        x_f = unitary_fft(modulate(bits, scheme))
         bits_data = bits[pilots:].copy()
         if adaptive:
-            s_stack[members] = unitary_fft(x[:pilots])
-        noise_state = rng.bit_generator.state if len(members) > 1 else None
+            s_stack[members] = x_f[:pilots]
+        white = complex_noise(rng, (blocks, n), 1.0)
         for k, i in enumerate(members):
             if k:
                 links = _at_snr(links, config, points[i])
-                rng.bit_generator.state = noise_state
-            r_f = transmit_block(x, links, config.effective_cp_len, rng)
-            outputs[i] = _detect_ideal(config, scheme, links, drifting, r_f,
+            ch = effective_channel(links)
+            r_f = transmit_block(x_f, ch, np.sqrt(ch.noise_var) * white)
+            outputs[i] = _detect_ideal(config, scheme, ch, drifting, r_f,
                                        pilots, bits_data, collect_mse)
             if adaptive:
                 r_stack[i] = r_f
@@ -429,21 +422,21 @@ def run_point_trial(config: SimConfig, points: list[GridPoint], seed,
 
 
 def _detect_ideal(config: SimConfig, scheme: ModulationScheme,
-                  links: CascadeSpectra, drifting: bool, r_f: np.ndarray,
+                  ch: EffectiveChannel, drifting: bool, r_f: np.ndarray,
                   pilots: int, bits_data: np.ndarray,
                   collect_mse: bool) -> TrialOutput:
     """One point's output with the bit errors of its ideal-CSI detectors over
-    the data blocks of ``r_f``, which follow ``pilots`` pilot blocks; with
+    the data blocks of ``r_f``, which follow ``pilots`` pilot blocks and were
+    received through ``ch`` (one state per block when ``drifting``); with
     ``collect_mse``, its Wiener floor at the last pilot block instead."""
     if collect_mse:
-        floor = mmse_error_floor(effective_channel(links[-1] if drifting else links))
+        floor = mmse_error_floor(ch[-1] if drifting else ch)
         return TrialOutput(dict.fromkeys(config.detectors, 0), 0, None, floor)
     errors = dict.fromkeys(config.detectors, 0)
     ideal = [d for d in config.detectors if d not in ADAPTIVE_DETECTORS]
     if not ideal:
         return TrialOutput(errors, bits_data.size)
-    r_data = r_f[pilots:]
-    ch = effective_channel(links[pilots:] if drifting else links)
+    r_data, ch = r_f[pilots:], ch[pilots:] if drifting else ch
     for det in ideal:
         if det == "ml":
             decided = MlDetector(ch, scheme, config.block_size).detect(r_data)

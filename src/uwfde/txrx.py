@@ -51,14 +51,15 @@ def modulate(bits: np.ndarray, scheme: ModulationScheme) -> np.ndarray:
 
 def demodulate(symbols: np.ndarray, scheme: ModulationScheme) -> np.ndarray:
     """Minimum-distance decisions on time-domain symbols, inverted to bits;
-    a stack of blocks gives one bit vector per block.
-
-    Equidistant points resolve to the lowest label (argmin tie-break).
-    """
-    dist = np.abs(np.asarray(symbols)[..., None] - scheme.points)
-    labels = np.argmin(dist, axis=-1)
-    shifts = np.arange(scheme.bits_per_symbol - 1, -1, -1)
-    return ((labels[..., None] >> shifts) & 1).reshape(*labels.shape[:-1], -1)
+    a stack of blocks gives one bit vector per block. For the Gray-labelled
+    BPSK and QPSK maps that is a sign test: bit one is ``Re s < 0`` and the
+    second QPSK bit ``Im s < 0``. A zero part (either sign) gives bit 0, the
+    lowest of the equidistant labels."""
+    symbols = np.asarray(symbols)
+    if scheme.bits_per_symbol == 1:
+        return (symbols.real < 0).astype(int)
+    bits = np.stack([symbols.real < 0, symbols.imag < 0], axis=-1)
+    return bits.reshape(*symbols.shape[:-1], -1).astype(int)
 
 
 def append_cp(x: np.ndarray, cp_len: int) -> np.ndarray:

@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from uwfde.channel import (circulant_from_taps, evolve_channel,
+from uwfde.channel import (circulant_from_taps, complex_noise, evolve_channel,
                            generate_channel, quantize_to_taps,
                            sample_cluster_arrivals, sample_nakagami,
                            sample_ray_arrivals, sv_profile, SvParams)
@@ -171,12 +171,14 @@ def test_criterion_05_wiener_convergence():
     point = GridPoint(snr)
     for _ in range(channels):
         links = _build_links(cfg, [point], rng).cascade(cfg, point, 1, rng)
-        w_opt = mmse_weights(effective_channel(links)).w
+        ch = effective_channel(links)
+        w_opt = mmse_weights(ch).w
         pilots_list = []
         for _ in range(pilots):
             bits = rng.integers(0, 2, size=n)
             x = modulate(bits, scheme)
-            r_f = transmit_block(x, links, cfg.effective_cp_len, rng)
+            r_f = transmit_block(unitary_fft(x), ch,
+                                 complex_noise(rng, n, ch.noise_var))
             pilots_list.append((r_f, unitary_fft(x)))
         r_pilots, s_pilots = (np.array(rows) for rows in zip(*pilots_list))
         trained, _ = train_adaptive(("lms", "rls"), r_pilots, s_pilots, cfg.mu,

@@ -40,6 +40,17 @@ class TestSvParams:
                      ray_decay=1.0, num_clusters=1, rays_per_cluster=1,
                      nakagami_m=0.3)
 
+    @pytest.mark.parametrize("field,value", [
+        ("nakagami_m", float("nan")), ("nakagami_m", float("inf")),
+        ("omega", float("nan")), ("omega", float("inf")),
+        ("cluster_rate", float("inf")), ("ray_rate", float("inf")),
+        ("cluster_decay", float("inf")), ("ray_decay", float("inf")),
+        ("sample_period", float("inf")), ("cluster_rate", float("nan")),
+    ])
+    def test_rejects_non_finite_values(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            SvParams(**{**sv_profile(4).__dict__, field: value})
+
     @pytest.mark.parametrize("field", ["num_clusters", "rays_per_cluster"])
     @pytest.mark.parametrize("value", [2.5, "2", float("inf")])
     def test_counts_reject_non_whole_values(self, field, value):

@@ -130,6 +130,16 @@ class TestBerCommand:
         assert manifest["duration_s"] >= 0
         assert manifest["stream_version"] == STREAM_VERSION
 
+    def test_manifest_records_the_effective_worker_count(self, tmp_path,
+                                                          monkeypatch):
+        out = tmp_path / "ber.csv"
+        monkeypatch.setenv("UWFDE_WORKERS", "1")
+        run_cli(["ber", "--snr", "5", "--out", str(out), "--workers", "2",
+                 *FAST])
+        manifest = json.loads((tmp_path / "ber.csv.manifest.json").read_text())
+        assert manifest["config"]["workers"] == 2
+        assert manifest["workers_effective"] == 1
+
     def test_rerun_from_manifest_reproduces_bytes(self, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         run_cli(["ber", "--snr", "0,6", "--out", str(out1), "--seed", "11",
@@ -243,6 +253,16 @@ class TestConfigHandling:
         with pytest.raises(SystemExit) as err:
             run_cli(["ber", "--snr", "10", "--seed", "-1",
                      "--out", str(tmp_path / "o.csv"), *FAST])
+        assert err.value.code == 2
+        assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("flags", [["--mu", "nan"], ["--eta", "inf"],
+                                       ["--relay-noise", "nan"]])
+    def test_non_finite_float_is_usage_error(self, tmp_path, flags):
+        with pytest.raises(SystemExit) as err:
+            run_cli(["ber", "--snr", "10", "--detectors", "lms,mmse",
+                     "--out", str(tmp_path / "o.csv"), *FAST,
+                     "--pilot-frames", "2", *flags])
         assert err.value.code == 2
         assert not (tmp_path / "o.csv").exists()
 

@@ -7,16 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uwfde import harness
 from uwfde.channel import (CascadeSpectra, complex_noise, evolve_channel,
                            sv_profile)
-from uwfde.detectors import effective_channel
+from uwfde.detectors import effective_channel, mmse_weights
 from uwfde.harness import (GridPoint, SimConfig, noise_powers, run_ber_sweep,
                            run_convergence, run_multirelay,
                            run_placement_sweep, run_point_trial, run_points,
                            transmit_block, trial_seed, wilson_half_width,
-                           _build_links, _worker_count)
+                           _build_links, _TrialChannels, _worker_count)
 from uwfde.relay import relay_forward, relay_receive
-from uwfde.txrx import ModulationScheme, append_cp, unitary_fft
+from uwfde.txrx import (ModulationScheme, append_cp, demodulate, modulate,
+                        unitary_fft, unitary_ifft)
 
 
 def time_domain_chain(x, taps, zeta, sigma2_relay, sigma2_dest, cp_len, rng):
@@ -89,6 +91,13 @@ class TestSimConfig:
         dict(detectors=("lms",)),
         dict(snr_grid=(10.0, 10.0)),        # two rows record cannot tell apart
         dict(master_seed=-1),               # no seed sequence takes it
+        dict(mu=float("nan")),              # silent BER near 0.5
+        dict(mu=float("inf")),
+        dict(relay_noise_factor=float("nan")),
+        dict(relay_noise_factor=float("inf")),
+        dict(eta=float("nan")),
+        dict(eta=float("inf")),
+        dict(eta=-float("inf")),
     ])
     def test_invalid_configs_rejected(self, bad):
         with pytest.raises(ValueError):
@@ -320,17 +329,18 @@ class TestPairing:
 
 
 class TestMlCounts:
-    # Counts recorded from the direct-form search |r - g S|^2 @ (1/noise);
-    # the expanded-form search must reach the same decision on every block.
+    # Counts recorded from the direct-form search |r - g S|^2 @ (1/noise)
+    # on the version-3 stream; the expanded-form search must reach the same
+    # decision on every block.
     PINNED = [
-        ("ml", 4.0, 0.0, 1, 38), ("mmse", 4.0, 0.0, 1, 35),
-        ("ml", 8.0, 0.0, 1, 4), ("mmse", 8.0, 0.0, 1, 13),
-        ("ml", 4.0, 0.0, 2, 12), ("mmse", 4.0, 0.0, 2, 13),
-        ("ml", 8.0, 0.0, 2, 0), ("mmse", 8.0, 0.0, 2, 4),
-        ("ml", 4.0, 0.02, 1, 19), ("mmse", 4.0, 0.02, 1, 19),
-        ("ml", 8.0, 0.02, 1, 5), ("mmse", 8.0, 0.02, 1, 6),
-        ("ml", 4.0, 0.02, 2, 24), ("mmse", 4.0, 0.02, 2, 22),
-        ("ml", 8.0, 0.02, 2, 9), ("mmse", 8.0, 0.02, 2, 10),
+        ("ml", 4.0, 0.0, 1, 21), ("mmse", 4.0, 0.0, 1, 18),
+        ("ml", 8.0, 0.0, 1, 0), ("mmse", 8.0, 0.0, 1, 8),
+        ("ml", 4.0, 0.0, 2, 15), ("mmse", 4.0, 0.0, 2, 17),
+        ("ml", 8.0, 0.0, 2, 5), ("mmse", 8.0, 0.0, 2, 7),
+        ("ml", 4.0, 0.02, 1, 21), ("mmse", 4.0, 0.02, 1, 23),
+        ("ml", 8.0, 0.02, 1, 5), ("mmse", 8.0, 0.02, 1, 8),
+        ("ml", 4.0, 0.02, 2, 17), ("mmse", 4.0, 0.02, 2, 24),
+        ("ml", 8.0, 0.02, 2, 2), ("mmse", 8.0, 0.02, 2, 7),
     ]
 
     def test_counts_with_and_without_drift(self):
@@ -348,24 +358,24 @@ class TestMlCounts:
 
 class TestLinearAndAdaptiveCounts:
     # Counts of the per-bin detectors and the adaptive training scan on the
-    # version-2 stream; any change to a draw or to the arithmetic moves them.
+    # version-3 stream; any change to a draw or to the arithmetic moves them.
     PINNED = [
-        ("mrc", 4.0, 0.0, 1, 30), ("mmse", 4.0, 0.0, 1, 21),
-        ("lms", 4.0, 0.0, 1, 44), ("rls", 4.0, 0.0, 1, 35),
-        ("mrc", 8.0, 0.0, 1, 22), ("mmse", 8.0, 0.0, 1, 8),
-        ("lms", 8.0, 0.0, 1, 27), ("rls", 8.0, 0.0, 1, 15),
-        ("mrc", 4.0, 0.0, 2, 20), ("mmse", 4.0, 0.0, 2, 15),
-        ("lms", 4.0, 0.0, 2, 24), ("rls", 4.0, 0.0, 2, 22),
-        ("mrc", 8.0, 0.0, 2, 12), ("mmse", 8.0, 0.0, 2, 4),
-        ("lms", 8.0, 0.0, 2, 13), ("rls", 8.0, 0.0, 2, 8),
-        ("mrc", 4.0, 0.02, 1, 37), ("mmse", 4.0, 0.02, 1, 31),
-        ("lms", 4.0, 0.02, 1, 55), ("rls", 4.0, 0.02, 1, 49),
-        ("mrc", 8.0, 0.02, 1, 22), ("mmse", 8.0, 0.02, 1, 11),
-        ("lms", 8.0, 0.02, 1, 45), ("rls", 8.0, 0.02, 1, 37),
-        ("mrc", 4.0, 0.02, 2, 38), ("mmse", 4.0, 0.02, 2, 39),
-        ("lms", 4.0, 0.02, 2, 82), ("rls", 4.0, 0.02, 2, 79),
-        ("mrc", 8.0, 0.02, 2, 21), ("mmse", 8.0, 0.02, 2, 14),
-        ("lms", 8.0, 0.02, 2, 77), ("rls", 8.0, 0.02, 2, 71),
+        ("mrc", 4.0, 0.0, 1, 44), ("mmse", 4.0, 0.0, 1, 30),
+        ("lms", 4.0, 0.0, 1, 46), ("rls", 4.0, 0.0, 1, 41),
+        ("mrc", 8.0, 0.0, 1, 27), ("mmse", 8.0, 0.0, 1, 12),
+        ("lms", 8.0, 0.0, 1, 36), ("rls", 8.0, 0.0, 1, 17),
+        ("mrc", 4.0, 0.0, 2, 22), ("mmse", 4.0, 0.0, 2, 18),
+        ("lms", 4.0, 0.0, 2, 25), ("rls", 4.0, 0.0, 2, 23),
+        ("mrc", 8.0, 0.0, 2, 15), ("mmse", 8.0, 0.0, 2, 6),
+        ("lms", 8.0, 0.0, 2, 17), ("rls", 8.0, 0.0, 2, 9),
+        ("mrc", 4.0, 0.02, 1, 28), ("mmse", 4.0, 0.02, 1, 29),
+        ("lms", 4.0, 0.02, 1, 59), ("rls", 4.0, 0.02, 1, 57),
+        ("mrc", 8.0, 0.02, 1, 22), ("mmse", 8.0, 0.02, 1, 12),
+        ("lms", 8.0, 0.02, 1, 48), ("rls", 8.0, 0.02, 1, 43),
+        ("mrc", 4.0, 0.02, 2, 41), ("mmse", 4.0, 0.02, 2, 39),
+        ("lms", 4.0, 0.02, 2, 80), ("rls", 4.0, 0.02, 2, 81),
+        ("mrc", 8.0, 0.02, 2, 20), ("mmse", 8.0, 0.02, 2, 21),
+        ("lms", 8.0, 0.02, 2, 73), ("rls", 8.0, 0.02, 2, 72),
     ]
 
     def test_counts_with_and_without_drift(self):
@@ -489,7 +499,8 @@ class TestTransmitBlock:
         point = GridPoint(200.0)
         links = _build_links(cfg, [point], rng).cascade(cfg, point, 1, rng)
         x = np.exp(2j * np.pi * rng.uniform(size=16))
-        r_f = transmit_block(x, links, cfg.effective_cp_len, rng)
+        r_f = transmit_block(unitary_fft(x), effective_channel(links),
+                             np.zeros(16))
         assert np.max(np.abs(r_f - np.fft.fft(x, norm="ortho"))) < 1e-9
 
     @pytest.mark.parametrize("relays,blocks,drift", [
@@ -498,6 +509,8 @@ class TestTransmitBlock:
         (2, 6, True),                                 # drifting tap track
     ])
     def test_matches_time_domain_chain(self, relays, blocks, drift):
+        # the chain's own hop noise, carried to the destination as
+        # sum_u zeta_u G_u FFT(n_r,u) + sum_u FFT(n_d,u)
         n, num_taps, cp_len = 16, 4, 5
         zeta, sigma2_relay, sigma2_dest = 0.8, 0.3, 0.2
         rng = np.random.default_rng(10 * relays + blocks)
@@ -507,30 +520,95 @@ class TestTransmitBlock:
         x = complex_noise(rng, (blocks, n), 1.0)
         expected = time_domain_chain(x, track, zeta, sigma2_relay, sigma2_dest,
                                      cp_len, np.random.default_rng(7))
-        noise = replayed_hop_noise(7, blocks, relays, n, sigma2_relay,
-                                   sigma2_dest)
+        relay, dest = replayed_hop_noise(7, blocks, relays, n, sigma2_relay,
+                                         sigma2_dest)
         links = CascadeSpectra.from_taps(track if drift else track[0], n, zeta,
                                          sigma2_relay, sigma2_dest)
+        noise = np.sum(links.zeta[:, None] * links.g_f * relay + dest, axis=-2)
         if blocks == 1:
-            x, expected = x[0], expected[0]
-            noise = (noise[0][0], noise[1][0])
-        got = transmit_block(x, links, cp_len, None, noise=noise)
+            x, expected, noise = x[0], expected[0], noise[0]
+        got = transmit_block(unitary_fft(x), effective_channel(links), noise)
         assert got.shape == expected.shape
         assert np.max(np.abs(got - expected)) <= 1e-10
 
     def test_drawn_noise_matches_the_effective_channel(self):
-        # zero input: the per-bin power is exactly the modelled noise variance
+        # per-relay hop noise carried through fixed and drifting cascades
+        # has per-bin power noise_var, block by block
         rng = np.random.default_rng(3)
-        links = CascadeSpectra.from_taps(complex_noise(rng, (4, 3), 0.5), 16,
-                                         0.9, 0.4, 0.1)
-        r_f = transmit_block(np.zeros((4000, 16)), links, 2, rng)
-        measured = np.mean(np.abs(r_f) ** 2, axis=0)
-        expected = effective_channel(links).noise_var
-        assert np.max(np.abs(measured / expected - 1.0)) < 0.08
+        blocks, reps = 4, 4000
+        for drift in (0.0, 0.05):
+            track = evolve_channel(complex_noise(rng, (4, 3), 0.5), drift,
+                                   blocks, rng)
+            links = CascadeSpectra.from_taps(track, 16, 0.9, 0.4, 0.1)
+            relay = complex_noise(rng, (reps, blocks, 2, 16), 0.4)
+            dest = complex_noise(rng, (reps, blocks, 2, 16), 0.1)
+            noise = np.sum(links.zeta[:, None] * links.g_f * relay + dest,
+                           axis=-2)
+            measured = np.mean(np.abs(noise) ** 2, axis=0)
+            expected = effective_channel(links).noise_var
+            if drift:  # the variance moves along the track
+                assert np.ptp(expected, axis=0).max() > 0
+            assert np.max(np.abs(measured / expected - 1.0)) < 0.08
+
+    def test_cells_scale_one_white_draw(self, monkeypatch):
+        # each point sends sqrt(noise_var) times its cell's one white draw
+        white = []
+
+        def capture(x_f, ch, noise):
+            white.append(noise / np.sqrt(ch.noise_var))
+            return transmit_block(x_f, ch, noise)
+
+        monkeypatch.setattr(harness, "transmit_block", capture)
+        cfg = small_config(data_frames=2000)
+        run_point_trial(cfg, [GridPoint(s, fd, 0.5, 2) for fd in (0.0, 0.02)
+                              for s in (0.0, 12.0)], 1)
+        assert np.allclose(white[0], white[1], rtol=1e-12, atol=0)
+        assert np.allclose(white[2], white[3], rtol=1e-12, atol=0)
+        for draw in (white[0], white[2]):
+            cov = draw.T @ draw.conj() / len(draw)
+            assert np.max(np.abs(np.diag(cov) - 1.0)) < 0.1
+            assert np.max(np.abs(cov - np.diag(np.diag(cov)))) < 0.1
 
     def test_prefix_shorter_than_memory_rejected(self):
         rng = np.random.default_rng(4)
-        links = CascadeSpectra.from_taps(complex_noise(rng, (2, 4), 1.0), 16,
-                                         1.0, 0.1, 0.1)
-        with pytest.raises(ValueError):
-            transmit_block(np.ones(16), links, 2, rng)
+        cfg = small_config(num_taps=3, cp_len=2)
+        chans = _TrialChannels(complex_noise(rng, (2, 4), 1.0), {})
+        with pytest.raises(ValueError, match="prefix"):
+            chans.cascade(cfg, GridPoint(8.0), 1, rng)
+
+
+class TestPerRelayChainBer:
+    def test_mmse_ber_matches_the_time_domain_chain(self):
+        # run_points' BER against a chain that draws every hop's noise in
+        # the time domain; the trials of the two runs are independent, so
+        # their BERs agree within 4 trial-clustered standard errors
+        cfg = small_config(num_relays=2, snr_grid=(6.0,), data_frames=6,
+                           trials=300)
+        point, scheme = GridPoint(6.0, 0.0, 0.5, 2), ModulationScheme.bpsk()
+        bits_per_trial = cfg.data_frames * cfg.block_size
+        ours = np.array([run_point_trial(cfg, [point], trial_seed(
+            cfg.master_seed, "chain-check", t))[0].errors["mmse"]
+            for t in range(cfg.trials)]) / bits_per_trial
+        pooled = run_points(cfg, [point], "chain-check").records[0]
+        assert pooled.ber == pytest.approx(ours.mean(), abs=1e-15)
+        chain = []
+        for t in range(cfg.trials):
+            rng = np.random.default_rng(trial_seed(cfg.master_seed, "oracle", t))
+            chans = _build_links(cfg, [point], rng)
+            links = chans.cascade(cfg, point, 1, rng)
+            bits = rng.integers(0, 2, size=(cfg.data_frames, cfg.block_size))
+            x = modulate(bits, scheme)
+            # at the midpoint both hops have unit path gain: taps as drawn
+            taps = np.broadcast_to(chans.taps, (len(x),) + chans.taps.shape)
+            r_f = time_domain_chain(x, taps, links.zeta[0],
+                                    links.sigma2_relay[0],
+                                    links.sigma2_dest[0],
+                                    cfg.effective_cp_len, rng)
+            decided = unitary_ifft(
+                mmse_weights(effective_channel(links)).apply(r_f))
+            chain.append(np.mean(demodulate(decided, scheme) != bits))
+        chain = np.array(chain)
+        se = math.hypot(ours.std(ddof=1), chain.std(ddof=1)) / math.sqrt(
+            cfg.trials)
+        assert 0.01 < pooled.ber < 0.3
+        assert abs(ours.mean() - chain.mean()) < 4 * se

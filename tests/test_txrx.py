@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uwfde.channel import circulant_from_taps
 from uwfde.txrx import (ModulationScheme, append_cp, demodulate, modulate,
@@ -38,6 +40,21 @@ class TestSchemes:
             ModulationScheme.from_name("qam64")
 
 
+def argmin_demodulate(symbols, scheme):
+    """Minimum-distance decisions as a search: the argmin over the distances
+    to every constellation point (equidistant points go to the lowest
+    label), inverted to bits."""
+    dist = np.abs(np.asarray(symbols)[..., None] - scheme.points)
+    labels = np.argmin(dist, axis=-1)
+    shifts = np.arange(scheme.bits_per_symbol - 1, -1, -1)
+    return ((labels[..., None] >> shifts) & 1).reshape(*labels.shape[:-1], -1)
+
+
+# Symbol parts: exact signed zeros, and floats of any size up to 1e6.
+_PARTS = st.one_of(st.sampled_from([0.0, -0.0]),
+                   st.floats(-1e6, 1e6, allow_nan=False))
+
+
 class TestModulateDemodulate:
     def test_bit_count_must_divide(self):
         with pytest.raises(ValueError):
@@ -66,6 +83,38 @@ class TestModulateDemodulate:
     def test_tie_breaks_to_lowest_label(self):
         scheme = ModulationScheme.bpsk()
         assert demodulate(np.zeros(4, dtype=complex), scheme).tolist() == [0] * 4
+
+    @pytest.mark.parametrize("name", ["bpsk", "qpsk"])
+    def test_signed_zeros_decide_label_zero(self, name):
+        scheme = ModulationScheme.from_name(name)
+        symbols = np.array([complex(re, im) for re in (0.0, -0.0)
+                            for im in (0.0, -0.0, 0.5, -0.5)])
+        assert np.array_equal(demodulate(symbols, scheme),
+                              argmin_demodulate(symbols, scheme))
+
+    @settings(max_examples=300, deadline=None)
+    @given(name=st.sampled_from(["bpsk", "qpsk"]),
+           shape=st.sampled_from([(1,), (5,), (2, 3), (3, 1, 4)]),
+           data=st.data())
+    def test_sign_test_matches_the_argmin_oracle(self, name, shape, data):
+        scheme = ModulationScheme.from_name(name)
+        size = int(np.prod(shape))
+        parts = data.draw(st.lists(st.tuples(_PARTS, _PARTS), min_size=size,
+                                   max_size=size))
+        symbols = np.array([complex(re, im) for re, im in parts]).reshape(shape)
+        got = demodulate(symbols, scheme).reshape(*shape, -1)
+        want = argmin_demodulate(symbols, scheme).reshape(*shape, -1)
+        # A nonzero part far smaller than the distances to the constellation
+        # can round those distances to a tie, which argmin gives to the
+        # lowest label whatever the sign. The distances' squares are rounded
+        # at max(1, |s|^2), so only symbols with such a part are skipped; a
+        # bound relative to |s| alone would let ties through for tiny
+        # symbols such as -1e-300 (both distances round to one).
+        scale = 1e-12 * np.maximum(1.0, np.abs(symbols) ** 2)
+        tiny = [(part != 0) & (np.abs(part) < scale)
+                for part in (symbols.real, symbols.imag)]
+        kept = ~(tiny[0] | tiny[1])
+        assert np.array_equal(got[kept], want[kept])
 
 
 class TestCyclicPrefix:
