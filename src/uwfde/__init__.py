@@ -3,11 +3,10 @@ equalization over amplify-and-forward underwater acoustic relay channels."""
 
 __version__ = "0.1.0"
 
-from .channel import (SvParams, circulant_from_taps, evolve_channel, freq_response,
-                      generate_channel, path_gain, quantize_to_taps, sv_profile)
-from .detectors import (EffectiveChannel, FdeWeights, MlDetector, RlsState,
-                        effective_channel, lms_step, mmse_weights, mrc_weights,
-                        rls_step)
+from .channel import (SvParams, evolve_channel, freq_response, generate_channel,
+                      path_gain, quantize_to_taps, sv_profile)
+from .detectors import (EffectiveChannel, MlDetector, RlsState, effective_channel,
+                        equalize, lms_step, mmse_weights, mrc_weights, rls_step)
 from .harness import (BerRecord, ExperimentResult, GridPoint, SimConfig,
                       run_ber_sweep, run_convergence, run_multirelay,
                       run_placement_sweep, train_adaptive)
@@ -16,11 +15,10 @@ from .txrx import (ModulationScheme, append_cp, demodulate, modulate, unitary_ff
                    unitary_ifft)
 
 __all__ = [
-    "SvParams", "circulant_from_taps", "evolve_channel", "freq_response",
-    "generate_channel", "path_gain", "quantize_to_taps", "sv_profile",
-    "EffectiveChannel", "FdeWeights", "MlDetector", "RlsState",
-    "effective_channel", "lms_step", "mmse_weights", "mrc_weights",
-    "rls_step",
+    "SvParams", "evolve_channel", "freq_response", "generate_channel",
+    "path_gain", "quantize_to_taps", "sv_profile",
+    "EffectiveChannel", "MlDetector", "RlsState", "effective_channel",
+    "equalize", "lms_step", "mmse_weights", "mrc_weights", "rls_step",
     "BerRecord", "ExperimentResult", "GridPoint", "SimConfig",
     "run_ber_sweep", "run_convergence", "run_multirelay",
     "run_placement_sweep", "train_adaptive",

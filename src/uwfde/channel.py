@@ -1,4 +1,4 @@
-"""Multipath channel generation and circulant-channel algebra.
+"""Multipath channel generation and per-bin channel responses.
 
 Channel realizations are doubly stochastic cluster/ray arrival processes:
 cluster starts and ray offsets have exponential inter-arrival gaps, mean
@@ -86,41 +86,6 @@ def sv_profile(num_paths: int, sample_period: float = 1.0) -> SvParams:
         rays_per_cluster=rays,
         sample_period=sample_period,
     )
-
-
-@dataclass
-class CascadeSpectra:
-    """Per-bin hop responses of U relay cascades.
-
-    ``h_f`` (source to relay) and ``g_f`` (relay to destination) are DFTs of
-    the zero-padded hop taps, shape ``(U, N)``, or ``(..., U, N)`` with one
-    response per block when the taps drift. ``zeta``, ``sigma2_relay`` and
-    ``sigma2_dest`` hold one value per relay.
-    """
-
-    h_f: np.ndarray
-    g_f: np.ndarray
-    zeta: np.ndarray
-    sigma2_relay: np.ndarray
-    sigma2_dest: np.ndarray
-
-    @classmethod
-    def from_taps(cls, taps: np.ndarray, block_size: int, zeta, sigma2_relay,
-                  sigma2_dest) -> "CascadeSpectra":
-        """Transform hop taps of shape ``(..., 2U, L)``, relay u's source and
-        destination hops in rows ``2u`` and ``2u + 1``; gains and noise
-        powers are scalars or one value per relay."""
-        response = freq_response(taps, block_size)
-        relays = response.shape[-2] // 2
-        if relays < 1:
-            raise ValueError("need at least one relay")
-
-        def per_relay(value):
-            return np.broadcast_to(np.asarray(value, dtype=float), (relays,))
-
-        return cls(response[..., 0::2, :], response[..., 1::2, :],
-                   per_relay(zeta), per_relay(sigma2_relay),
-                   per_relay(sigma2_dest))
 
 
 def complex_noise(rng: np.random.Generator, size, var) -> np.ndarray:
@@ -228,17 +193,6 @@ def evolve_channel(taps: np.ndarray, fd_norm: float, blocks: int,
     for b in range(1, blocks):
         track[b] = rho * track[b - 1] + step[b - 1]
     return track
-
-
-def circulant_from_taps(taps: np.ndarray, block_size: int) -> np.ndarray:
-    """Column-circulant matrix whose first column is the zero-padded taps."""
-    taps = np.asarray(taps)
-    if len(taps) > block_size:
-        raise ValueError("more taps than the block size")
-    col = np.zeros(block_size, dtype=complex)
-    col[: len(taps)] = taps
-    idx = (np.arange(block_size)[:, None] - np.arange(block_size)[None, :]) % block_size
-    return col[idx]
 
 
 def freq_response(taps: np.ndarray, block_size: int) -> np.ndarray:

@@ -19,7 +19,8 @@ import time
 import numpy as np
 
 from . import __version__
-from .channel import generate_channel, quantize_to_taps, sv_profile
+from .channel import (_whole_number, generate_channel, quantize_to_taps,
+                      sv_profile)
 from .harness import (STREAM_VERSION, ExperimentResult, SimConfig,
                       _relay_counts, _relay_positions, _worker_count,
                       run_ber_sweep, run_convergence, run_multirelay,
@@ -105,7 +106,8 @@ def _parse_grid(text: str) -> list[float]:
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, help="master seed")
+    parser.add_argument("--seed", type=int, dest="master_seed",
+                        help="master seed")
     parser.add_argument("--config", help="JSON config file (flags override it)")
     parser.add_argument("--out", required=True, help="output CSV path")
     parser.add_argument("--workers", type=int, help="parallel trial workers")
@@ -148,27 +150,13 @@ def _read_config_file(parser: argparse.ArgumentParser,
 
 def _build_config(parser: argparse.ArgumentParser, args: argparse.Namespace,
                   data: dict) -> SimConfig:
-    """Apply explicit flags on top of config-file values."""
-    overrides = {
-        "master_seed": args.seed,
-        "workers": args.workers,
-        "trials": args.trials,
-        "block_size": args.block_size,
-        "scheme": args.scheme,
-        "num_taps": args.num_taps,
-        "data_frames": getattr(args, "data_frames", None),
-        "pilot_frames": getattr(args, "pilot_frames", None),
-        "mu": args.mu,
-        "lambda_rls": args.lambda_rls,
-        "eta": args.eta,
-        "relay_noise_factor": args.relay_noise_factor,
-        "channel_model": args.channel_model,
-        "num_relays": getattr(args, "num_relays", None),
-        "fd_norm": getattr(args, "fd_norm", None),
-        "delta": getattr(args, "delta", None),
-    }
+    """Apply explicit flags on top of config-file values: every parsed flag
+    whose dest is a ``SimConfig`` field, except the grids and detectors
+    that ``_apply_grid_flags`` has already folded into ``data``."""
+    fields = set(SimConfig.__dataclass_fields__) - {"detectors", "snr_grid"}
     data = dict(data)
-    data.update({k: v for k, v in overrides.items() if v is not None})
+    data.update({k: v for k, v in vars(args).items()
+                 if k in fields and v is not None})
     if args.num_taps is not None and "sv" not in data:
         data["sv"] = sv_profile(args.num_taps)
     try:
@@ -180,7 +168,10 @@ def _build_config(parser: argparse.ArgumentParser, args: argparse.Namespace,
 
 
 def _grid(parser: argparse.ArgumentParser, text: str) -> list[float]:
-    """``_parse_grid`` with a malformed grid reported as a usage error."""
+    """``_parse_grid`` with a malformed grid, or one that is not a string
+    (a manifest's extras may hold any JSON), reported as a usage error."""
+    if not isinstance(text, str):
+        parser.error(f"a grid must be a string such as 1,2,3, got {text!r}")
     try:
         return _parse_grid(text)
     except ValueError as exc:
@@ -269,6 +260,10 @@ def cmd_channel_dump(parser, args) -> int:
     count = args.realizations
     if count is None:
         count = extras.get("realizations", 100)
+    try:
+        count = _whole_number(count, "realizations")
+    except ValueError as exc:
+        parser.error(str(exc))
     if count < 1:
         parser.error("--realizations must be >= 1")
     config = _build_config(parser, args, data)

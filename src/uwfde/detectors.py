@@ -10,9 +10,10 @@ N independent scalar recursions. The search expands its per-bin distance
 so that every block received under one channel state is scored against
 all candidates by one real matrix product with cached candidate tables.
 
-Weight application convention, fixed across the module: the symbol
-estimate is ``conj(w) * r`` per bin, so the Wiener fixed point of both
-adaptive recursions is ``w_k = g_k / (|g_k|^2 + noise_k)``.
+Weights are plain ``(..., N)`` arrays, one complex weight per bin, and
+``equalize`` holds the one application convention: the symbol estimate
+is ``conj(w) * r`` per bin, so the Wiener fixed point of both adaptive
+recursions is ``w_k = g_k / (|g_k|^2 + noise_k)``.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channel import CascadeSpectra
 from .txrx import ModulationScheme
 
 # Exhaustive search cap: constellation_order ** block_size candidates.
@@ -33,18 +33,9 @@ ML_SEARCH_LIMIT = 2 ** 16
 ML_SLICE_ROWS = 32
 
 
-@dataclass
-class FdeWeights:
-    """Diagonal equalizer: one complex weight per frequency bin."""
-
-    w: np.ndarray
-
-    @classmethod
-    def zeros(cls, block_size: int) -> "FdeWeights":
-        return cls(np.zeros(block_size, dtype=complex))
-
-    def apply(self, r_f: np.ndarray) -> np.ndarray:
-        return np.conj(self.w) * r_f
+def equalize(w: np.ndarray, r_f: np.ndarray) -> np.ndarray:
+    """Per-bin symbol estimates ``conj(w) * r_f`` of received spectra."""
+    return np.conj(w) * r_f
 
 
 @dataclass
@@ -61,10 +52,10 @@ class EffectiveChannel:
 
 @dataclass
 class RlsState:
-    """Recursive least-squares state: weights plus the per-bin inverse
-    autocorrelation diagonal."""
+    """Recursive least-squares state: per-bin weights ``w``, the per-bin
+    inverse autocorrelation diagonal and the count of bins reinitialized."""
 
-    weights: FdeWeights
+    w: np.ndarray
     inv_corr: np.ndarray
     lambda_rls: float
     reinits: int = 0
@@ -73,35 +64,44 @@ class RlsState:
     def initial(cls, block_size: int, lambda_rls: float = 0.995) -> "RlsState":
         if not 0.0 < lambda_rls <= 1.0:
             raise ValueError("forgetting factor must be in (0, 1]")
-        return cls(FdeWeights.zeros(block_size), np.ones(block_size), lambda_rls)
+        return cls(np.zeros(block_size, dtype=complex), np.ones(block_size),
+                   lambda_rls)
 
 
-def effective_channel(links: CascadeSpectra) -> EffectiveChannel:
-    """Combined per-bin response and noise variance over all relay slots;
-    the block axes of ``links`` carry through to the result.
+def effective_channel(hops: np.ndarray, zeta: float, sigma2_relay: float,
+                      sigma2_dest: float) -> EffectiveChannel:
+    """Combined per-bin response and noise variance over all relay slots
+    from hop spectra ``(..., 2U, N)``, relay u's source-to-relay response
+    ``H`` in row ``2u`` and its relay-to-destination response ``G`` in row
+    ``2u + 1``; the leading block axes carry through to the result. Every
+    relay has gain ``zeta``, relay noise ``sigma2_relay`` and destination
+    noise ``sigma2_dest``.
 
-    Each cascade contributes ``zeta * G(f) * H(f)`` to the response; its
+    Each cascade contributes ``zeta * H(f) * G(f)`` to the response; its
     slot adds relay noise shaped by ``|G(f)|^2`` plus one destination-noise
     term.
     """
-    zeta = links.zeta[:, None]
-    response = np.sum(zeta * links.h_f * links.g_f, axis=-2)
-    noise = np.sum(zeta ** 2 * np.abs(links.g_f) ** 2 * links.sigma2_relay[:, None]
-                   + links.sigma2_dest[:, None], axis=-2)
+    if hops.shape[-2] < 2:
+        raise ValueError("need at least one relay")
+    h_f, g_f = hops[..., 0::2, :], hops[..., 1::2, :]
+    response = np.sum(zeta * h_f * g_f, axis=-2)
+    # zeta * zeta, not zeta ** 2: a scalar power goes through libm pow,
+    # which rounds some squares differently from a product.
+    noise = np.sum(zeta * zeta * np.abs(g_f) ** 2 * sigma2_relay + sigma2_dest,
+                   axis=-2)
     return EffectiveChannel(response, noise)
 
 
-def mrc_weights(ch: EffectiveChannel) -> FdeWeights:
+def mrc_weights(ch: EffectiveChannel) -> np.ndarray:
     """Per-bin matched filter; aligns phase but does not invert the channel."""
-    return FdeWeights(ch.response.copy())
+    return ch.response.copy()
 
 
-def mmse_weights(ch: EffectiveChannel) -> FdeWeights:
+def mmse_weights(ch: EffectiveChannel) -> np.ndarray:
     """Per-bin Wiener weights ``g / (|g|^2 + noise)``; dead bins get zero."""
     denom = np.abs(ch.response) ** 2 + ch.noise_var
-    w = np.divide(ch.response, denom, out=np.zeros_like(ch.response),
-                  where=denom > 0)
-    return FdeWeights(w)
+    return np.divide(ch.response, denom, out=np.zeros_like(ch.response),
+                     where=denom > 0)
 
 
 @lru_cache(maxsize=8)
@@ -207,15 +207,15 @@ def _inverse_noise(noise_var: np.ndarray) -> np.ndarray:
     return 1.0 / np.where(positive, noise_var, floor)
 
 
-def lms_step(weights: FdeWeights, r_f: np.ndarray, s_f: np.ndarray,
-             mu: float) -> tuple[FdeWeights, np.ndarray]:
-    """One stochastic-gradient update of the per-bin filters.
+def lms_step(w: np.ndarray, r_f: np.ndarray, s_f: np.ndarray,
+             mu: float) -> tuple[np.ndarray, np.ndarray]:
+    """One stochastic-gradient update of the per-bin filters ``w``.
 
     A priori error ``e = s - conj(w) * r`` per bin, then ``w += mu * r * conj(e)``
     so the recursion descends toward the per-bin Wiener solution.
     """
-    err = s_f - weights.apply(r_f)
-    return FdeWeights(weights.w + mu * r_f * np.conj(err)), err
+    err = s_f - equalize(w, r_f)
+    return w + mu * r_f * np.conj(err), err
 
 
 def rls_step(state: RlsState, r_f: np.ndarray,
@@ -230,14 +230,14 @@ def rls_step(state: RlsState, r_f: np.ndarray,
     p = state.inv_corr
     scaled = lam_inv * p
     gain = scaled * r_f / (1.0 + scaled * np.abs(r_f) ** 2)
-    err = s_f - state.weights.apply(r_f)
-    w_next = state.weights.w + gain * np.conj(err)
+    err = s_f - equalize(state.w, r_f)
+    w_next = state.w + gain * np.conj(err)
     p_next = scaled * (1.0 - (gain * np.conj(r_f)).real)
     bad = p_next <= 0
     reinits = state.reinits + int(np.count_nonzero(bad))
     if bad.any():
         p_next = np.where(bad, 1.0, p_next)
-    return RlsState(FdeWeights(w_next), p_next, state.lambda_rls, reinits), err
+    return RlsState(w_next, p_next, state.lambda_rls, reinits), err
 
 
 def mmse_error_floor(ch: EffectiveChannel) -> float:

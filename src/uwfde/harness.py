@@ -2,9 +2,12 @@
 
 Every experiment reduces to the same trial: draw fresh relay cascades,
 optionally train the adaptive equalizers on pilot blocks, transmit data
-blocks and count bit errors per detector. Taps hold still within a block
-and, under nonzero Doppler, take one Gauss-Markov step between consecutive
-blocks. Trials are independent and embarrassingly parallel.
+blocks and count bit errors per detector. Per-bin quantities are plain
+arrays: a cell's hop spectra, each point's effective channel and the
+equalizer weights, which apply through ``detectors.equalize``. Taps hold
+still within a block and, under nonzero Doppler, take one Gauss-Markov
+step between consecutive blocks. Trials are independent and
+embarrassingly parallel.
 
 A trial's random stream is derived purely from (master seed, experiment
 tag, trial index), and every grid point of a trial starts from that seed,
@@ -30,11 +33,11 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .channel import (CascadeSpectra, SvParams, _whole_number, complex_noise,
-                      evolve_channel, generate_channel, path_gain,
+from .channel import (SvParams, _whole_number, complex_noise, evolve_channel,
+                      freq_response, generate_channel, path_gain,
                       quantize_to_taps, sv_profile)
-from .detectors import (ML_SEARCH_LIMIT, EffectiveChannel, FdeWeights,
-                        MlDetector, RlsState, effective_channel, lms_step,
+from .detectors import (ML_SEARCH_LIMIT, EffectiveChannel, MlDetector,
+                        RlsState, effective_channel, equalize, lms_step,
                         mmse_error_floor, mmse_weights, mrc_weights, rls_step)
 # relay_receive and relay_forward are the time-domain reference for
 # transmit_block and no longer run here; bench/spans.py traces them by
@@ -263,12 +266,13 @@ class _TrialChannels:
     states: dict[int, dict]
 
     def cascade(self, config: SimConfig, point: GridPoint, blocks: int,
-                rng: np.random.Generator) -> CascadeSpectra:
-        """Per-bin responses of ``point``'s cell: its first ``2U`` hops at its
-        path gains, drifting over ``blocks`` blocks when its Doppler is
-        nonzero. Leaves ``rng`` where a trial of that cell alone would be
-        after its drift. A prefix shorter than the hops' memory is refused:
-        the per-bin model holds only when it covers them."""
+                rng: np.random.Generator) -> np.ndarray:
+        """Per-bin hop responses ``(2U, N)`` of ``point``'s cell: its first
+        ``2U`` hops at its path gains, or ``(blocks, 2U, N)`` drifting over
+        ``blocks`` blocks when its Doppler is nonzero. Leaves ``rng`` where a
+        trial of that cell alone would be after its drift. A prefix shorter
+        than the hops' memory is refused: the per-bin model holds only when
+        it covers them."""
         if config.effective_cp_len < self.taps.shape[-1] - 1:
             raise ValueError("prefix shorter than the channel memory")
         relays = point.num_relays
@@ -278,8 +282,7 @@ class _TrialChannels:
             rng.bit_generator.state = self.states[relays]
         if point.fd_norm > 0:
             taps = evolve_channel(taps, point.fd_norm, blocks, rng)
-        return CascadeSpectra.from_taps(taps, config.block_size,
-                                        *_cascade_powers(config, point))
+        return freq_response(taps, config.block_size)
 
 
 def _draw_taps(config: SimConfig, rng: np.random.Generator) -> np.ndarray:
@@ -294,8 +297,9 @@ def _draw_taps(config: SimConfig, rng: np.random.Generator) -> np.ndarray:
 
 def _cascade_powers(config: SimConfig,
                     point: GridPoint) -> tuple[float, float, float]:
-    """(relay gain, relay noise, destination noise) at a grid point: the
-    fields of a ``CascadeSpectra`` that depend on its SNR."""
+    """(relay gain, relay noise, destination noise) of every relay at a grid
+    point, the powers ``effective_channel`` combines with the hop spectra;
+    the resulting weights apply through ``equalize``."""
     gain_sr, _ = path_gain(point.delta, config.eta)
     scheme = ModulationScheme.from_name(config.scheme)
     sigma_dest, sigma_relay = noise_powers(config, point.snr_db, scheme)
@@ -315,15 +319,6 @@ def _build_links(config: SimConfig, cells: list[GridPoint],
         if len(cells) > 1 and relays in counts:
             states[relays] = rng.bit_generator.state
     return _TrialChannels(np.array(hops), states)
-
-
-def _at_snr(links: CascadeSpectra, config: SimConfig,
-            point: GridPoint) -> CascadeSpectra:
-    """``links`` with the relay gain and noise powers of ``point``."""
-    zeta, sigma2_relay, sigma2_dest = (np.full(len(links.zeta), value)
-                                       for value in _cascade_powers(config, point))
-    return replace(links, zeta=zeta, sigma2_relay=sigma2_relay,
-                   sigma2_dest=sigma2_dest)
 
 
 def transmit_block(x_f: np.ndarray, ch: EffectiveChannel,
@@ -397,7 +392,7 @@ def run_point_trial(config: SimConfig, points: list[GridPoint], seed,
     outputs: list[TrialOutput] = [None] * len(points)
     data_bits: list[np.ndarray] = [None] * len(points)
     for members in cells.values():
-        links = chans.cascade(config, points[members[0]], blocks, rng)
+        hops = chans.cascade(config, points[members[0]], blocks, rng)
         drifting = points[members[0]].fd_norm > 0
         bits = rng.integers(0, 2, size=(blocks, n * scheme.bits_per_symbol))
         x_f = unitary_fft(modulate(bits, scheme))
@@ -405,10 +400,8 @@ def run_point_trial(config: SimConfig, points: list[GridPoint], seed,
         if adaptive:
             s_stack[members] = x_f[:pilots]
         white = complex_noise(rng, (blocks, n), 1.0)
-        for k, i in enumerate(members):
-            if k:
-                links = _at_snr(links, config, points[i])
-            ch = effective_channel(links)
+        for i in members:
+            ch = effective_channel(hops, *_cascade_powers(config, points[i]))
             r_f = transmit_block(x_f, ch, np.sqrt(ch.noise_var) * white)
             outputs[i] = _detect_ideal(config, scheme, ch, drifting, r_f,
                                        pilots, bits_data, collect_mse)
@@ -442,7 +435,7 @@ def _detect_ideal(config: SimConfig, scheme: ModulationScheme,
             decided = MlDetector(ch, scheme, config.block_size).detect(r_data)
         else:
             w = mrc_weights(ch) if det == "mrc" else mmse_weights(ch)
-            decided = unitary_ifft(w.apply(r_data))
+            decided = unitary_ifft(equalize(w, r_data))
         got = demodulate(decided, scheme)
         errors[det] = int(np.count_nonzero(got != bits_data))
     return TrialOutput(errors, bits_data.size)
@@ -463,7 +456,8 @@ def train_adaptive(detectors, r_f: np.ndarray, s_f: np.ndarray, mu: float,
     if len(r_f) == 0:
         raise ValueError("need at least one pilot block")
     n = r_f.shape[-1]
-    filters = {"lms": FdeWeights.zeros(n), "rls": RlsState.initial(n, lambda_rls)}
+    filters = {"lms": np.zeros(n, dtype=complex),
+               "rls": RlsState.initial(n, lambda_rls)}
     traces = ({det: np.empty(r_f.shape[:-1]) for det in detectors}
               if collect_mse else {})
     for b in range(len(r_f)):
@@ -474,7 +468,7 @@ def train_adaptive(detectors, r_f: np.ndarray, s_f: np.ndarray, mu: float,
                 filters[det], err = rls_step(filters[det], r_f[b], s_f[b])
             if collect_mse:
                 traces[det][b] = np.mean(np.abs(err) ** 2, axis=-1)
-    weights = {"lms": filters["lms"].w, "rls": filters["rls"].weights.w}
+    weights = {"lms": filters["lms"], "rls": filters["rls"].w}
     return {det: weights[det] for det in detectors}, traces
 
 
@@ -496,8 +490,8 @@ def _detect_adaptive(config: SimConfig, scheme: ModulationScheme,
             out.mse_traces = {det: traces[det][:, i] for det in adaptive}
             continue
         for det in adaptive:
-            decided = unitary_ifft(FdeWeights(weights[det][i]).apply(
-                r_stack[i, pilots:]))
+            decided = unitary_ifft(equalize(weights[det][i],
+                                            r_stack[i, pilots:]))
             got = demodulate(decided, scheme)
             out.errors[det] = int(np.count_nonzero(got != data_bits[i]))
 

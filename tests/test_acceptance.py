@@ -12,15 +12,17 @@ import math
 import numpy as np
 import pytest
 
-from uwfde.channel import (circulant_from_taps, complex_noise, evolve_channel,
-                           generate_channel, quantize_to_taps,
-                           sample_cluster_arrivals, sample_nakagami,
-                           sample_ray_arrivals, sv_profile, SvParams)
+from oracle import circulant_from_taps
+from uwfde.channel import (complex_noise, evolve_channel, generate_channel,
+                           quantize_to_taps, sample_cluster_arrivals,
+                           sample_nakagami, sample_ray_arrivals, sv_profile,
+                           SvParams)
 from uwfde.cli import main as cli_main
 from uwfde.detectors import EffectiveChannel, effective_channel, mmse_weights
 from uwfde.harness import (GridPoint, SimConfig, run_convergence,
                            run_multirelay, run_placement_sweep, run_points,
-                           train_adaptive, _build_links, transmit_block)
+                           train_adaptive, _build_links, _cascade_powers,
+                           transmit_block)
 from uwfde.txrx import ModulationScheme, modulate, unitary_fft
 
 
@@ -82,7 +84,7 @@ def test_criterion_02_oracle_equivalence():
         dense = np.linalg.inv(np.diag(xi) @ np.diag(xi).conj().T
                               + np.diag(sigma)) @ np.diag(xi)
         assert np.max(np.abs(np.diag(dense)
-                             - mmse_weights(EffectiveChannel(xi, sigma)).w)) <= 1e-9
+                             - mmse_weights(EffectiveChannel(xi, sigma)))) <= 1e-9
 
         # (c) cascade response against the dense similarity transform
         g = rng.standard_normal(2) + 1j * rng.standard_normal(2)
@@ -170,9 +172,9 @@ def test_criterion_05_wiener_convergence():
     ref_power = np.zeros(n)
     point = GridPoint(snr)
     for _ in range(channels):
-        links = _build_links(cfg, [point], rng).cascade(cfg, point, 1, rng)
-        ch = effective_channel(links)
-        w_opt = mmse_weights(ch).w
+        hops = _build_links(cfg, [point], rng).cascade(cfg, point, 1, rng)
+        ch = effective_channel(hops, *_cascade_powers(cfg, point))
+        w_opt = mmse_weights(ch)
         pilots_list = []
         for _ in range(pilots):
             bits = rng.integers(0, 2, size=n)

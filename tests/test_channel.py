@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from uwfde.channel import (SvParams, circulant_from_taps, complex_noise,
-                           evolve_channel, freq_response, generate_channel,
-                           path_gain, quantize_to_taps, sample_cluster_arrivals,
+from oracle import circulant_from_taps
+from uwfde.channel import (SvParams, complex_noise, evolve_channel,
+                           freq_response, generate_channel, path_gain,
+                           quantize_to_taps, sample_cluster_arrivals,
                            sample_nakagami, sample_ray_arrivals, sv_profile)
 
 # Cluster/ray timing constants quoted in nanoseconds by the channel

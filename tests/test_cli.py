@@ -30,6 +30,38 @@ def file_hash(path):
 FAST = ["--trials", "3", "--N", "16", "--L", "4", "--data-frames", "2",
         "--pilot-frames", "0"]
 
+# Each config flag, a value other than its default, and the SimConfig
+# field it sets.
+CONFIG_FLAGS = [
+    (["--seed", "9"], "master_seed", 9),
+    (["--workers", "2"], "workers", 2),
+    (["--trials", "2"], "trials", 2),
+    (["--N", "8"], "block_size", 8),
+    (["--scheme", "qpsk"], "scheme", "qpsk"),
+    (["--L", "3"], "num_taps", 3),
+    (["--data-frames", "1"], "data_frames", 1),
+    (["--pilot-frames", "3"], "pilot_frames", 3),
+    (["--mu", "0.01"], "mu", 0.01),
+    (["--lambda-rls", "0.9"], "lambda_rls", 0.9),
+    (["--eta", "1.5"], "eta", 1.5),
+    (["--relay-noise", "0.5"], "relay_noise_factor", 0.5),
+    (["--channel", "flat"], "channel_model", "flat"),
+    (["--U", "2"], "num_relays", 2),
+    (["--fd", "0.01"], "fd_norm", 0.01),
+    (["--delta", "0.3"], "delta", 0.3),
+]
+
+
+def manifest_with_extra(tmp_path, args, key, value):
+    """Run ``args`` into ``a.csv`` and return the path of its manifest with
+    ``extras[key]`` set to ``value``."""
+    run_cli([*args, "--out", str(tmp_path / "a.csv")])
+    path = tmp_path / "a.csv.manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["extras"][key] = value
+    path.write_text(json.dumps(manifest))
+    return path
+
 
 class TestGridParsing:
     def test_range_inclusive(self):
@@ -266,6 +298,18 @@ class TestConfigHandling:
         assert err.value.code == 2
         assert not (tmp_path / "o.csv").exists()
 
+    @pytest.mark.parametrize("flags,field,value", CONFIG_FLAGS,
+                             ids=[field for _, field, _ in CONFIG_FLAGS])
+    def test_config_flag_lands_in_manifest(self, tmp_path, monkeypatch, flags,
+                                           field, value):
+        monkeypatch.setenv("UWFDE_WORKERS", "1")
+        out = tmp_path / "o.csv"
+        code = run_cli(["ber", "--snr", "10", "--out", str(out), *FAST,
+                        *flags])
+        assert code == 0
+        manifest = json.loads((tmp_path / "o.csv.manifest.json").read_text())
+        assert manifest["config"][field] == value
+
     def test_unknown_config_key_is_usage_error(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"block_sized": 16}))
@@ -334,6 +378,16 @@ class TestPlacementCommand:
         assert err.value.code == 2
         assert not (tmp_path / "x.csv").exists()
 
+    def test_non_string_manifest_grid_is_usage_error(self, tmp_path):
+        path = manifest_with_extra(
+            tmp_path, ["placement", "--snr", "10", "--delta-grid", "0.2,0.8",
+                       "--detectors", "mmse", *FAST], "delta_grid", [0.2, 0.8])
+        with pytest.raises(SystemExit) as err:
+            run_cli(["placement", "--config", str(path),
+                     "--out", str(tmp_path / "b.csv")])
+        assert err.value.code == 2
+        assert not (tmp_path / "b.csv").exists()
+
 
 class TestMultirelayCommand:
     def test_relay_grid_rows(self, tmp_path):
@@ -367,6 +421,16 @@ class TestMultirelayCommand:
         assert err.value.code == 2
         assert not (tmp_path / "x.csv").exists()
 
+    def test_non_string_manifest_grid_is_usage_error(self, tmp_path):
+        path = manifest_with_extra(
+            tmp_path, ["multirelay", "--snr", "10", "--relays", "1,2",
+                       "--detectors", "mmse", *FAST], "relay_grid", [1, 2])
+        with pytest.raises(SystemExit) as err:
+            run_cli(["multirelay", "--config", str(path),
+                     "--out", str(tmp_path / "b.csv")])
+        assert err.value.code == 2
+        assert not (tmp_path / "b.csv").exists()
+
 
 class TestChannelDumpCommand:
     def test_rows_and_unit_power(self, tmp_path):
@@ -397,6 +461,30 @@ class TestChannelDumpCommand:
             run_cli(["channel-dump", "--realizations", "0",
                      "--out", str(tmp_path / "x.csv"), "--L", "4"])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize("count", [2.5, "5"])
+    def test_non_whole_manifest_count_is_usage_error(self, tmp_path, count):
+        path = manifest_with_extra(
+            tmp_path, ["channel-dump", "--realizations", "3", "--L", "4"],
+            "realizations", count)
+        with pytest.raises(SystemExit) as err:
+            run_cli(["channel-dump", "--config", str(path),
+                     "--out", str(tmp_path / "b.csv")])
+        assert err.value.code == 2
+        assert not (tmp_path / "b.csv").exists()
+
+    def test_whole_float_manifest_count_runs_as_int(self, tmp_path):
+        path = manifest_with_extra(
+            tmp_path, ["channel-dump", "--realizations", "3", "--L", "4"],
+            "realizations", 2.0)
+        out = tmp_path / "b.csv"
+        assert run_cli(["channel-dump", "--config", str(path),
+                        "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        assert len(rows) == 2 * 4
+        manifest = json.loads((tmp_path / "b.csv.manifest.json").read_text())
+        assert manifest["extras"]["realizations"] == 2
+        assert isinstance(manifest["extras"]["realizations"], int)
 
 
 class TestOutputAtomicity:

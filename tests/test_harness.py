@@ -8,14 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uwfde import harness
-from uwfde.channel import (CascadeSpectra, complex_noise, evolve_channel,
+from uwfde.channel import (complex_noise, evolve_channel, freq_response,
                            sv_profile)
-from uwfde.detectors import effective_channel, mmse_weights
+from uwfde.detectors import effective_channel, equalize, mmse_weights
 from uwfde.harness import (GridPoint, SimConfig, noise_powers, run_ber_sweep,
                            run_convergence, run_multirelay,
                            run_placement_sweep, run_point_trial, run_points,
                            transmit_block, trial_seed, wilson_half_width,
-                           _build_links, _TrialChannels, _worker_count)
+                           _build_links, _cascade_powers, _TrialChannels,
+                           _worker_count)
 from uwfde.relay import relay_forward, relay_receive
 from uwfde.txrx import (ModulationScheme, append_cp, demodulate, modulate,
                         unitary_fft, unitary_ifft)
@@ -497,10 +498,10 @@ class TestTransmitBlock:
                            relay_noise_factor=0.0, snr_grid=(200.0,))
         rng = np.random.default_rng(0)
         point = GridPoint(200.0)
-        links = _build_links(cfg, [point], rng).cascade(cfg, point, 1, rng)
+        hops = _build_links(cfg, [point], rng).cascade(cfg, point, 1, rng)
         x = np.exp(2j * np.pi * rng.uniform(size=16))
-        r_f = transmit_block(unitary_fft(x), effective_channel(links),
-                             np.zeros(16))
+        ch = effective_channel(hops, *_cascade_powers(cfg, point))
+        r_f = transmit_block(unitary_fft(x), ch, np.zeros(16))
         assert np.max(np.abs(r_f - np.fft.fft(x, norm="ortho"))) < 1e-9
 
     @pytest.mark.parametrize("relays,blocks,drift", [
@@ -522,12 +523,12 @@ class TestTransmitBlock:
                                      cp_len, np.random.default_rng(7))
         relay, dest = replayed_hop_noise(7, blocks, relays, n, sigma2_relay,
                                          sigma2_dest)
-        links = CascadeSpectra.from_taps(track if drift else track[0], n, zeta,
-                                         sigma2_relay, sigma2_dest)
-        noise = np.sum(links.zeta[:, None] * links.g_f * relay + dest, axis=-2)
+        hops = freq_response(track if drift else track[0], n)
+        noise = np.sum(zeta * hops[..., 1::2, :] * relay + dest, axis=-2)
         if blocks == 1:
             x, expected, noise = x[0], expected[0], noise[0]
-        got = transmit_block(unitary_fft(x), effective_channel(links), noise)
+        ch = effective_channel(hops, zeta, sigma2_relay, sigma2_dest)
+        got = transmit_block(unitary_fft(x), ch, noise)
         assert got.shape == expected.shape
         assert np.max(np.abs(got - expected)) <= 1e-10
 
@@ -539,13 +540,12 @@ class TestTransmitBlock:
         for drift in (0.0, 0.05):
             track = evolve_channel(complex_noise(rng, (4, 3), 0.5), drift,
                                    blocks, rng)
-            links = CascadeSpectra.from_taps(track, 16, 0.9, 0.4, 0.1)
+            hops = freq_response(track, 16)
             relay = complex_noise(rng, (reps, blocks, 2, 16), 0.4)
             dest = complex_noise(rng, (reps, blocks, 2, 16), 0.1)
-            noise = np.sum(links.zeta[:, None] * links.g_f * relay + dest,
-                           axis=-2)
+            noise = np.sum(0.9 * hops[..., 1::2, :] * relay + dest, axis=-2)
             measured = np.mean(np.abs(noise) ** 2, axis=0)
-            expected = effective_channel(links).noise_var
+            expected = effective_channel(hops, 0.9, 0.4, 0.1).noise_var
             if drift:  # the variance moves along the track
                 assert np.ptp(expected, axis=0).max() > 0
             assert np.max(np.abs(measured / expected - 1.0)) < 0.08
@@ -595,17 +595,16 @@ class TestPerRelayChainBer:
         for t in range(cfg.trials):
             rng = np.random.default_rng(trial_seed(cfg.master_seed, "oracle", t))
             chans = _build_links(cfg, [point], rng)
-            links = chans.cascade(cfg, point, 1, rng)
+            hops = chans.cascade(cfg, point, 1, rng)
             bits = rng.integers(0, 2, size=(cfg.data_frames, cfg.block_size))
             x = modulate(bits, scheme)
             # at the midpoint both hops have unit path gain: taps as drawn
             taps = np.broadcast_to(chans.taps, (len(x),) + chans.taps.shape)
-            r_f = time_domain_chain(x, taps, links.zeta[0],
-                                    links.sigma2_relay[0],
-                                    links.sigma2_dest[0],
-                                    cfg.effective_cp_len, rng)
+            powers = _cascade_powers(cfg, point)
+            r_f = time_domain_chain(x, taps, *powers, cfg.effective_cp_len,
+                                    rng)
             decided = unitary_ifft(
-                mmse_weights(effective_channel(links)).apply(r_f))
+                equalize(mmse_weights(effective_channel(hops, *powers)), r_f))
             chain.append(np.mean(demodulate(decided, scheme) != bits))
         chain = np.array(chain)
         se = math.hypot(ours.std(ddof=1), chain.std(ddof=1)) / math.sqrt(

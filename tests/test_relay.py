@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from uwfde.channel import circulant_from_taps
+from oracle import circulant_from_taps
 from uwfde.relay import af_gain, relay_forward, relay_receive
 from uwfde.txrx import append_cp
 

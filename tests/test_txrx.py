@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uwfde.channel import circulant_from_taps
+from oracle import circulant_from_taps
 from uwfde.txrx import (ModulationScheme, append_cp, demodulate, modulate,
                         unitary_fft, unitary_ifft)
 
