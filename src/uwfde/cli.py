@@ -11,17 +11,18 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import tempfile
 import time
+from functools import partial
 
 import numpy as np
 
 from . import __version__
-from .channel import (_whole_number, generate_channel, quantize_to_taps,
-                      sv_profile)
-from .harness import (STREAM_VERSION, ExperimentResult, SimConfig,
+from .channel import _whole_number, sv_profile
+from .harness import (STREAM_VERSION, ExperimentResult, SimConfig, _draw_taps,
                       _relay_counts, _relay_positions, _worker_count,
                       run_ber_sweep, run_convergence, run_multirelay,
                       run_placement_sweep, trial_seed)
@@ -86,7 +87,8 @@ def _converge_rows(result: ExperimentResult):
 
 
 def _parse_grid(text: str) -> list[float]:
-    """Accept 'start:step:stop' (inclusive) or a comma-separated list."""
+    """Accept 'start:step:stop' (inclusive, ascending) or a comma-separated
+    list; either must give at least one value, all of them finite."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
@@ -96,12 +98,18 @@ def _parse_grid(text: str) -> list[float]:
             raise ValueError("range step must be positive")
         if stop < start:
             raise ValueError("range stop must not be below its start")
-        count = int(round((stop - start) / step))
-        grid = [round(start + k * step, 10) for k in range(count + 1)]
-        return [g for g in grid if g <= stop + 1e-9]
-    grid = [float(p) for p in text.split(",") if p.strip()]
+        span = (stop - start) / step
+        if not all(map(math.isfinite, (start, step, stop, span))):
+            raise ValueError("range start, step, stop and length must be "
+                             "finite")
+        grid = [round(start + k * step, 10) for k in range(round(span) + 1)]
+        grid = [g for g in grid if g <= stop + 1e-9]
+    else:
+        grid = [float(p) for p in text.split(",") if p.strip()]
     if not grid:
         raise ValueError("grid must hold at least one value")
+    if not all(map(math.isfinite, grid)):
+        raise ValueError("grid values must be finite")
     return grid
 
 
@@ -192,15 +200,30 @@ def _apply_grid_flags(parser, args, data, snr_default: str,
         data["detectors"] = tuple(detector_default.split(","))
 
 
-def cmd_ber(parser, args) -> int:
-    data, _ = _read_config_file(parser, args)
-    _apply_grid_flags(parser, args, data, "0:2:30", "mmse")
+def _sweep(parser, args, snr_default: str, detector_default: str, run,
+           grid: tuple | None = None) -> int:
+    """One BER command: fold the flags and config file into a config, run
+    ``run(config)`` and write its CSV and manifest. ``grid`` is a second
+    grid as (flag dest, default text, check): the checked grid goes to
+    ``run`` after the config, and its text into the manifest extras under
+    the flag's dest."""
+    data, extras = _read_config_file(parser, args)
+    _apply_grid_flags(parser, args, data, snr_default, detector_default)
+    values, saved = [], {}
+    if grid is not None:
+        dest, default, check = grid
+        text = getattr(args, dest) or extras.get(dest) or default
+        try:
+            values = [check(_grid(parser, text))]
+        except ValueError as exc:
+            parser.error(str(exc))
+        saved = {dest: text}
     config = _build_config(parser, args, data)
     started = time.monotonic()
-    result = run_ber_sweep(config)
+    result = run(config, *values)
     _write_csv(args.out, BER_COLUMNS, _ber_rows(result))
     _write_manifest(args.out + ".manifest.json", result.experiment, config,
-                    [args.out], started)
+                    [args.out], started, extras=saved)
     return 0
 
 
@@ -210,48 +233,13 @@ def cmd_converge(parser, args) -> int:
         data["snr_grid"] = (args.snr_db,)
     elif "snr_grid" not in data:
         data["snr_grid"] = (5.0,)
+    data["detectors"] = ("lms", "rls")
     config = _build_config(parser, args, data)
-    if config.pilot_frames < 1:
-        parser.error("converge needs at least one pilot frame")
     started = time.monotonic()
     result = run_convergence(config)
     _write_csv(args.out, CONVERGE_COLUMNS, _converge_rows(result))
     _write_manifest(args.out + ".manifest.json", result.experiment, config,
                     [args.out], started)
-    return 0
-
-
-def cmd_placement(parser, args) -> int:
-    data, extras = _read_config_file(parser, args)
-    _apply_grid_flags(parser, args, data, "0,10,20,30", "lms,rls")
-    grid_text = args.delta_grid or extras.get("delta_grid") or "0.1:0.1:0.9"
-    try:
-        deltas = _relay_positions(_grid(parser, grid_text))
-    except ValueError as exc:
-        parser.error(str(exc))
-    config = _build_config(parser, args, data)
-    started = time.monotonic()
-    result = run_placement_sweep(config, deltas)
-    _write_csv(args.out, BER_COLUMNS, _ber_rows(result))
-    _write_manifest(args.out + ".manifest.json", result.experiment, config,
-                    [args.out], started, extras={"delta_grid": grid_text})
-    return 0
-
-
-def cmd_multirelay(parser, args) -> int:
-    data, extras = _read_config_file(parser, args)
-    _apply_grid_flags(parser, args, data, "0:5:30", "rls")
-    grid_text = args.relays or extras.get("relay_grid") or "1,2,3"
-    try:
-        relay_grid = _relay_counts(_grid(parser, grid_text))
-    except ValueError as exc:
-        parser.error(str(exc))
-    config = _build_config(parser, args, data)
-    started = time.monotonic()
-    result = run_multirelay(config, relay_grid)
-    _write_csv(args.out, BER_COLUMNS, _ber_rows(result))
-    _write_manifest(args.out + ".manifest.json", result.experiment, config,
-                    [args.out], started, extras={"relay_grid": grid_text})
     return 0
 
 
@@ -272,10 +260,7 @@ def cmd_channel_dump(parser, args) -> int:
         trial_seed(config.master_seed, "channel-dump", 0))
     rows = []
     for rid in range(count):
-        gains, delays = generate_channel(config.sv, rng)
-        taps = quantize_to_taps(gains, delays, config.sv.sample_period,
-                                config.num_taps)
-        for idx, tap in enumerate(taps):
+        for idx, tap in enumerate(_draw_taps(config, rng)):
             rows.append([rid, idx, float(tap.real), float(tap.imag),
                          float(abs(tap) ** 2)])
     _write_csv(args.out, DUMP_COLUMNS, rows)
@@ -301,7 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
     ber.add_argument("--fd", type=float, dest="fd_norm",
                      help="normalized Doppler per block")
     ber.add_argument("--delta", type=float, help="relay position in (0,1)")
-    ber.set_defaults(func=cmd_ber)
+    ber.set_defaults(func=partial(_sweep, snr_default="0:2:30",
+                                  detector_default="mmse", run=run_ber_sweep))
 
     conv = sub.add_parser("converge", help="adaptive learning curves")
     _add_common(conv)
@@ -314,15 +300,21 @@ def build_parser() -> argparse.ArgumentParser:
     plc.add_argument("--delta-grid", help="positions (default 0.1:0.1:0.9)")
     plc.add_argument("--detectors", help="default lms,rls")
     plc.add_argument("--fd", type=float, dest="fd_norm")
-    plc.set_defaults(func=cmd_placement)
+    plc.set_defaults(func=partial(
+        _sweep, snr_default="0,10,20,30", detector_default="lms,rls",
+        run=run_placement_sweep,
+        grid=("delta_grid", "0.1:0.1:0.9", _relay_positions)))
 
     multi = sub.add_parser("multirelay", help="BER versus relay count")
     _add_common(multi)
     multi.add_argument("--snr", help="dB grid (default 0:5:30)")
-    multi.add_argument("--relays", help="relay count grid (default 1,2,3)")
+    multi.add_argument("--relays", dest="relay_grid",
+                       help="relay count grid (default 1,2,3)")
     multi.add_argument("--detectors", help="default rls")
     multi.add_argument("--fd", type=float, dest="fd_norm")
-    multi.set_defaults(func=cmd_multirelay)
+    multi.set_defaults(func=partial(
+        _sweep, snr_default="0:5:30", detector_default="rls",
+        run=run_multirelay, grid=("relay_grid", "1,2,3", _relay_counts)))
 
     dump = sub.add_parser("channel-dump", help="dump quantized tap realizations")
     _add_common(dump)

@@ -101,6 +101,8 @@ class SimConfig:
         self.detectors = tuple(self.detectors)
         if isinstance(self.sv, dict):
             self.sv = SvParams(**self.sv)
+        if not isinstance(self.sv, SvParams):
+            raise ValueError(f"sv must be a dict or SvParams, got {self.sv!r}")
         if self.block_size < 1:
             raise ValueError("block_size must be >= 1")
         if self.num_taps < 1 or self.num_taps > self.block_size:
@@ -109,7 +111,8 @@ class SimConfig:
             raise ValueError("cp_len must be in [0, block_size]")
         if self.effective_cp_len < self.num_taps - 1:
             raise ValueError("cp_len must cover the channel memory")
-        if self.scheme.lower() not in ("bpsk", "qpsk"):
+        scheme = self.scheme.lower() if isinstance(self.scheme, str) else None
+        if scheme not in ("bpsk", "qpsk"):
             raise ValueError(f"unknown scheme: {self.scheme!r}")
         if not self.detectors:
             raise ValueError("detectors must not be empty")
@@ -260,7 +263,7 @@ class _TrialChannels:
     """One trial's hop taps, unscaled, stacked ``(2U, L)`` for the largest
     relay count U on its grid, relay u's source and destination hops in
     rows ``2u`` and ``2u + 1``, plus the generator state right after the
-    hops of each relay count on the grid (none for a one-cell trial)."""
+    hops of each relay count on the grid."""
 
     taps: np.ndarray
     states: dict[int, dict]
@@ -278,8 +281,7 @@ class _TrialChannels:
         relays = point.num_relays
         taps = self.taps[:2 * relays] * np.sqrt(
             np.tile(path_gain(point.delta, config.eta), relays))[:, None]
-        if self.states:
-            rng.bit_generator.state = self.states[relays]
+        rng.bit_generator.state = self.states[relays]
         if point.fd_norm > 0:
             taps = evolve_channel(taps, point.fd_norm, blocks, rng)
         return freq_response(taps, config.block_size)
@@ -306,17 +308,17 @@ def _cascade_powers(config: SimConfig,
     return af_gain(gain_sr, sigma_relay), sigma_relay, sigma_dest
 
 
-def _build_links(config: SimConfig, cells: list[GridPoint],
+def _build_links(config: SimConfig, points: list[GridPoint],
                  rng: np.random.Generator) -> _TrialChannels:
-    """Draw the hops of a trial whose (Doppler, position, relay count) cells
-    are led by ``cells``: every cell's stream starts with the same hops, so
-    those of the largest relay count are drawn once, and with more than one
-    cell the state after each cell's relay count is saved to resume from."""
-    counts = {point.num_relays for point in cells}
+    """Draw the hops of a trial over ``points``: every (Doppler, position,
+    relay count) cell's stream starts with the same hops, so those of the
+    largest relay count are drawn once, and the state after each relay
+    count on the grid is saved for its cells to resume from."""
+    counts = {point.num_relays for point in points}
     hops, states = [], {}
     for relays in range(1, max(counts) + 1):
         hops += [_draw_taps(config, rng), _draw_taps(config, rng)]
-        if len(cells) > 1 and relays in counts:
+        if relays in counts:
             states[relays] = rng.bit_generator.state
     return _TrialChannels(np.array(hops), states)
 
@@ -370,9 +372,9 @@ def run_point_trial(config: SimConfig, points: list[GridPoint], seed,
     (see ``transmit_block``), so every point of the cell scales the same
     white array by the root of its own ``noise_var``. Each output
     therefore equals a separate run of its point from the same seed. The
-    ideal-CSI detectors run per point; the adaptive filters of all points
-    train together as one scan over the pilot blocks on ``(points, N)``
-    rows.
+    ideal-CSI detectors decide per point; the adaptive filters of all
+    points train together as one scan over the pilot blocks on
+    ``(points, N)`` rows, then decide.
     """
     rng = np.random.default_rng(seed)
     scheme = ModulationScheme.from_name(config.scheme)
@@ -380,65 +382,66 @@ def run_point_trial(config: SimConfig, points: list[GridPoint], seed,
     cells: dict[tuple, list[int]] = {}
     for i, p in enumerate(points):
         cells.setdefault((p.fd_norm, p.delta, p.num_relays), []).append(i)
-    chans = _build_links(config, [points[m[0]] for m in cells.values()], rng)
+    chans = _build_links(config, points, rng)
 
     adaptive = [d for d in ADAPTIVE_DETECTORS
                 if collect_mse or d in config.detectors]
+    ideal = [] if collect_mse else [d for d in config.detectors
+                                    if d not in ADAPTIVE_DETECTORS]
     pilots = config.pilot_frames if adaptive else 0
     blocks = pilots + (0 if collect_mse else config.data_frames)
+    outputs = [TrialOutput(dict.fromkeys(config.detectors, 0),
+                           (blocks - pilots) * n * scheme.bits_per_symbol)
+               for _ in points]
     if adaptive:
         r_stack = np.empty((len(points), blocks, n), dtype=complex)
         s_stack = np.empty((len(points), pilots, n), dtype=complex)
-    outputs: list[TrialOutput] = [None] * len(points)
-    data_bits: list[np.ndarray] = [None] * len(points)
+        data_bits: list[np.ndarray] = [None] * len(points)
     for members in cells.values():
         hops = chans.cascade(config, points[members[0]], blocks, rng)
         drifting = points[members[0]].fd_norm > 0
         bits = rng.integers(0, 2, size=(blocks, n * scheme.bits_per_symbol))
         x_f = unitary_fft(modulate(bits, scheme))
-        bits_data = bits[pilots:].copy()
-        if adaptive:
-            s_stack[members] = x_f[:pilots]
+        sent = bits[pilots:].copy()
         white = complex_noise(rng, (blocks, n), 1.0)
         for i in members:
             ch = effective_channel(hops, *_cascade_powers(config, points[i]))
             r_f = transmit_block(x_f, ch, np.sqrt(ch.noise_var) * white)
-            outputs[i] = _detect_ideal(config, scheme, ch, drifting, r_f,
-                                       pilots, bits_data, collect_mse)
             if adaptive:
-                r_stack[i] = r_f
-                data_bits[i] = bits_data
-    if adaptive:
-        _detect_adaptive(config, scheme, adaptive, r_stack, s_stack, data_bits,
-                         outputs, collect_mse)
+                r_stack[i], s_stack[i] = r_f, x_f[:pilots]
+                data_bits[i] = sent
+            if collect_mse:
+                outputs[i].mmse_floor = mmse_error_floor(
+                    ch[-1] if drifting else ch)
+            ch = ch[pilots:] if drifting else ch
+            for det in ideal:
+                if det == "ml":
+                    decided = MlDetector(ch, scheme, n).detect(r_f[pilots:])
+                else:
+                    w = mrc_weights(ch) if det == "mrc" else mmse_weights(ch)
+                    decided = unitary_ifft(equalize(w, r_f[pilots:]))
+                outputs[i].errors[det] = _bit_errors(decided, scheme, sent)
+    if not adaptive:
+        return outputs
+    weights, traces = train_adaptive(
+        adaptive, r_stack[:, :pilots].swapaxes(0, 1), s_stack.swapaxes(0, 1),
+        config.mu, config.lambda_rls, collect_mse)
+    for i, out in enumerate(outputs):
+        if collect_mse:
+            out.mse_traces = {det: traces[det][:, i] for det in adaptive}
+            continue
+        for det in adaptive:
+            decided = unitary_ifft(equalize(weights[det][i],
+                                            r_stack[i, pilots:]))
+            out.errors[det] = _bit_errors(decided, scheme, data_bits[i])
     return outputs
 
 
-def _detect_ideal(config: SimConfig, scheme: ModulationScheme,
-                  ch: EffectiveChannel, drifting: bool, r_f: np.ndarray,
-                  pilots: int, bits_data: np.ndarray,
-                  collect_mse: bool) -> TrialOutput:
-    """One point's output with the bit errors of its ideal-CSI detectors over
-    the data blocks of ``r_f``, which follow ``pilots`` pilot blocks and were
-    received through ``ch`` (one state per block when ``drifting``); with
-    ``collect_mse``, its Wiener floor at the last pilot block instead."""
-    if collect_mse:
-        floor = mmse_error_floor(ch[-1] if drifting else ch)
-        return TrialOutput(dict.fromkeys(config.detectors, 0), 0, None, floor)
-    errors = dict.fromkeys(config.detectors, 0)
-    ideal = [d for d in config.detectors if d not in ADAPTIVE_DETECTORS]
-    if not ideal:
-        return TrialOutput(errors, bits_data.size)
-    r_data, ch = r_f[pilots:], ch[pilots:] if drifting else ch
-    for det in ideal:
-        if det == "ml":
-            decided = MlDetector(ch, scheme, config.block_size).detect(r_data)
-        else:
-            w = mrc_weights(ch) if det == "mrc" else mmse_weights(ch)
-            decided = unitary_ifft(equalize(w, r_data))
-        got = demodulate(decided, scheme)
-        errors[det] = int(np.count_nonzero(got != bits_data))
-    return TrialOutput(errors, bits_data.size)
+def _bit_errors(decided: np.ndarray, scheme: ModulationScheme,
+                bits: np.ndarray) -> int:
+    """Bit errors of the symbol estimates ``decided`` against the sent
+    ``bits``."""
+    return int(np.count_nonzero(demodulate(decided, scheme) != bits))
 
 
 def train_adaptive(detectors, r_f: np.ndarray, s_f: np.ndarray, mu: float,
@@ -470,30 +473,6 @@ def train_adaptive(detectors, r_f: np.ndarray, s_f: np.ndarray, mu: float,
                 traces[det][b] = np.mean(np.abs(err) ** 2, axis=-1)
     weights = {"lms": filters["lms"], "rls": filters["rls"].w}
     return {det: weights[det] for det in detectors}, traces
-
-
-def _detect_adaptive(config: SimConfig, scheme: ModulationScheme,
-                     adaptive: list[str], r_stack: np.ndarray,
-                     s_stack: np.ndarray, data_bits: list[np.ndarray],
-                     outputs: list[TrialOutput], collect_mse: bool) -> None:
-    """Train the adaptive filters of every point at once on the pilot blocks
-    of ``r_stack`` (points, blocks, N), sent as the spectra ``s_stack``
-    (points, pilots, N), then count each point's bit errors over its data
-    blocks into ``outputs``; ``collect_mse`` records each point's learning
-    curves instead (see ``run_point_trial``)."""
-    pilots = s_stack.shape[1]
-    weights, traces = train_adaptive(
-        adaptive, r_stack[:, :pilots].swapaxes(0, 1), s_stack.swapaxes(0, 1),
-        config.mu, config.lambda_rls, collect_mse)
-    for i, out in enumerate(outputs):
-        if collect_mse:
-            out.mse_traces = {det: traces[det][:, i] for det in adaptive}
-            continue
-        for det in adaptive:
-            decided = unitary_ifft(equalize(weights[det][i],
-                                            r_stack[i, pilots:]))
-            got = demodulate(decided, scheme)
-            out.errors[det] = int(np.count_nonzero(got != data_bits[i]))
 
 
 def _trial_job(args) -> list[TrialOutput]:
@@ -567,8 +546,6 @@ def run_ber_sweep(config: SimConfig, experiment: str = "ber") -> ExperimentResul
 def run_convergence(config: SimConfig,
                     experiment: str = "converge") -> ExperimentResult:
     """Ensemble learning curves of both adaptive detectors at one SNR."""
-    if config.pilot_frames < 1:
-        raise ValueError("convergence needs at least one pilot frame")
     config = replace(config, detectors=("lms", "rls"))
     point = GridPoint(config.snr_grid[0], config.fd_norm, config.delta,
                       config.num_relays)
@@ -605,9 +582,11 @@ def run_placement_sweep(config: SimConfig, delta_grid,
 
 
 def _relay_positions(delta_grid) -> list[float]:
-    """The relay-position grid as floats; each position must lie strictly
-    inside (0, 1), and no position may repeat."""
+    """The relay-position grid as floats: at least one position, each
+    strictly inside (0, 1), none repeated."""
     deltas = [float(d) for d in delta_grid]
+    if not deltas:
+        raise ValueError("delta grid must not be empty")
     if not all(0.0 < d < 1.0 for d in deltas):
         raise ValueError("delta grid values must be in (0, 1)")
     if len(set(deltas)) != len(deltas):
@@ -616,9 +595,11 @@ def _relay_positions(delta_grid) -> list[float]:
 
 
 def _relay_counts(relay_grid) -> list[int]:
-    """The relay-count grid as integers; each count must be a whole number
-    of at least one, and no count may repeat."""
+    """The relay-count grid as integers: at least one count, each a whole
+    number of at least one, none repeated."""
     counts = [_whole_number(u, "relay count") for u in relay_grid]
+    if not counts:
+        raise ValueError("relay grid must not be empty")
     if not all(u >= 1 for u in counts):
         raise ValueError("relay counts must be >= 1")
     if len(set(counts)) != len(counts):

@@ -7,6 +7,8 @@ import math
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uwfde.cli import _parse_grid, main
 from uwfde.harness import STREAM_VERSION
@@ -52,6 +54,18 @@ CONFIG_FLAGS = [
 ]
 
 
+# Grid texts for the _parse_grid property: finite values stay within
+# [-100, 100] and finite steps at or above 0.5, so no accepted range holds
+# more than 401 values.
+_GRID_VALUE = st.one_of(st.floats(-100, 100).map(repr),
+                        st.sampled_from(["inf", "-inf", "nan", "1e999"]))
+_GRID_STEP = st.one_of(st.floats(0.5, 1000).map(repr),
+                       st.sampled_from(["0", "-1", "inf", "nan"]))
+_GRID_TEXT = st.one_of(
+    st.tuples(_GRID_VALUE, _GRID_STEP, _GRID_VALUE).map(":".join),
+    st.lists(_GRID_VALUE, max_size=4).map(",".join))
+
+
 def manifest_with_extra(tmp_path, args, key, value):
     """Run ``args`` into ``a.csv`` and return the path of its manifest with
     ``extras[key]`` set to ``value``."""
@@ -84,6 +98,34 @@ class TestGridParsing:
     def test_empty_or_reversed_grid_rejected(self, text):
         with pytest.raises(ValueError):
             _parse_grid(text)
+
+    @pytest.mark.parametrize("text", ["0:1:inf", "0.1:inf:0.9", "1:inf:3",
+                                      "nan:1:3", "-1e308:1:1e308", "nan",
+                                      "1,inf"])
+    def test_non_finite_grid_rejected(self, text):
+        with pytest.raises(ValueError, match="finite"):
+            _parse_grid(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=_GRID_TEXT)
+    def test_accepted_grid_is_finite_and_not_empty(self, text):
+        try:
+            grid = _parse_grid(text)
+        except ValueError:
+            return
+        assert grid and all(math.isfinite(g) for g in grid)
+
+    @pytest.mark.parametrize("flags", [
+        ["ber", "--snr", "0:1:inf"],
+        ["placement", "--delta-grid", "0.1:inf:0.9"],
+        ["multirelay", "--relays", "1:inf:3"],
+    ], ids=["ber", "placement", "multirelay"])
+    def test_non_finite_range_is_usage_error(self, tmp_path, flags):
+        with pytest.raises(SystemExit) as err:
+            run_cli([*flags, "--detectors", "mmse",
+                     "--out", str(tmp_path / "x.csv"), *FAST])
+        assert err.value.code == 2
+        assert not (tmp_path / "x.csv").exists()
 
 
 class TestBerCommand:
@@ -310,6 +352,16 @@ class TestConfigHandling:
         manifest = json.loads((tmp_path / "o.csv.manifest.json").read_text())
         assert manifest["config"][field] == value
 
+    @pytest.mark.parametrize("bad", [{"scheme": 3}, {"sv": 5}, {"sv": "x"}])
+    def test_wrong_type_config_value_is_usage_error(self, tmp_path, bad):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(bad))
+        with pytest.raises(SystemExit) as err:
+            run_cli(["ber", "--config", str(cfg_path), "--snr", "10",
+                     "--out", str(tmp_path / "o.csv"), *FAST])
+        assert err.value.code == 2
+        assert not (tmp_path / "o.csv").exists()
+
     def test_unknown_config_key_is_usage_error(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"block_sized": 16}))
@@ -343,6 +395,25 @@ class TestConvergeCommand:
             run_cli(["converge", "--trials", "3", "--pilot-frames", "4",
                      "--N", "16", "--L", "4", "--out", str(out), "--seed", "6"])
         assert file_hash(a) == file_hash(b)
+
+    def test_manifest_records_the_detectors_that_ran(self, tmp_path):
+        out = tmp_path / "c.csv"
+        assert run_cli(["converge", "--trials", "2", "--pilot-frames", "3",
+                        "--N", "16", "--L", "4", "--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / "c.csv.manifest.json").read_text())
+        assert manifest["config"]["detectors"] == ["lms", "rls"]
+
+    def test_config_detectors_beyond_the_ml_limit_run(self, tmp_path):
+        # converge runs lms and rls whatever the config names, so an ML
+        # search it never performs is no reason to refuse it
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"detectors": ["ml"]}))
+        out = tmp_path / "c.csv"
+        assert run_cli(["converge", "--config", str(cfg_path), "--N", "64",
+                        "--L", "4", "--trials", "2", "--pilot-frames", "3",
+                        "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        assert len(rows) == 3 * 3
 
     def test_zero_pilot_frames_rejected(self, tmp_path):
         with pytest.raises(SystemExit) as err:
@@ -455,6 +526,17 @@ class TestChannelDumpCommand:
             run_cli(["channel-dump", "--realizations", "5", "--L", "4",
                      "--out", str(out), "--seed", "8"])
         assert file_hash(a) == file_hash(b)
+
+    def test_flat_channel_dumps_a_unit_first_tap(self, tmp_path):
+        out = tmp_path / "taps.csv"
+        assert run_cli(["channel-dump", "--channel", "flat", "--realizations",
+                        "3", "--L", "4", "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        assert len(rows) == 3 * 4
+        for _, idx, re_part, im_part, power in rows:
+            expected = 1.0 if idx == "0" else 0.0
+            assert (float(re_part), float(im_part), float(power)) == (
+                expected, 0.0, expected)
 
     def test_nonpositive_count_rejected(self, tmp_path):
         with pytest.raises(SystemExit) as err:

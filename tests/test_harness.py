@@ -99,6 +99,9 @@ class TestSimConfig:
         dict(eta=float("nan")),
         dict(eta=float("inf")),
         dict(eta=-float("inf")),
+        dict(scheme=3),                     # no lower(): an AttributeError
+        dict(sv=5),                         # accepted, then failed mid-run
+        dict(sv="x"),
     ])
     def test_invalid_configs_rejected(self, bad):
         with pytest.raises(ValueError):
@@ -419,6 +422,10 @@ class TestPlacement:
         with pytest.raises(ValueError):
             run_placement_sweep(small_config(), [0.5, 1.2])
 
+    def test_empty_grid_rejected(self):
+        with pytest.raises(ValueError, match="grid must not be empty"):
+            run_placement_sweep(small_config(), [])
+
     def test_mirrored_counts_pooled(self):
         cfg = small_config(trials=8, data_frames=3)
         res = run_placement_sweep(cfg, [0.25, 0.5, 0.75])
@@ -457,6 +464,10 @@ class TestMultirelay:
     def test_relay_count_validated(self):
         with pytest.raises(ValueError):
             run_multirelay(small_config(), [0, 2])
+
+    def test_empty_grid_rejected(self):
+        with pytest.raises(ValueError, match="grid must not be empty"):
+            run_multirelay(small_config(), [])
 
     def test_repeated_relay_count_rejected(self):
         with pytest.raises(ValueError):
