@@ -31,6 +31,8 @@ BER_COLUMNS = ["experiment", "detector", "snr_db", "fd_norm", "delta", "U",
                "bits", "errors", "ber", "ci_half_width", "seed"]
 CONVERGE_COLUMNS = ["detector", "iteration", "ensemble_mse", "trials", "seed"]
 DUMP_COLUMNS = ["realization_id", "tap_index", "re", "im", "power"]
+# Most values of a start:step:stop range, checked before building its list.
+GRID_LIMIT = 10_000
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -87,8 +89,9 @@ def _converge_rows(result: ExperimentResult):
 
 
 def _parse_grid(text: str) -> list[float]:
-    """Accept 'start:step:stop' (inclusive, ascending) or a comma-separated
-    list; either must give at least one value, all of them finite."""
+    """Accept 'start:step:stop' (inclusive, ascending, at most
+    ``GRID_LIMIT`` values) or a comma-separated list; either must give at
+    least one value, all of them finite."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
@@ -102,6 +105,9 @@ def _parse_grid(text: str) -> list[float]:
         if not all(map(math.isfinite, (start, step, stop, span))):
             raise ValueError("range start, step, stop and length must be "
                              "finite")
+        if round(span) + 1 > GRID_LIMIT:
+            raise ValueError(f"range holds {round(span) + 1:.3g} values, "
+                             f"more than the limit of {GRID_LIMIT}")
         grid = [round(start + k * step, 10) for k in range(round(span) + 1)]
         grid = [g for g in grid if g <= stop + 1e-9]
     else:
@@ -194,7 +200,7 @@ def _apply_grid_flags(parser, args, data, snr_default: str,
         data["snr_grid"] = tuple(_grid(parser, args.snr))
     elif "snr_grid" not in data:
         data["snr_grid"] = tuple(_parse_grid(snr_default))
-    if getattr(args, "detectors", None) is not None:
+    if args.detectors is not None:
         data["detectors"] = tuple(args.detectors.split(","))
     elif "detectors" not in data:
         data["detectors"] = tuple(detector_default.split(","))
@@ -204,21 +210,21 @@ def _sweep(parser, args, snr_default: str, detector_default: str, run,
            grid: tuple | None = None) -> int:
     """One BER command: fold the flags and config file into a config, run
     ``run(config)`` and write its CSV and manifest. ``grid`` is a second
-    grid as (flag dest, default text, check): the checked grid goes to
-    ``run`` after the config, and its text into the manifest extras under
-    the flag's dest."""
+    grid as (flag dest, default text, check): ``check(config, grid)`` goes
+    to ``run`` after the config, and the grid's text into the manifest
+    extras under the flag's dest."""
     data, extras = _read_config_file(parser, args)
     _apply_grid_flags(parser, args, data, snr_default, detector_default)
+    config = _build_config(parser, args, data)
     values, saved = [], {}
     if grid is not None:
         dest, default, check = grid
         text = getattr(args, dest) or extras.get(dest) or default
         try:
-            values = [check(_grid(parser, text))]
+            values = [check(config, _grid(parser, text))]
         except ValueError as exc:
             parser.error(str(exc))
         saved = {dest: text}
-    config = _build_config(parser, args, data)
     started = time.monotonic()
     result = run(config, *values)
     _write_csv(args.out, BER_COLUMNS, _ber_rows(result))
@@ -314,7 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
     multi.add_argument("--fd", type=float, dest="fd_norm")
     multi.set_defaults(func=partial(
         _sweep, snr_default="0:5:30", detector_default="rls",
-        run=run_multirelay, grid=("relay_grid", "1,2,3", _relay_counts)))
+        run=run_multirelay,
+        grid=("relay_grid", "1,2,3", lambda _, grid: _relay_counts(grid))))
 
     dump = sub.add_parser("channel-dump", help="dump quantized tap realizations")
     _add_common(dump)

@@ -33,18 +33,16 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .channel import (SvParams, _whole_number, complex_noise, evolve_channel,
-                      freq_response, generate_channel, path_gain,
-                      quantize_to_taps, sv_profile)
+from .channel import (SvParams, _whole_number, af_gain, complex_noise,
+                      evolve_channel, freq_response, generate_channel,
+                      path_gain, quantize_to_taps, sv_profile)
 from .detectors import (ML_SEARCH_LIMIT, EffectiveChannel, MlDetector,
                         RlsState, effective_channel, equalize, lms_step,
                         mmse_error_floor, mmse_weights, mrc_weights, rls_step)
-# relay_receive and relay_forward are the time-domain reference for
-# transmit_block and no longer run here; bench/spans.py traces them by
-# their names in this module, so the names stay.
-from .relay import af_gain, relay_forward, relay_receive  # noqa: F401
-from .txrx import (ModulationScheme, demodulate, modulate, unitary_fft,
-                   unitary_ifft)
+# relay_receive and relay_forward no longer run here, but bench/spans.py
+# traces them by their names in this module, so the names stay.
+from .txrx import (ModulationScheme, demodulate, modulate,  # noqa: F401
+                   relay_forward, relay_receive, unitary_fft, unitary_ifft)
 
 # Layout of a trial's random stream (see run_point_trial). A manifest
 # replays its CSV byte for byte only under the layout that wrote it, so any
@@ -56,6 +54,9 @@ STREAM_VERSION = 3
 DETECTOR_NAMES = ("mrc", "mmse", "ml", "lms", "rls")
 ADAPTIVE_DETECTORS = ("lms", "rls")
 WORKERS_ENV_VAR = "UWFDE_WORKERS"
+# Path gains of a grid point lie within this factor of one (1000 dB) and its
+# noise powers at most this, so no product of them in the model overflows.
+POWER_LIMIT = 1e100
 # SimConfig fields that count something; a config file may give them as
 # floats, which must be whole numbers.
 _INTEGER_FIELDS = ("block_size", "cp_len", "num_taps", "num_relays",
@@ -97,8 +98,6 @@ class SimConfig:
         for name in _INTEGER_FIELDS:
             if not (name == "cp_len" and self.cp_len is None):
                 setattr(self, name, _whole_number(getattr(self, name), name))
-        self.snr_grid = tuple(float(s) for s in self.snr_grid)
-        self.detectors = tuple(self.detectors)
         if isinstance(self.sv, dict):
             self.sv = SvParams(**self.sv)
         if not isinstance(self.sv, SvParams):
@@ -114,13 +113,9 @@ class SimConfig:
         scheme = self.scheme.lower() if isinstance(self.scheme, str) else None
         if scheme not in ("bpsk", "qpsk"):
             raise ValueError(f"unknown scheme: {self.scheme!r}")
-        if not self.detectors:
-            raise ValueError("detectors must not be empty")
-        unknown = set(self.detectors) - set(DETECTOR_NAMES)
-        if unknown:
-            raise ValueError(f"unknown detectors: {sorted(unknown)}")
-        if len(set(self.detectors)) != len(self.detectors):
-            raise ValueError(f"duplicate detectors: {list(self.detectors)}")
+        self.detectors = tuple(_grid_values(
+            self.detectors, "detector list", str, DETECTOR_NAMES.__contains__,
+            f"one of {', '.join(DETECTOR_NAMES)}"))
         order = ModulationScheme.from_name(self.scheme).order
         if "ml" in self.detectors and order ** self.block_size > ML_SEARCH_LIMIT:
             raise ValueError(f"ml searches {order}^{self.block_size} blocks, "
@@ -129,8 +124,6 @@ class SimConfig:
             raise ValueError("num_relays must be >= 1")
         if not 0.0 <= self.fd_norm < 0.5:
             raise ValueError("fd_norm must be in [0, 0.5)")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError("delta must be in (0, 1)")
         if not 0 <= self.mu < math.inf:
             raise ValueError("mu must be nonnegative and finite")
         if not 0.0 < self.lambda_rls <= 1.0:
@@ -145,12 +138,8 @@ class SimConfig:
             raise ValueError("data_frames must be >= 1")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if not self.snr_grid:
-            raise ValueError("snr_grid must not be empty")
-        if not all(math.isfinite(s) for s in self.snr_grid):
-            raise ValueError("snr_grid values must be finite")
-        if len(set(self.snr_grid)) != len(self.snr_grid):
-            raise ValueError("snr_grid values must be distinct")
+        self.snr_grid = tuple(_grid_values(self.snr_grid, "snr_grid", float,
+                                           math.isfinite, "finite"))
         if not 0 <= self.relay_noise_factor < math.inf:
             raise ValueError("relay_noise_factor must be nonnegative and finite")
         if not math.isfinite(self.eta):
@@ -161,6 +150,8 @@ class SimConfig:
             raise ValueError("workers must be >= 1")
         if self.master_seed < 0:
             raise ValueError("master_seed must be nonnegative")
+        for snr in self.snr_grid:
+            _cascade_powers(self, GridPoint(snr, delta=self.delta))
 
     @property
     def effective_cp_len(self) -> int:
@@ -251,13 +242,6 @@ def trial_seed(master_seed: int, experiment: str, trial_index: int) -> np.random
     return np.random.SeedSequence((int(master_seed), tag, int(trial_index)))
 
 
-def noise_powers(config: SimConfig, snr_db: float,
-                 scheme: ModulationScheme) -> tuple[float, float]:
-    """(destination, relay) complex noise variances for a grid SNR."""
-    sigma_dest = 10.0 ** (-snr_db / 10.0) / scheme.bits_per_symbol
-    return sigma_dest, config.relay_noise_factor * sigma_dest
-
-
 @dataclass
 class _TrialChannels:
     """One trial's hop taps, unscaled, stacked ``(2U, L)`` for the largest
@@ -301,10 +285,20 @@ def _cascade_powers(config: SimConfig,
                     point: GridPoint) -> tuple[float, float, float]:
     """(relay gain, relay noise, destination noise) of every relay at a grid
     point, the powers ``effective_channel`` combines with the hop spectra;
-    the resulting weights apply through ``equalize``."""
-    gain_sr, _ = path_gain(point.delta, config.eta)
+    the resulting weights apply through ``equalize``. A point whose path
+    gains or noise powers fall outside ``POWER_LIMIT`` is refused."""
     scheme = ModulationScheme.from_name(config.scheme)
-    sigma_dest, sigma_relay = noise_powers(config, point.snr_db, scheme)
+    try:
+        gain_sr, gain_rd = path_gain(point.delta, config.eta)
+        sigma_dest = 10.0 ** (-point.snr_db / 10.0) / scheme.bits_per_symbol
+    except OverflowError:
+        gain_sr = gain_rd = sigma_dest = math.inf
+    sigma_relay = config.relay_noise_factor * sigma_dest
+    if not (1.0 / POWER_LIMIT <= min(gain_sr, gain_rd) and max(
+            gain_sr, gain_rd, sigma_dest, sigma_relay) <= POWER_LIMIT):
+        raise ValueError(f"powers out of range at {point.snr_db} dB, delta "
+                         f"{point.delta}, eta {config.eta}: path gains must "
+                         "lie in [1e-100, 1e100], noise powers at most 1e100")
     return af_gain(gain_sr, sigma_relay), sigma_relay, sigma_dest
 
 
@@ -359,22 +353,18 @@ def run_point_trial(config: SimConfig, points: list[GridPoint], seed,
     carry a tracking lag while ideal-CSI detectors follow the drift.
 
     With ``collect_mse`` the trial is a learning-curve run: it sends only
-    the pilot blocks, trains both adaptive filters and records their
-    per-block MSE and the Wiener floor at the last pilot block.
+    the pilot blocks, trains the adaptive filters (``run_convergence``
+    names both) and records their per-block MSE and the Wiener floor at
+    the last pilot block.
 
     Random stream (``STREAM_VERSION``), per (Doppler, position, relay
     count) cell of the grid: hop taps, the drift track, the bits of every
-    block, then one unit-variance white noise array ``(blocks, N)``. Every
-    cell's stream starts with the same hops, and the relay position only
-    scales them, so the taps are drawn once per trial and each cell
-    resumes from the generator state after its own hops. Within a cell
-    only the noise depends on SNR, and only through its per-bin variance
-    (see ``transmit_block``), so every point of the cell scales the same
-    white array by the root of its own ``noise_var``. Each output
-    therefore equals a separate run of its point from the same seed. The
-    ideal-CSI detectors decide per point; the adaptive filters of all
-    points train together as one scan over the pilot blocks on
-    ``(points, N)`` rows, then decide.
+    block, then one unit-variance white noise array ``(blocks, N)``, which
+    each point of the cell scales by the root of its own ``noise_var``
+    (see ``transmit_block``). The taps are drawn once per trial and shared
+    as the module docstring says, so each output equals a separate run of
+    its point from the same seed. The adaptive filters of all points train
+    together as one scan over the pilot blocks on ``(points, N)`` rows.
     """
     rng = np.random.default_rng(seed)
     scheme = ModulationScheme.from_name(config.scheme)
@@ -384,10 +374,8 @@ def run_point_trial(config: SimConfig, points: list[GridPoint], seed,
         cells.setdefault((p.fd_norm, p.delta, p.num_relays), []).append(i)
     chans = _build_links(config, points, rng)
 
-    adaptive = [d for d in ADAPTIVE_DETECTORS
-                if collect_mse or d in config.detectors]
-    ideal = [] if collect_mse else [d for d in config.detectors
-                                    if d not in ADAPTIVE_DETECTORS]
+    adaptive = [d for d in ADAPTIVE_DETECTORS if d in config.detectors]
+    ideal = [d for d in config.detectors if d not in ADAPTIVE_DETECTORS]
     pilots = config.pilot_frames if adaptive else 0
     blocks = pilots + (0 if collect_mse else config.data_frames)
     outputs = [TrialOutput(dict.fromkeys(config.detectors, 0),
@@ -459,8 +447,8 @@ def train_adaptive(detectors, r_f: np.ndarray, s_f: np.ndarray, mu: float,
     if len(r_f) == 0:
         raise ValueError("need at least one pilot block")
     n = r_f.shape[-1]
-    filters = {"lms": np.zeros(n, dtype=complex),
-               "rls": RlsState.initial(n, lambda_rls)}
+    filters = {det: np.zeros(n, dtype=complex) if det == "lms"
+               else RlsState.initial(n, lambda_rls) for det in detectors}
     traces = ({det: np.empty(r_f.shape[:-1]) for det in detectors}
               if collect_mse else {})
     for b in range(len(r_f)):
@@ -471,8 +459,8 @@ def train_adaptive(detectors, r_f: np.ndarray, s_f: np.ndarray, mu: float,
                 filters[det], err = rls_step(filters[det], r_f[b], s_f[b])
             if collect_mse:
                 traces[det][b] = np.mean(np.abs(err) ** 2, axis=-1)
-    weights = {"lms": filters["lms"], "rls": filters["rls"].w}
-    return {det: weights[det] for det in detectors}, traces
+    return {det: filters[det] if det == "lms" else filters[det].w
+            for det in detectors}, traces
 
 
 def _trial_job(args) -> list[TrialOutput]:
@@ -565,7 +553,8 @@ def run_placement_sweep(config: SimConfig, delta_grid,
     round-trip average is the quantity with a midpoint optimum.
     """
     points = [GridPoint(s, config.fd_norm, d, config.num_relays)
-              for d in _relay_positions(delta_grid) for s in config.snr_grid]
+              for d in _relay_positions(config, delta_grid)
+              for s in config.snr_grid]
     result = run_points(config, points, experiment)
     one_way = {(r.detector, r.snr_db, round(r.delta, 9)): r
                for r in result.records}
@@ -581,30 +570,34 @@ def run_placement_sweep(config: SimConfig, delta_grid,
     return result
 
 
-def _relay_positions(delta_grid) -> list[float]:
-    """The relay-position grid as floats: at least one position, each
-    strictly inside (0, 1), none repeated."""
-    deltas = [float(d) for d in delta_grid]
-    if not deltas:
-        raise ValueError("delta grid must not be empty")
-    if not all(0.0 < d < 1.0 for d in deltas):
-        raise ValueError("delta grid values must be in (0, 1)")
-    if len(set(deltas)) != len(deltas):
-        raise ValueError("delta grid values must be distinct")
+def _grid_values(values, name: str, convert, valid, rule: str) -> list:
+    """``values`` through ``convert``: at least one, each passing ``valid``
+    (``rule`` says how, for the message), none repeated."""
+    values = [convert(v) for v in values]
+    if not values:
+        raise ValueError(f"{name} must not be empty")
+    bad = [v for v in values if not valid(v)]
+    if bad:
+        raise ValueError(f"{name} values must be {rule}, got {bad[0]!r}")
+    if len(set(values)) != len(values):
+        raise ValueError(f"{name} values must be distinct")
+    return values
+
+
+def _relay_positions(config: SimConfig, delta_grid) -> list[float]:
+    """The relay-position grid: floats in (0, 1), powers in range, no repeats."""
+    deltas = _grid_values(delta_grid, "delta grid", float,
+                          lambda d: 0.0 < d < 1.0, "in (0, 1)")
+    for d in deltas:
+        _cascade_powers(config, GridPoint(config.snr_grid[0], delta=d))
     return deltas
 
 
 def _relay_counts(relay_grid) -> list[int]:
-    """The relay-count grid as integers: at least one count, each a whole
-    number of at least one, none repeated."""
-    counts = [_whole_number(u, "relay count") for u in relay_grid]
-    if not counts:
-        raise ValueError("relay grid must not be empty")
-    if not all(u >= 1 for u in counts):
-        raise ValueError("relay counts must be >= 1")
-    if len(set(counts)) != len(counts):
-        raise ValueError("relay counts must be distinct")
-    return counts
+    """The relay-count grid as whole numbers >= 1: at least one, none repeated."""
+    return _grid_values(relay_grid, "relay grid",
+                        lambda u: _whole_number(u, "relay count"),
+                        lambda u: u >= 1, ">= 1")
 
 
 def run_multirelay(config: SimConfig, relay_grid,

@@ -1,10 +1,13 @@
-"""Block construction: modulation, cyclic prefix, unitary transform pair."""
+"""Block construction: modulation, cyclic prefix, unitary transform pair,
+and the time-domain relay chain that checks the per-bin transmit model."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+
+from .channel import complex_noise
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -69,6 +72,30 @@ def append_cp(x: np.ndarray, cp_len: int) -> np.ndarray:
     if not 0 <= cp_len <= x.shape[-1]:
         raise ValueError("cp_len must be between 0 and the block size")
     return np.concatenate([x[..., x.shape[-1] - cp_len:], x], axis=-1)
+
+
+def relay_receive(tx: np.ndarray, cp_len: int, taps: np.ndarray, sigma2: float,
+                  rng: np.random.Generator) -> np.ndarray:
+    """Propagate a block sent with a ``cp_len``-symbol prefix through the
+    channel and strip the prefix.
+
+    Linear convolution with the taps plus circular complex Gaussian noise;
+    with the prefix at least as long as the channel memory the result is
+    exactly the circular convolution of the body.
+    """
+    taps = np.asarray(taps, dtype=complex)
+    if cp_len < len(taps) - 1:
+        raise ValueError("prefix shorter than the channel memory")
+    body = len(tx) - cp_len
+    received = np.convolve(taps, tx)[cp_len: cp_len + body]
+    if sigma2 > 0:
+        received = received + complex_noise(rng, body, sigma2)
+    return received
+
+
+def relay_forward(received: np.ndarray, zeta: float, cp_len: int) -> np.ndarray:
+    """Scale the received block by the relay gain and re-append a prefix."""
+    return append_cp(zeta * received, cp_len)
 
 
 def unitary_fft(x: np.ndarray) -> np.ndarray:

@@ -127,6 +127,18 @@ class TestGridParsing:
         assert err.value.code == 2
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("text", ["0:1:20000", "0:1e-12:30",
+                                      "-1e308:1:100"])
+    def test_oversized_range_rejected(self, text):
+        with pytest.raises(ValueError, match="values"):
+            _parse_grid(text)
+
+    def test_oversized_range_is_usage_error(self, tmp_path):
+        with pytest.raises(SystemExit) as err:
+            run_cli(["ber", "--snr", "0:1:20000", "--detectors", "mmse",
+                     "--out", str(tmp_path / "x.csv"), *FAST])
+        assert err.value.code == 2
+
 
 class TestBerCommand:
     def test_grid_times_detectors_rows(self, tmp_path):
@@ -369,6 +381,24 @@ class TestConfigHandling:
             run_cli(["ber", "--config", str(cfg_path),
                      "--out", str(tmp_path / "o.csv"), *FAST])
         assert err.value.code == 2
+
+    # Link budgets whose powers overflow or come out NaN: each exited 1 with
+    # "Numerical result out of range", or wrote a CSV on a NaN noise variance.
+    @pytest.mark.parametrize("flags", [
+        ["ber", "--snr", "-4000"],
+        ["ber", "--snr", "10", "--eta", "1000", "--delta", "0.1"],
+        ["placement", "--snr", "10", "--eta", "1000",
+         "--delta-grid", "0.1,0.9"],
+        ["ber", "--snr", "-20", "--relay-noise", "1e308"],
+    ], ids=["snr", "eta", "placement-eta", "relay-noise"])
+    def test_out_of_range_powers_are_usage_errors(self, tmp_path, capsys,
+                                                  flags):
+        with pytest.raises(SystemExit) as err:
+            run_cli([*flags, "--detectors", "mmse",
+                     "--out", str(tmp_path / "x.csv"), *FAST])
+        assert err.value.code == 2
+        assert "power" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
 
 class TestConvergeCommand:

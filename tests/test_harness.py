@@ -4,22 +4,22 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uwfde import harness
 from uwfde.channel import (complex_noise, evolve_channel, freq_response,
                            sv_profile)
 from uwfde.detectors import effective_channel, equalize, mmse_weights
-from uwfde.harness import (GridPoint, SimConfig, noise_powers, run_ber_sweep,
+from uwfde.harness import (GridPoint, SimConfig, run_ber_sweep,
                            run_convergence, run_multirelay,
                            run_placement_sweep, run_point_trial, run_points,
                            transmit_block, trial_seed, wilson_half_width,
                            _build_links, _cascade_powers, _TrialChannels,
                            _worker_count)
-from uwfde.relay import relay_forward, relay_receive
 from uwfde.txrx import (ModulationScheme, append_cp, demodulate, modulate,
-                        unitary_fft, unitary_ifft)
+                        relay_forward, relay_receive, unitary_fft,
+                        unitary_ifft)
 
 
 def time_domain_chain(x, taps, zeta, sigma2_relay, sigma2_dest, cp_len, rng):
@@ -155,20 +155,64 @@ class TestSeeding:
 
 class TestNoisePowers:
     def test_bpsk_scaling(self):
-        cfg = small_config()
-        dest, rel = noise_powers(cfg, 10.0, ModulationScheme.bpsk())
+        _, rel, dest = _cascade_powers(small_config(), GridPoint(10.0))
         assert dest == pytest.approx(0.1)
         assert rel == pytest.approx(0.1)
 
     def test_qpsk_halves_noise(self):
         cfg = small_config(scheme="qpsk")
-        dest, _ = noise_powers(cfg, 10.0, ModulationScheme.qpsk())
+        _, _, dest = _cascade_powers(cfg, GridPoint(10.0))
         assert dest == pytest.approx(0.05)
 
     def test_relay_factor(self):
         cfg = small_config(relay_noise_factor=0.0)
-        _, rel = noise_powers(cfg, 10.0, ModulationScheme.bpsk())
+        _, rel, _ = _cascade_powers(cfg, GridPoint(10.0))
         assert rel == 0.0
+
+    @pytest.mark.parametrize("bad", [
+        dict(snr_grid=(-4000.0,)),              # 10 ** 400 overflows
+        dict(eta=1000.0, delta=0.1),            # so does 0.2 ** -1000
+        dict(eta=1000.0, delta=0.9),
+        dict(eta=-1000.0, delta=0.9),           # a gain of zero
+        dict(relay_noise_factor=1e308, snr_grid=(-20.0,)),  # inf relay noise
+        # both gains finite and positive, yet zeta^2 |G|^2 overflows
+        dict(eta=110.0, delta=0.999, snr_grid=(400.0,)),
+        dict(snr_grid=(10.0, -4000.0)),         # any point of the grid
+    ])
+    def test_out_of_range_powers_rejected(self, bad):
+        with pytest.raises(ValueError, match="power"):
+            small_config(**bad)
+
+    def test_noise_free_point_accepted(self):
+        cfg = small_config(snr_grid=(4000.0,))
+        assert _cascade_powers(cfg, GridPoint(4000.0))[1:] == (0.0, 0.0)
+
+    def test_placement_positions_checked_at_eta(self):
+        cfg = small_config(eta=1000.0)
+        with pytest.raises(ValueError, match="power"):
+            run_placement_sweep(cfg, [0.1, 0.9])
+        with pytest.raises(ValueError, match="power"):
+            _cascade_powers(cfg, GridPoint(8.0, delta=0.1))
+
+    @settings(max_examples=200, deadline=None)
+    @given(eta=st.floats(), delta=st.floats(), factor=st.floats(),
+           snr=st.floats())
+    @example(eta=2.0, delta=0.5, factor=1.0, snr=-4000.0)
+    @example(eta=1000.0, delta=0.1, factor=1.0, snr=10.0)
+    @example(eta=2.0, delta=0.5, factor=1e308, snr=-20.0)
+    @example(eta=110.0, delta=0.999, factor=1.0, snr=400.0)
+    def test_config_rejects_or_a_trial_counts(self, eta, delta, factor, snr):
+        # any float at all, NaN and infinities included: either the config
+        # refuses it or a trial gives counts a CSV can carry
+        try:
+            cfg = SimConfig(block_size=4, num_taps=2, sv=sv_profile(2),
+                            snr_grid=(snr,), detectors=("mmse",),
+                            data_frames=2, trials=1, eta=eta, delta=delta,
+                            relay_noise_factor=factor)
+        except ValueError:
+            return
+        out, = run_point_trial(cfg, [GridPoint(snr, 0.0, delta)], 0)
+        assert 0 <= out.errors["mmse"] <= out.bits == 8
 
 
 class TestRunTrial:

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from oracle import circulant_from_taps
-from uwfde.relay import af_gain, relay_forward, relay_receive
-from uwfde.txrx import append_cp
+from uwfde.channel import af_gain
+from uwfde.txrx import append_cp, relay_forward, relay_receive
 
 
 class TestAfGain:
