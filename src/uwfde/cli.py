@@ -3,6 +3,10 @@
 Exit codes: 0 success, 2 usage error, 1 runtime error. Output files are
 written atomically (temp file in the target directory, then rename). Worker
 count can be forced through the ``UWFDE_WORKERS`` environment variable.
+
+Every command runs through ``_run``, and every value of a run follows one
+rule: its flag when given, else the config file (a manifest's extras for
+the command's extra value), else the command's default.
 """
 
 from __future__ import annotations
@@ -16,13 +20,14 @@ import os
 import sys
 import tempfile
 import time
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
 
 from . import __version__
 from .channel import _whole_number, sv_profile
-from .harness import (STREAM_VERSION, ExperimentResult, SimConfig, _draw_taps,
+from .harness import (DETECTOR_NAMES, STREAM_VERSION, SimConfig, _draw_taps,
                       _relay_counts, _relay_positions, _worker_count,
                       run_ber_sweep, run_convergence, run_multirelay,
                       run_placement_sweep, trial_seed)
@@ -72,26 +77,38 @@ def _write_manifest(path: str, experiment: str, config: SimConfig,
     _atomic_write(path, json.dumps(manifest, indent=2) + "\n")
 
 
-def _ber_rows(result: ExperimentResult):
-    for r in result.records:
+def _ber_rows(run, config: SimConfig, *extra):
+    for r in run(config, *extra).records:
         yield [r.experiment, r.detector, r.snr_db, r.fd_norm, r.delta,
                r.num_relays, r.bits, r.errors, r.ber, r.ci_half_width, r.seed]
 
 
-def _converge_rows(result: ExperimentResult):
-    trials = result.config.trials
-    seed = result.config.master_seed
+def _converge_rows(config: SimConfig):
+    result = run_convergence(config)
+    trials, seed = config.trials, config.master_seed
     for det in ("lms", "rls"):
         for i, mse in enumerate(result.mse_traces[det], start=1):
             yield [det, i, float(mse), trials, seed]
-    for i in range(1, result.config.pilot_frames + 1):
+    for i in range(1, config.pilot_frames + 1):
         yield ["mmse_floor", i, result.mmse_floor, trials, seed]
+
+
+def _dump_rows(config: SimConfig, count: int):
+    rng = np.random.default_rng(
+        trial_seed(config.master_seed, "channel-dump", 0))
+    for rid in range(count):
+        for idx, tap in enumerate(_draw_taps(config, rng)):
+            yield [rid, idx, float(tap.real), float(tap.imag),
+                   float(abs(tap) ** 2)]
 
 
 def _parse_grid(text: str) -> list[float]:
     """Accept 'start:step:stop' (inclusive, ascending, at most
     ``GRID_LIMIT`` values) or a comma-separated list; either must give at
-    least one value, all of them finite."""
+    least one value, all of them finite. Anything but a string (a
+    manifest's extras may hold any JSON) is a ``TypeError``."""
+    if not isinstance(text, str):
+        raise TypeError(f"a grid must be a string such as 1,2,3, got {text!r}")
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
@@ -119,30 +136,27 @@ def _parse_grid(text: str) -> list[float]:
     return grid
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, dest="master_seed",
-                        help="master seed")
-    parser.add_argument("--config", help="JSON config file (flags override it)")
-    parser.add_argument("--out", required=True, help="output CSV path")
-    parser.add_argument("--workers", type=int, help="parallel trial workers")
-    parser.add_argument("--trials", type=int, help="Monte Carlo trials")
-    parser.add_argument("--N", type=int, dest="block_size", help="block size")
-    parser.add_argument("--scheme", choices=["bpsk", "qpsk"])
-    parser.add_argument("--L", type=int, dest="num_taps",
-                        help="channel taps; also picks the arrival profile")
-    parser.add_argument("--data-frames", type=int)
-    parser.add_argument("--pilot-frames", type=int)
-    parser.add_argument("--mu", type=float, help="LMS step size")
-    parser.add_argument("--lambda-rls", type=float, help="RLS forgetting factor")
-    parser.add_argument("--eta", type=float, help="path-loss exponent")
-    parser.add_argument("--relay-noise", type=float, dest="relay_noise_factor",
-                        help="relay noise power relative to destination")
-    parser.add_argument("--channel", choices=["sv", "flat"], dest="channel_model")
+def _realizations(config: SimConfig, count) -> int:
+    count = _whole_number(count, "realizations")
+    if count < 1:
+        raise ValueError("--realizations must be >= 1")
+    return count
+
+
+def _from_text(dest: str, value):
+    """A flag's or a command default's value as its config field takes it:
+    an SNR grid (one float for converge) or a detector list is text."""
+    if dest == "detectors":
+        return tuple(value.split(","))
+    if dest == "snr_grid":
+        return tuple(_parse_grid(value)) if isinstance(value, str) else (value,)
+    return value
 
 
 def _read_config_file(parser: argparse.ArgumentParser,
                       args: argparse.Namespace) -> tuple[dict, dict]:
-    """Load the config file (plain config or a previous run's manifest)."""
+    """Load the config file: a plain config, or a previous run's manifest,
+    whose config section and extras come back apart."""
     if not args.config:
         return {}, {}
     try:
@@ -150,6 +164,7 @@ def _read_config_file(parser: argparse.ArgumentParser,
             loaded = json.load(handle)
     except (OSError, json.JSONDecodeError) as exc:
         parser.error(f"cannot read config file: {exc}")
+    extras = {}
     if isinstance(loaded, dict) and "config" in loaded and "version" in loaded:
         stream = loaded.get("stream_version", "1 (unversioned)")
         if stream != STREAM_VERSION:
@@ -158,121 +173,85 @@ def _read_config_file(parser: argparse.ArgumentParser,
                          f"version {STREAM_VERSION}, so its CSV cannot be "
                          "replayed; pass its config section as a plain config "
                          "to rerun it under the current stream")
-        return dict(loaded["config"]), dict(loaded.get("extras", {}))
-    return dict(loaded), {}
+        loaded, extras = loaded["config"], loaded.get("extras", {})
+    if not (isinstance(loaded, dict) and isinstance(extras, dict)):
+        parser.error(f"{args.config} must hold a JSON object, and a "
+                     "manifest's config and extras must be JSON objects")
+    return loaded, extras
 
 
-def _build_config(parser: argparse.ArgumentParser, args: argparse.Namespace,
-                  data: dict) -> SimConfig:
-    """Apply explicit flags on top of config-file values: every parsed flag
-    whose dest is a ``SimConfig`` field, except the grids and detectors
-    that ``_apply_grid_flags`` has already folded into ``data``."""
-    fields = set(SimConfig.__dataclass_fields__) - {"detectors", "snr_grid"}
-    data = dict(data)
-    data.update({k: v for k, v in vars(args).items()
-                 if k in fields and v is not None})
-    if args.num_taps is not None and "sv" not in data:
-        data["sv"] = sv_profile(args.num_taps)
+def _run(parser: argparse.ArgumentParser, args: argparse.Namespace,
+         columns: list[str], table, defaults: dict, extra: str | None = None,
+         check=None) -> int:
+    """One command: resolve its values, build and check its config, then
+    write the CSV rows of ``table(config)`` and the manifest. Each
+    ``SimConfig`` field and the command's ``extra`` value comes from its
+    flag when given, else the config file (a manifest's extras for
+    ``extra``), else ``defaults``. Without ``sv``, ``num_taps`` picks the
+    arrival profile. ``check(config, value)`` turns the extra value into
+    the argument ``table`` takes after the config."""
+    data, extras = _read_config_file(parser, args)
+    fields = set(SimConfig.__dataclass_fields__)
     try:
-        config = SimConfig.from_dict(data)
+        values = {k: _from_text(k, v) for k, v in defaults.items()
+                  if k in fields}
+        values.update(data)
+        values.update((k, _from_text(k, v)) for k, v in vars(args).items()
+                      if k in fields and v is not None)
+        config = SimConfig.from_dict(values)
+        if "sv" not in values:
+            config = replace(config, sv=sv_profile(config.num_taps))
         _worker_count(config)  # a malformed UWFDE_WORKERS is a usage error
+        saved, arguments = {}, []
+        if extra is not None:
+            raw = getattr(args, extra)
+            raw = extras.get(extra, defaults[extra]) if raw is None else raw
+            arguments = [check(config, raw)]
+            # a grid is saved as the text it was given
+            saved = {extra: raw if isinstance(raw, str) else arguments[0]}
     except (TypeError, ValueError) as exc:
         parser.error(str(exc))
-    return config
-
-
-def _grid(parser: argparse.ArgumentParser, text: str) -> list[float]:
-    """``_parse_grid`` with a malformed grid, or one that is not a string
-    (a manifest's extras may hold any JSON), reported as a usage error."""
-    if not isinstance(text, str):
-        parser.error(f"a grid must be a string such as 1,2,3, got {text!r}")
-    try:
-        return _parse_grid(text)
-    except ValueError as exc:
-        parser.error(str(exc))
-
-
-def _apply_grid_flags(parser, args, data, snr_default: str,
-                      detector_default: str) -> None:
-    """Fold --snr and --detectors into the config data; explicit flags win,
-    then config-file values, then the command's defaults."""
-    if args.snr is not None:
-        data["snr_grid"] = tuple(_grid(parser, args.snr))
-    elif "snr_grid" not in data:
-        data["snr_grid"] = tuple(_parse_grid(snr_default))
-    if args.detectors is not None:
-        data["detectors"] = tuple(args.detectors.split(","))
-    elif "detectors" not in data:
-        data["detectors"] = tuple(detector_default.split(","))
-
-
-def _sweep(parser, args, snr_default: str, detector_default: str, run,
-           grid: tuple | None = None) -> int:
-    """One BER command: fold the flags and config file into a config, run
-    ``run(config)`` and write its CSV and manifest. ``grid`` is a second
-    grid as (flag dest, default text, check): ``check(config, grid)`` goes
-    to ``run`` after the config, and the grid's text into the manifest
-    extras under the flag's dest."""
-    data, extras = _read_config_file(parser, args)
-    _apply_grid_flags(parser, args, data, snr_default, detector_default)
-    config = _build_config(parser, args, data)
-    values, saved = [], {}
-    if grid is not None:
-        dest, default, check = grid
-        text = getattr(args, dest) or extras.get(dest) or default
-        try:
-            values = [check(config, _grid(parser, text))]
-        except ValueError as exc:
-            parser.error(str(exc))
-        saved = {dest: text}
     started = time.monotonic()
-    result = run(config, *values)
-    _write_csv(args.out, BER_COLUMNS, _ber_rows(result))
-    _write_manifest(args.out + ".manifest.json", result.experiment, config,
+    _write_csv(args.out, columns, table(config, *arguments))
+    _write_manifest(args.out + ".manifest.json", args.command, config,
                     [args.out], started, extras=saved)
     return 0
 
 
-def cmd_converge(parser, args) -> int:
-    data, _ = _read_config_file(parser, args)
-    if args.snr_db is not None:
-        data["snr_grid"] = (args.snr_db,)
-    elif "snr_grid" not in data:
-        data["snr_grid"] = (5.0,)
-    data["detectors"] = ("lms", "rls")
-    config = _build_config(parser, args, data)
-    started = time.monotonic()
-    result = run_convergence(config)
-    _write_csv(args.out, CONVERGE_COLUMNS, _converge_rows(result))
-    _write_manifest(args.out + ".manifest.json", result.experiment, config,
-                    [args.out], started)
-    return 0
-
-
-def cmd_channel_dump(parser, args) -> int:
-    data, extras = _read_config_file(parser, args)
-    count = args.realizations
-    if count is None:
-        count = extras.get("realizations", 100)
-    try:
-        count = _whole_number(count, "realizations")
-    except ValueError as exc:
-        parser.error(str(exc))
-    if count < 1:
-        parser.error("--realizations must be >= 1")
-    config = _build_config(parser, args, data)
-    started = time.monotonic()
-    rng = np.random.default_rng(
-        trial_seed(config.master_seed, "channel-dump", 0))
-    rows = []
-    for rid in range(count):
-        for idx, tap in enumerate(_draw_taps(config, rng)):
-            rows.append([rid, idx, float(tap.real), float(tap.imag),
-                         float(abs(tap) ** 2)])
-    _write_csv(args.out, DUMP_COLUMNS, rows)
-    _write_manifest(args.out + ".manifest.json", "channel-dump", config,
-                    [args.out], started, extras={"realizations": count})
-    return 0
+def _command(sub, name: str, description: str, columns: list[str], table,
+             defaults: dict, extra: str | None = None,
+             check=None) -> argparse.ArgumentParser:
+    """A subcommand with the common flags, bound to ``_run``."""
+    cmd = sub.add_parser(name, help=description)
+    cmd.add_argument("--seed", type=int, dest="master_seed",
+                     help="master seed")
+    cmd.add_argument("--config", help="JSON config file (flags override it)")
+    cmd.add_argument("--out", required=True, help="output CSV path")
+    cmd.add_argument("--workers", type=int, help="parallel trial workers")
+    cmd.add_argument("--trials", type=int, help="Monte Carlo trials")
+    cmd.add_argument("--N", type=int, dest="block_size", help="block size")
+    cmd.add_argument("--scheme", choices=["bpsk", "qpsk"])
+    cmd.add_argument("--L", type=int, dest="num_taps",
+                     help="channel taps; also picks the arrival profile")
+    cmd.add_argument("--data-frames", type=int)
+    cmd.add_argument("--pilot-frames", type=int)
+    cmd.add_argument("--mu", type=float, help="LMS step size")
+    cmd.add_argument("--lambda-rls", type=float, help="RLS forgetting factor")
+    cmd.add_argument("--eta", type=float, help="path-loss exponent")
+    cmd.add_argument("--relay-noise", type=float, dest="relay_noise_factor",
+                     help="relay noise power relative to destination")
+    cmd.add_argument("--channel", choices=["sv", "flat"], dest="channel_model")
+    cmd.set_defaults(func=partial(_run, columns=columns, table=table,
+                                  defaults=defaults, extra=extra, check=check))
+    if "detectors" in defaults:  # a BER command
+        cmd.add_argument("--snr", dest="snr_grid", metavar="SNR", help="dB "
+                         f"grid, a:b:c or list (default {defaults['snr_grid']})")
+        cmd.add_argument("--detectors", help=f"comma list of "
+                         f"{','.join(DETECTOR_NAMES)} (default "
+                         f"{defaults['detectors']})")
+        cmd.add_argument("--fd", type=float, dest="fd_norm",
+                         help="normalized Doppler per block")
+    return cmd
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -283,50 +262,44 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    ber = sub.add_parser("ber", help="BER versus SNR per detector")
-    _add_common(ber)
-    ber.add_argument("--snr", help="dB grid, a:b:c or list (default 0:2:30)")
-    ber.add_argument("--detectors",
-                     help="comma list of mrc,mmse,ml,lms,rls (default mmse)")
+    ber = _command(sub, "ber", "BER versus SNR per detector", BER_COLUMNS,
+                   partial(_ber_rows, run_ber_sweep),
+                   {"snr_grid": "0:2:30", "detectors": "mmse"})
     ber.add_argument("--U", type=int, dest="num_relays", help="relay count")
-    ber.add_argument("--fd", type=float, dest="fd_norm",
-                     help="normalized Doppler per block")
     ber.add_argument("--delta", type=float, help="relay position in (0,1)")
-    ber.set_defaults(func=partial(_sweep, snr_default="0:2:30",
-                                  detector_default="mmse", run=run_ber_sweep))
 
-    conv = sub.add_parser("converge", help="adaptive learning curves")
-    _add_common(conv)
-    conv.add_argument("--snr-db", type=float, help="operating point (default 5)")
-    conv.set_defaults(func=cmd_converge)
+    defaults = {"snr_grid": 5.0}
+    conv = _command(sub, "converge", "adaptive learning curves",
+                    CONVERGE_COLUMNS, _converge_rows, defaults)
+    conv.add_argument("--snr-db", type=float, dest="snr_grid",
+                      metavar="SNR_DB", help="operating point (default "
+                      f"{defaults['snr_grid']})")
+    # converge trains both adaptive detectors whatever the file names
+    conv.set_defaults(detectors="lms,rls")
 
-    plc = sub.add_parser("placement", help="BER versus relay position")
-    _add_common(plc)
-    plc.add_argument("--snr", help="dB grid (default 0,10,20,30)")
-    plc.add_argument("--delta-grid", help="positions (default 0.1:0.1:0.9)")
-    plc.add_argument("--detectors", help="default lms,rls")
-    plc.add_argument("--fd", type=float, dest="fd_norm")
-    plc.set_defaults(func=partial(
-        _sweep, snr_default="0,10,20,30", detector_default="lms,rls",
-        run=run_placement_sweep,
-        grid=("delta_grid", "0.1:0.1:0.9", _relay_positions)))
+    defaults = {"snr_grid": "0,10,20,30", "detectors": "lms,rls",
+                "delta_grid": "0.1:0.1:0.9"}
+    plc = _command(sub, "placement", "BER versus relay position", BER_COLUMNS,
+                   partial(_ber_rows, run_placement_sweep), defaults,
+                   "delta_grid",
+                   lambda config, text: _relay_positions(config,
+                                                         _parse_grid(text)))
+    plc.add_argument("--delta-grid", help="positions (default "
+                     f"{defaults['delta_grid']})")
 
-    multi = sub.add_parser("multirelay", help="BER versus relay count")
-    _add_common(multi)
-    multi.add_argument("--snr", help="dB grid (default 0:5:30)")
-    multi.add_argument("--relays", dest="relay_grid",
-                       help="relay count grid (default 1,2,3)")
-    multi.add_argument("--detectors", help="default rls")
-    multi.add_argument("--fd", type=float, dest="fd_norm")
-    multi.set_defaults(func=partial(
-        _sweep, snr_default="0:5:30", detector_default="rls",
-        run=run_multirelay,
-        grid=("relay_grid", "1,2,3", lambda _, grid: _relay_counts(grid))))
+    defaults = {"snr_grid": "0:5:30", "detectors": "rls", "relay_grid": "1,2,3"}
+    multi = _command(sub, "multirelay", "BER versus relay count", BER_COLUMNS,
+                     partial(_ber_rows, run_multirelay), defaults, "relay_grid",
+                     lambda _, text: _relay_counts(_parse_grid(text)))
+    multi.add_argument("--relays", dest="relay_grid", help="relay count grid "
+                       f"(default {defaults['relay_grid']})")
 
-    dump = sub.add_parser("channel-dump", help="dump quantized tap realizations")
-    _add_common(dump)
-    dump.add_argument("--realizations", type=int, help="default 100")
-    dump.set_defaults(func=cmd_channel_dump)
+    defaults = {"realizations": 100}
+    dump = _command(sub, "channel-dump", "dump quantized tap realizations",
+                    DUMP_COLUMNS, _dump_rows, defaults, "realizations",
+                    _realizations)
+    dump.add_argument("--realizations", type=int,
+                      help=f"default {defaults['realizations']}")
 
     return parser
 

@@ -31,6 +31,10 @@ ML_SEARCH_LIMIT = 2 ** 16
 # keeps each (rows, candidates) buffer at 16 MB or less, whatever the
 # number of blocks (a drifting channel adds a second one for the energy).
 ML_SLICE_ROWS = 32
+# The search inverts a block's noise variances as they are while its
+# smallest is at least this (an SNR of 1000 dB), and rescales them first
+# otherwise, so that no inverse overflows.
+ML_NOISE_FLOOR = 1e-100
 
 
 def equalize(w: np.ndarray, r_f: np.ndarray) -> np.ndarray:
@@ -199,12 +203,16 @@ class MlDetector:
 def _inverse_noise(noise_var: np.ndarray) -> np.ndarray:
     """Per-bin ``1 / noise_var`` along the last axis; a noiseless bin takes
     the smallest positive variance of its block, and a block with none
-    weights every bin by one."""
+    weights every bin by one. The search's argmin ignores one positive
+    scale per block, so a block whose smallest variance lies below
+    ``ML_NOISE_FLOOR``, where the inverse would overflow, is weighted by
+    that smallest variance over each bin's: at most one."""
     positive = noise_var > 0
     floor = np.min(noise_var, axis=-1, keepdims=True, initial=np.inf,
                    where=positive)
     floor = np.where(np.isinf(floor), 1.0, floor)
-    return 1.0 / np.where(positive, noise_var, floor)
+    scale = np.where(floor < ML_NOISE_FLOOR, floor, 1.0)
+    return scale / np.where(positive, noise_var, floor)
 
 
 def lms_step(w: np.ndarray, r_f: np.ndarray, s_f: np.ndarray,

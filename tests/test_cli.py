@@ -119,7 +119,11 @@ class TestGridParsing:
         ["ber", "--snr", "0:1:inf"],
         ["placement", "--delta-grid", "0.1:inf:0.9"],
         ["multirelay", "--relays", "1:inf:3"],
-    ], ids=["ber", "placement", "multirelay"])
+        # an empty second grid ran the default positions or relay counts
+        ["placement", "--delta-grid", ""],
+        ["multirelay", "--relays", ""],
+    ], ids=["ber", "placement", "multirelay", "placement-empty",
+            "multirelay-empty"])
     def test_non_finite_range_is_usage_error(self, tmp_path, flags):
         with pytest.raises(SystemExit) as err:
             run_cli([*flags, "--detectors", "mmse",
@@ -173,6 +177,8 @@ class TestBerCommand:
         ["--detectors", "ml", "--N", "32"],
         ["--detectors", "rls,mmse"],        # FAST sends no pilot blocks
         ["--snr", "10,10"],
+        ["--L", "0"],                       # exited 1 from the tap profile
+        ["--L", "-3"],
     ])
     def test_bad_grid_or_frames_is_usage_error(self, tmp_path, flags):
         with pytest.raises(SystemExit) as err:
@@ -226,12 +232,22 @@ class TestBerCommand:
         assert manifest["config"]["workers"] == 2
         assert manifest["workers_effective"] == 1
 
-    def test_rerun_from_manifest_reproduces_bytes(self, tmp_path):
+    # each command with values away from its defaults, extras included
+    @pytest.mark.parametrize("args", [
+        ["ber", "--snr", "0,6", *FAST],
+        ["placement", "--snr", "10", "--delta-grid", "0.2,0.5,0.8",
+         "--detectors", "mmse", *FAST],
+        ["multirelay", "--snr", "10", "--relays", "2,1", "--detectors",
+         "mmse", *FAST],
+        ["converge", "--snr-db", "8", "--trials", "2", "--N", "16", "--L",
+         "4", "--pilot-frames", "3"],
+        ["channel-dump", "--realizations", "3", "--L", "4"],
+    ], ids=lambda args: args[0])
+    def test_rerun_from_manifest_reproduces_bytes(self, tmp_path, args):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        run_cli(["ber", "--snr", "0,6", "--out", str(out1), "--seed", "11",
-                 *FAST])
-        run_cli(["ber", "--config", str(out1) + ".manifest.json",
-                 "--out", str(out2)])
+        assert run_cli([*args, "--out", str(out1), "--seed", "11"]) == 0
+        assert run_cli([args[0], "--config", str(out1) + ".manifest.json",
+                        "--out", str(out2)]) == 0
         assert file_hash(out1) == file_hash(out2)
 
     @pytest.mark.parametrize("stale", [None, STREAM_VERSION - 1])
@@ -269,6 +285,26 @@ class TestConfigHandling:
         manifest = json.loads((tmp_path / "o.csv.manifest.json").read_text())
         assert manifest["config"]["trials"] == 5  # flag wins
         assert manifest["config"]["block_size"] == 16
+
+    def test_config_num_taps_picks_the_profile_as_L_does(self, tmp_path):
+        # {"num_taps": 4} drew the 15-ray profile of the default 15 taps
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"num_taps": 4}))
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        args = ["channel-dump", "--realizations", "5", "--seed", "3"]
+        assert run_cli([*args, "--config", str(cfg_path), "--out", str(a)]) == 0
+        assert run_cli([*args, "--L", "4", "--out", str(b)]) == 0
+        assert file_hash(a) == file_hash(b)
+
+    def test_non_whole_config_num_taps_keeps_the_config_message(
+            self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"num_taps": 2.5}))
+        with pytest.raises(SystemExit) as err:
+            run_cli(["channel-dump", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "o.csv")])
+        assert err.value.code == 2
+        assert "num_taps must be a whole number" in capsys.readouterr().err
 
     def test_missing_config_file_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as err:
@@ -364,7 +400,15 @@ class TestConfigHandling:
         manifest = json.loads((tmp_path / "o.csv.manifest.json").read_text())
         assert manifest["config"][field] == value
 
-    @pytest.mark.parametrize("bad", [{"scheme": 3}, {"sv": 5}, {"sv": "x"}])
+    @pytest.mark.parametrize("bad", [
+        {"scheme": 3}, {"sv": 5}, {"sv": "x"},
+        # a file or a manifest section that is no JSON object: [] ran the
+        # defaults with exit 0, the others exited 1
+        [], [1, 2], "abc",
+        {"version": "0.1.0", "stream_version": STREAM_VERSION, "config": [1]},
+        {"version": "0.1.0", "stream_version": STREAM_VERSION, "config": {},
+         "extras": [1]},
+    ])
     def test_wrong_type_config_value_is_usage_error(self, tmp_path, bad):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(bad))

@@ -11,8 +11,8 @@ from uwfde import harness
 from uwfde.channel import (complex_noise, evolve_channel, freq_response,
                            sv_profile)
 from uwfde.detectors import effective_channel, equalize, mmse_weights
-from uwfde.harness import (GridPoint, SimConfig, run_ber_sweep,
-                           run_convergence, run_multirelay,
+from uwfde.harness import (DETECTOR_NAMES, GridPoint, SimConfig,
+                           run_ber_sweep, run_convergence, run_multirelay,
                            run_placement_sweep, run_point_trial, run_points,
                            transmit_block, trial_seed, wilson_half_width,
                            _build_links, _cascade_powers, _TrialChannels,
@@ -201,18 +201,31 @@ class TestNoisePowers:
     @example(eta=1000.0, delta=0.1, factor=1.0, snr=10.0)
     @example(eta=2.0, delta=0.5, factor=1e308, snr=-20.0)
     @example(eta=110.0, delta=0.999, factor=1.0, snr=400.0)
+    # a subnormal destination noise, whose inverse overflowed in ml
+    @example(eta=2.0, delta=0.5, factor=1.0, snr=3100.0)
     def test_config_rejects_or_a_trial_counts(self, eta, delta, factor, snr):
         # any float at all, NaN and infinities included: either the config
         # refuses it or a trial gives counts a CSV can carry
         try:
             cfg = SimConfig(block_size=4, num_taps=2, sv=sv_profile(2),
-                            snr_grid=(snr,), detectors=("mmse",),
+                            snr_grid=(snr,), detectors=DETECTOR_NAMES,
                             data_frames=2, trials=1, eta=eta, delta=delta,
                             relay_noise_factor=factor)
         except ValueError:
             return
         out, = run_point_trial(cfg, [GridPoint(snr, 0.0, delta)], 0)
-        assert 0 <= out.errors["mmse"] <= out.bits == 8
+        for det in DETECTOR_NAMES:
+            assert 0 <= out.errors[det] <= out.bits == 8
+
+    @pytest.mark.parametrize("snr", [3100.0, 3200.0])
+    def test_ml_decides_subnormal_noise_like_mmse(self, snr):
+        # a noise variance near 1e-310 is all but noise-free: 1 / noise_var
+        # overflowed and ml wrote a BER near 0.5 beside mmse's 0
+        cfg = SimConfig(block_size=4, num_taps=2, sv=sv_profile(2),
+                        snr_grid=(snr,), detectors=("ml", "mmse"),
+                        data_frames=2, trials=3)
+        result = run_ber_sweep(cfg)
+        assert result.record("ml").errors == result.record("mmse").errors == 0
 
 
 class TestRunTrial:
