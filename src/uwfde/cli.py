@@ -28,9 +28,9 @@ import numpy as np
 from . import __version__
 from .channel import _whole_number, sv_profile
 from .harness import (DETECTOR_NAMES, STREAM_VERSION, SimConfig, _draw_taps,
-                      _relay_counts, _relay_positions, _worker_count,
-                      run_ber_sweep, run_convergence, run_multirelay,
-                      run_placement_sweep, trial_seed)
+                      _convergence_point, _relay_counts, _relay_positions,
+                      _worker_count, run_ber_sweep, run_convergence,
+                      run_multirelay, run_placement_sweep, trial_seed)
 
 BER_COLUMNS = ["experiment", "detector", "snr_db", "fd_norm", "delta", "U",
                "bits", "errors", "ber", "ci_half_width", "seed"]
@@ -188,8 +188,8 @@ def _run(parser: argparse.ArgumentParser, args: argparse.Namespace,
     ``SimConfig`` field and the command's ``extra`` value comes from its
     flag when given, else the config file (a manifest's extras for
     ``extra``), else ``defaults``. Without ``sv``, ``num_taps`` picks the
-    arrival profile. ``check(config, value)`` turns the extra value into
-    the argument ``table`` takes after the config."""
+    arrival profile. ``check(config[, value])`` vets the config and turns
+    the extra value into the argument ``table`` takes after the config."""
     data, extras = _read_config_file(parser, args)
     fields = set(SimConfig.__dataclass_fields__)
     try:
@@ -209,6 +209,8 @@ def _run(parser: argparse.ArgumentParser, args: argparse.Namespace,
             arguments = [check(config, raw)]
             # a grid is saved as the text it was given
             saved = {extra: raw if isinstance(raw, str) else arguments[0]}
+        elif check is not None:
+            check(config)
     except (TypeError, ValueError) as exc:
         parser.error(str(exc))
     started = time.monotonic()
@@ -270,7 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     defaults = {"snr_grid": 5.0}
     conv = _command(sub, "converge", "adaptive learning curves",
-                    CONVERGE_COLUMNS, _converge_rows, defaults)
+                    CONVERGE_COLUMNS, _converge_rows, defaults,
+                    check=_convergence_point)
     conv.add_argument("--snr-db", type=float, dest="snr_grid",
                       metavar="SNR_DB", help="operating point (default "
                       f"{defaults['snr_grid']})")

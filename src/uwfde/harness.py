@@ -3,11 +3,11 @@
 Every experiment reduces to the same trial: draw fresh relay cascades,
 optionally train the adaptive equalizers on pilot blocks, transmit data
 blocks and count bit errors per detector. Per-bin quantities are plain
-arrays: a cell's hop spectra, each point's effective channel and the
-equalizer weights, which apply through ``detectors.equalize``. Taps hold
-still within a block and, under nonzero Doppler, take one Gauss-Markov
-step between consecutive blocks. Trials are independent and
-embarrassingly parallel.
+arrays: a cell's hop spectra, and its points' effective channels and
+equalizer weights stacked ``(points, ...)``, which apply through
+``detectors.equalize``. Taps hold still within a block and, under nonzero
+Doppler, take one Gauss-Markov step between consecutive blocks. Trials
+are independent and embarrassingly parallel.
 
 A trial's random stream is derived purely from (master seed, experiment
 tag, trial index), and every grid point of a trial starts from that seed,
@@ -17,10 +17,10 @@ its grid points. It draws the hop taps once, since every (Doppler, relay
 position, relay count) cell starts with the same hops, and each cell
 resumes from the generator state after its own hops. Points that differ
 only in SNR also share one draw of the drift, the bits and a unit white
-noise array, which each scales to its own per-bin noise variance. The
-adaptive filters of all points train as one scan over the pilot blocks.
-Each point's numbers are exactly those a separate run of that point would
-give.
+noise array, which each scales to its own per-bin noise variance. Each
+point decides its linear detectors as one ``(detectors, blocks, N)``
+stack, and all points train their adaptive filters as one scan. Each
+point's numbers are exactly those a separate run of that point would give.
 """
 
 from __future__ import annotations
@@ -273,9 +273,7 @@ class _TrialChannels:
 
 def _draw_taps(config: SimConfig, rng: np.random.Generator) -> np.ndarray:
     if config.channel_model == "flat":
-        taps = np.zeros(config.num_taps, dtype=complex)
-        taps[0] = 1.0
-        return taps
+        return np.array([1] + [0] * (config.num_taps - 1), dtype=complex)
     gains, delays = generate_channel(config.sv, rng)
     return quantize_to_taps(gains, delays, config.sv.sample_period,
                             config.num_taps)
@@ -363,8 +361,11 @@ def run_point_trial(config: SimConfig, points: list[GridPoint], seed,
     each point of the cell scales by the root of its own ``noise_var``
     (see ``transmit_block``). The taps are drawn once per trial and shared
     as the module docstring says, so each output equals a separate run of
-    its point from the same seed. The adaptive filters of all points train
-    together as one scan over the pilot blocks on ``(points, N)`` rows.
+    its point from the same seed. A cell's powers, effective channels and
+    linear weights are stacked over its points. Each point sends its own
+    ``(blocks, N)`` observation and decides its linear detectors as one
+    ``(detectors, blocks, N)`` stack, and its adaptive ones likewise after
+    the one training scan on ``(points, N)`` rows.
     """
     rng = np.random.default_rng(seed)
     scheme = ModulationScheme.from_name(config.scheme)
@@ -375,7 +376,7 @@ def run_point_trial(config: SimConfig, points: list[GridPoint], seed,
     chans = _build_links(config, points, rng)
 
     adaptive = [d for d in ADAPTIVE_DETECTORS if d in config.detectors]
-    ideal = [d for d in config.detectors if d not in ADAPTIVE_DETECTORS]
+    linear = [d for d in config.detectors if d in ("mrc", "mmse")]
     pilots = config.pilot_frames if adaptive else 0
     blocks = pilots + (0 if collect_mse else config.data_frames)
     outputs = [TrialOutput(dict.fromkeys(config.detectors, 0),
@@ -390,46 +391,49 @@ def run_point_trial(config: SimConfig, points: list[GridPoint], seed,
         drifting = points[members[0]].fd_norm > 0
         bits = rng.integers(0, 2, size=(blocks, n * scheme.bits_per_symbol))
         x_f = unitary_fft(modulate(bits, scheme))
-        sent = bits[pilots:].copy()
+        sent = bits[pilots:] == 1
         white = complex_noise(rng, (blocks, n), 1.0)
-        for i in members:
-            ch = effective_channel(hops, *_cascade_powers(config, points[i]))
-            r_f = transmit_block(x_f, ch, np.sqrt(ch.noise_var) * white)
+        powers = np.array([_cascade_powers(config, points[i]) for i in members])
+        ch = effective_channel(hops, *powers.T.reshape(3, -1, *[1] * hops.ndim))
+        scale = np.sqrt(ch.noise_var)
+        if linear:  # (points, detectors, data blocks or 1, N)
+            data = ch[:, pilots:] if drifting else ch[:, None]
+            w = np.stack([(mrc_weights if d == "mrc" else mmse_weights)(data)
+                          for d in linear], axis=1)
+        for m, i in enumerate(members):
+            r_f = transmit_block(x_f, ch[m], scale[m] * white)
             if adaptive:
-                r_stack[i], s_stack[i] = r_f, x_f[:pilots]
-                data_bits[i] = sent
+                r_stack[i], s_stack[i], data_bits[i] = r_f, x_f[:pilots], sent
             if collect_mse:
                 outputs[i].mmse_floor = mmse_error_floor(
-                    ch[-1] if drifting else ch)
-            ch = ch[pilots:] if drifting else ch
-            for det in ideal:
-                if det == "ml":
-                    decided = MlDetector(ch, scheme, n).detect(r_f[pilots:])
-                else:
-                    w = mrc_weights(ch) if det == "mrc" else mmse_weights(ch)
-                    decided = unitary_ifft(equalize(w, r_f[pilots:]))
-                outputs[i].errors[det] = _bit_errors(decided, scheme, sent)
+                    ch[m, -1] if drifting else ch[m])
+            if "ml" in config.detectors:
+                decided = MlDetector(ch[m, pilots:] if drifting else ch[m],
+                                     scheme, n).detect(r_f[pilots:])
+                _count_errors(outputs[i], ["ml"], decided[None], scheme, sent)
+            if linear:
+                decided = unitary_ifft(equalize(w[m], r_f[pilots:]))
+                _count_errors(outputs[i], linear, decided, scheme, sent)
     if not adaptive:
         return outputs
     weights, traces = train_adaptive(
         adaptive, r_stack[:, :pilots].swapaxes(0, 1), s_stack.swapaxes(0, 1),
         config.mu, config.lambda_rls, collect_mse)
+    w = np.stack([weights[det] for det in adaptive], axis=1)[:, :, None]
     for i, out in enumerate(outputs):
         if collect_mse:
             out.mse_traces = {det: traces[det][:, i] for det in adaptive}
-            continue
-        for det in adaptive:
-            decided = unitary_ifft(equalize(weights[det][i],
-                                            r_stack[i, pilots:]))
-            out.errors[det] = _bit_errors(decided, scheme, data_bits[i])
+        else:
+            decided = unitary_ifft(equalize(w[i], r_stack[i, pilots:]))
+            _count_errors(out, adaptive, decided, scheme, data_bits[i])
     return outputs
 
 
-def _bit_errors(decided: np.ndarray, scheme: ModulationScheme,
-                bits: np.ndarray) -> int:
-    """Bit errors of the symbol estimates ``decided`` against the sent
-    ``bits``."""
-    return int(np.count_nonzero(demodulate(decided, scheme) != bits))
+def _count_errors(out: TrialOutput, detectors: list[str], decided: np.ndarray,
+                  scheme: ModulationScheme, bits: np.ndarray) -> None:
+    """Record in ``out`` each detector's bit errors, one row of ``decided``."""
+    wrong = demodulate(decided, scheme) != bits
+    out.errors.update(zip(detectors, wrong.sum(axis=(1, 2)).tolist()))
 
 
 def train_adaptive(detectors, r_f: np.ndarray, s_f: np.ndarray, mu: float,
@@ -504,21 +508,15 @@ def run_points(config: SimConfig, points: list[GridPoint], experiment: str,
         for det in config.detectors:
             errs = sum(trial[i].errors[det] for trial in per_trial)
             records.append(BerRecord(
-                experiment=experiment, detector=det, snr_db=point.snr_db,
-                fd_norm=point.fd_norm, delta=point.delta,
-                num_relays=point.num_relays, bits=bits, errors=errs,
-                seed=config.master_seed))
+                experiment, det, point.snr_db, point.fd_norm, point.delta,
+                point.num_relays, bits, errs, config.master_seed))
 
     traces = floor = None
     if collect_mse:
         # Single-point experiments only; summation runs in trial order so
         # the float reduction is identical for any worker count.
-        traces = {}
-        for det in ("lms", "rls"):
-            total = np.zeros(config.pilot_frames)
-            for trial in per_trial:
-                total += trial[0].mse_traces[det]
-            traces[det] = total / config.trials
+        traces = {det: sum(trial[0].mse_traces[det] for trial in per_trial)
+                  / config.trials for det in ("lms", "rls")}
         floor = sum(trial[0].mmse_floor for trial in per_trial) / config.trials
 
     return ExperimentResult(experiment, config, records, traces, floor)
@@ -534,10 +532,16 @@ def run_ber_sweep(config: SimConfig, experiment: str = "ber") -> ExperimentResul
 def run_convergence(config: SimConfig,
                     experiment: str = "converge") -> ExperimentResult:
     """Ensemble learning curves of both adaptive detectors at one SNR."""
-    config = replace(config, detectors=("lms", "rls"))
-    point = GridPoint(config.snr_grid[0], config.fd_norm, config.delta,
-                      config.num_relays)
-    return run_points(config, [point], experiment, collect_mse=True)
+    return run_points(replace(config, detectors=("lms", "rls")),
+                      [_convergence_point(config)], experiment, True)
+
+
+def _convergence_point(config: SimConfig) -> GridPoint:
+    """The one grid point of a learning-curve run, whose traces carry no SNR."""
+    snrs = config.snr_grid
+    if len(snrs) > 1:
+        raise ValueError(f"converge runs at one SNR; snr_grid has {len(snrs)}")
+    return GridPoint(snrs[0], config.fd_norm, config.delta, config.num_relays)
 
 
 def run_placement_sweep(config: SimConfig, delta_grid,
@@ -560,12 +564,9 @@ def run_placement_sweep(config: SimConfig, delta_grid,
                for r in result.records}
     pooled = []
     for r in result.records:
-        mirror = one_way.get((r.detector, r.snr_db, round(1.0 - r.delta, 9)))
-        if mirror is None or mirror is r:
-            pooled.append(r)
-            continue
-        pooled.append(replace(r, bits=r.bits + mirror.bits,
-                              errors=r.errors + mirror.errors))
+        mirror = one_way.get((r.detector, r.snr_db, round(1.0 - r.delta, 9)), r)
+        pooled.append(r if mirror is r else replace(
+            r, bits=r.bits + mirror.bits, errors=r.errors + mirror.errors))
     result.records = pooled
     return result
 

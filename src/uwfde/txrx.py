@@ -4,6 +4,7 @@ and the time-domain relay chain that checks the per-bin transmit model."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -33,11 +34,15 @@ class ModulationScheme:
         return cls("qpsk", 4, points, 2)
 
     @classmethod
+    @lru_cache(maxsize=None)
     def from_name(cls, name: str) -> "ModulationScheme":
+        """The scheme called ``name``, one shared read-only instance each."""
         try:
-            return {"bpsk": cls.bpsk, "qpsk": cls.qpsk}[name.lower()]()
+            scheme = {"bpsk": cls.bpsk, "qpsk": cls.qpsk}[name.lower()]()
         except KeyError:
             raise ValueError(f"unknown modulation scheme: {name!r}") from None
+        scheme.points.flags.writeable = False
+        return scheme
 
 
 def modulate(bits: np.ndarray, scheme: ModulationScheme) -> np.ndarray:
@@ -53,16 +58,16 @@ def modulate(bits: np.ndarray, scheme: ModulationScheme) -> np.ndarray:
 
 
 def demodulate(symbols: np.ndarray, scheme: ModulationScheme) -> np.ndarray:
-    """Minimum-distance decisions on time-domain symbols, inverted to bits;
-    a stack of blocks gives one bit vector per block. For the Gray-labelled
-    BPSK and QPSK maps that is a sign test: bit one is ``Re s < 0`` and the
-    second QPSK bit ``Im s < 0``. A zero part (either sign) gives bit 0, the
-    lowest of the equidistant labels."""
+    """Minimum-distance decisions on time-domain symbols, inverted to
+    boolean bits; a stack of blocks gives one bit vector per block. For the
+    Gray-labelled BPSK and QPSK maps that is a sign test: bit one is
+    ``Re s < 0`` and the second QPSK bit ``Im s < 0``. A zero part (either
+    sign) gives bit 0 (False), the lowest of the equidistant labels."""
     symbols = np.asarray(symbols)
     if scheme.bits_per_symbol == 1:
-        return (symbols.real < 0).astype(int)
+        return symbols.real < 0
     bits = np.stack([symbols.real < 0, symbols.imag < 0], axis=-1)
-    return bits.reshape(*symbols.shape[:-1], -1).astype(int)
+    return bits.reshape(*symbols.shape[:-1], -1)
 
 
 def append_cp(x: np.ndarray, cp_len: int) -> np.ndarray:

@@ -496,6 +496,29 @@ class TestConvergeCommand:
         assert err.value.code == 2
         assert not (tmp_path / "c.csv").exists()
 
+    def test_config_with_several_snrs_is_usage_error(self, tmp_path, capsys):
+        # converge runs at one operating point and its CSV has no SNR
+        # column, so a grid of several would silently run its first only
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"snr_grid": [5, 30]}))
+        with pytest.raises(SystemExit) as err:
+            run_cli(["converge", "--config", str(cfg_path), "--trials", "2",
+                     "--N", "16", "--L", "4", "--pilot-frames", "3",
+                     "--out", str(tmp_path / "c.csv")])
+        assert err.value.code == 2
+        assert "one SNR" in capsys.readouterr().err
+        assert not (tmp_path / "c.csv").exists()
+
+    def test_snr_flag_overrides_a_config_grid(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"snr_grid": [5, 30]}))
+        out = tmp_path / "c.csv"
+        assert run_cli(["converge", "--config", str(cfg_path), "--snr-db",
+                        "30", "--trials", "2", "--N", "16", "--L", "4",
+                        "--pilot-frames", "3", "--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / "c.csv.manifest.json").read_text())
+        assert manifest["config"]["snr_grid"] == [30.0]
+
 
 class TestPlacementCommand:
     def test_rows_and_delta_column(self, tmp_path):

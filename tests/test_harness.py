@@ -340,6 +340,18 @@ class TestPairing:
         res = run_ber_sweep(cfg)
         assert counts(res) == single_point_counts(cfg, res.records, "ber")
 
+    def test_one_cell_of_many_points_every_detector(self):
+        # four SNR points share one drifting QPSK cell, so its effective
+        # channels and linear weights are stacked over them
+        cfg = small_config(block_size=8, num_taps=3, sv=sv_profile(3),
+                           scheme="qpsk", snr_grid=(0.0, 8.0, 16.0, 40.0),
+                           fd_norm=0.01, num_relays=2, pilot_frames=4,
+                           data_frames=3, trials=3,
+                           detectors=("mrc", "mmse", "ml", "lms", "rls"))
+        res = run_ber_sweep(cfg)
+        assert len(res.records) == 4 * 5
+        assert counts(res) == single_point_counts(cfg, res.records, "ber")
+
     def test_placement_sweep(self):
         # no mirrored pair on the grid, so every record is one-way
         cfg = small_config(snr_grid=(4.0, 12.0), trials=3, data_frames=3,
@@ -472,6 +484,10 @@ class TestConvergence:
     def test_requires_pilots(self):
         with pytest.raises(ValueError):
             run_convergence(small_config(pilot_frames=0))
+
+    def test_one_snr_only(self):
+        with pytest.raises(ValueError, match="one SNR"):
+            run_convergence(small_config(snr_grid=(5.0, 30.0), pilot_frames=3))
 
 
 class TestPlacement:

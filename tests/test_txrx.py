@@ -39,6 +39,13 @@ class TestSchemes:
         with pytest.raises(ValueError):
             ModulationScheme.from_name("qam64")
 
+    @pytest.mark.parametrize("name", ["bpsk", "qpsk"])
+    def test_named_scheme_is_shared_and_read_only(self, name):
+        scheme = ModulationScheme.from_name(name)
+        assert ModulationScheme.from_name(name) is scheme
+        with pytest.raises(ValueError):
+            scheme.points[0] = 0.0
+
 
 def argmin_demodulate(symbols, scheme):
     """Minimum-distance decisions as a search: the argmin over the distances
@@ -83,6 +90,11 @@ class TestModulateDemodulate:
     def test_tie_breaks_to_lowest_label(self):
         scheme = ModulationScheme.bpsk()
         assert demodulate(np.zeros(4, dtype=complex), scheme).tolist() == [0] * 4
+
+    @pytest.mark.parametrize("name", ["bpsk", "qpsk"])
+    def test_bits_are_booleans(self, name):
+        scheme = ModulationScheme.from_name(name)
+        assert demodulate(np.ones((3, 4), dtype=complex), scheme).dtype == bool
 
     @pytest.mark.parametrize("name", ["bpsk", "qpsk"])
     def test_signed_zeros_decide_label_zero(self, name):
