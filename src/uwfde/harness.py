@@ -7,7 +7,9 @@ arrays: a cell's hop spectra, and its points' effective channels and
 equalizer weights stacked ``(points, ...)``, which apply through
 ``detectors.equalize``. Taps hold still within a block and, under nonzero
 Doppler, take one Gauss-Markov step between consecutive blocks. Trials
-are independent and embarrassingly parallel.
+are independent. They run in consecutive groups, as many trials as keep
+the group's adaptive buffers within ``GROUP_BYTES``, and a group trains
+the adaptive filters of all its trials' points as one scan.
 
 A trial's random stream is derived purely from (master seed, experiment
 tag, trial index), and every grid point of a trial starts from that seed,
@@ -19,8 +21,8 @@ resumes from the generator state after its own hops. Points that differ
 only in SNR also share one draw of the drift, the bits and a unit white
 noise array, which each scales to its own per-bin noise variance. Each
 point decides its linear detectors as one ``(detectors, blocks, N)``
-stack, and all points train their adaptive filters as one scan. Each
-point's numbers are exactly those a separate run of that point would give.
+stack. Each point's numbers are exactly those a separate run of that point
+would give, whatever its group.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ from __future__ import annotations
 import math
 import os
 import zlib
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -54,6 +56,9 @@ STREAM_VERSION = 3
 DETECTOR_NAMES = ("mrc", "mmse", "ml", "lms", "rls")
 ADAPTIVE_DETECTORS = ("lms", "rls")
 WORKERS_ENV_VAR = "UWFDE_WORKERS"
+# Bytes of the adaptive buffers one group of trials shares (_group_size),
+# picked by measurement: bigger groups train faster but cost memory.
+GROUP_BYTES = 3 << 19
 # Path gains of a grid point lie within this factor of one (1000 dB) and its
 # noise powers at most this, so no product of them in the model overflows.
 POWER_LIMIT = 1e100
@@ -340,11 +345,11 @@ class TrialOutput:
 
 
 def run_point_trial(config: SimConfig, points: list[GridPoint], seed,
-                    collect_mse: bool = False) -> list[TrialOutput]:
+                    collect_mse: bool = False, rows=None) -> list[TrialOutput]:
     """One trial over all of its grid points, from a generator on ``seed``;
     one output per point, in order.
 
-    Draws fresh cascades, trains the adaptive detectors on pilot blocks,
+    Draws fresh cascades, sends pilot blocks when a detector is adaptive,
     then counts bit errors over the data blocks. Taps are constant within
     a block; with nonzero Doppler they take one Gauss-Markov step between
     consecutive blocks, pilots and data alike, so the adaptive weights
@@ -364,9 +369,13 @@ def run_point_trial(config: SimConfig, points: list[GridPoint], seed,
     its point from the same seed. A cell's powers, effective channels and
     linear weights are stacked over its points. Each point sends its own
     ``(blocks, N)`` observation and decides its linear detectors as one
-    ``(detectors, blocks, N)`` stack, and its adaptive ones likewise after
-    the one training scan on ``(points, N)`` rows.
+    ``(detectors, blocks, N)`` stack. Adaptive detectors train in a group
+    of trials: the trial fills ``rows``, its row per point of the group's
+    buffers (see ``_run_group``); without ``rows`` it is a group of one.
     """
+    adaptive = [d for d in ADAPTIVE_DETECTORS if d in config.detectors]
+    if adaptive and rows is None:
+        return _run_group(config, points, [seed], collect_mse)[0]
     rng = np.random.default_rng(seed)
     scheme = ModulationScheme.from_name(config.scheme)
     n = config.block_size
@@ -375,17 +384,12 @@ def run_point_trial(config: SimConfig, points: list[GridPoint], seed,
         cells.setdefault((p.fd_norm, p.delta, p.num_relays), []).append(i)
     chans = _build_links(config, points, rng)
 
-    adaptive = [d for d in ADAPTIVE_DETECTORS if d in config.detectors]
     linear = [d for d in config.detectors if d in ("mrc", "mmse")]
     pilots = config.pilot_frames if adaptive else 0
     blocks = pilots + (0 if collect_mse else config.data_frames)
     outputs = [TrialOutput(dict.fromkeys(config.detectors, 0),
                            (blocks - pilots) * n * scheme.bits_per_symbol)
                for _ in points]
-    if adaptive:
-        r_stack = np.empty((len(points), blocks, n), dtype=complex)
-        s_stack = np.empty((len(points), pilots, n), dtype=complex)
-        data_bits: list[np.ndarray] = [None] * len(points)
     for members in cells.values():
         hops = chans.cascade(config, points[members[0]], blocks, rng)
         drifting = points[members[0]].fd_norm > 0
@@ -403,7 +407,7 @@ def run_point_trial(config: SimConfig, points: list[GridPoint], seed,
         for m, i in enumerate(members):
             r_f = transmit_block(x_f, ch[m], scale[m] * white)
             if adaptive:
-                r_stack[i], s_stack[i], data_bits[i] = r_f, x_f[:pilots], sent
+                rows[0][i], rows[1][i], rows[2][i] = r_f, x_f[:pilots], sent
             if collect_mse:
                 outputs[i].mmse_floor = mmse_error_floor(
                     ch[m, -1] if drifting else ch[m])
@@ -414,19 +418,37 @@ def run_point_trial(config: SimConfig, points: list[GridPoint], seed,
             if linear:
                 decided = unitary_ifft(equalize(w[m], r_f[pilots:]))
                 _count_errors(outputs[i], linear, decided, scheme, sent)
+    return outputs
+
+
+def _run_group(config: SimConfig, points: list[GridPoint], seeds,
+               collect_mse: bool) -> list[list[TrialOutput]]:
+    """One output list per trial on ``seeds``. The trials fill their rows
+    of the received, pilot and data-bit buffers; one training scan,
+    elementwise per row, runs on all rows; each row decides its own."""
+    adaptive = [d for d in ADAPTIVE_DETECTORS if d in config.detectors]
     if not adaptive:
-        return outputs
+        return [run_point_trial(config, points, s, collect_mse) for s in seeds]
+    scheme = ModulationScheme.from_name(config.scheme)
+    n, pilots, size = config.block_size, config.pilot_frames, len(points)
+    count, data = len(seeds) * size, 0 if collect_mse else config.data_frames
+    received = np.empty((count, pilots + data, n), dtype=complex)
+    sent = np.empty((count, pilots, n), dtype=complex)
+    bits = np.empty((count, data, n * scheme.bits_per_symbol), dtype=bool)
+    trials = [run_point_trial(config, points, seed, collect_mse, [
+        buffer[t * size:(t + 1) * size] for buffer in (received, sent, bits)])
+        for t, seed in enumerate(seeds)]
     weights, traces = train_adaptive(
-        adaptive, r_stack[:, :pilots].swapaxes(0, 1), s_stack.swapaxes(0, 1),
+        adaptive, received[:, :pilots].swapaxes(0, 1), sent.swapaxes(0, 1),
         config.mu, config.lambda_rls, collect_mse)
     w = np.stack([weights[det] for det in adaptive], axis=1)[:, :, None]
-    for i, out in enumerate(outputs):
+    for i, out in enumerate(out for outputs in trials for out in outputs):
         if collect_mse:
             out.mse_traces = {det: traces[det][:, i] for det in adaptive}
         else:
-            decided = unitary_ifft(equalize(w[i], r_stack[i, pilots:]))
-            _count_errors(out, adaptive, decided, scheme, data_bits[i])
-    return outputs
+            decided = unitary_ifft(equalize(w[i], received[i, pilots:]))
+            _count_errors(out, adaptive, decided, scheme, bits[i])
+    return trials
 
 
 def _count_errors(out: TrialOutput, detectors: list[str], decided: np.ndarray,
@@ -467,12 +489,13 @@ def train_adaptive(detectors, r_f: np.ndarray, s_f: np.ndarray, mu: float,
             for det in detectors}, traces
 
 
-def _trial_job(args) -> list[TrialOutput]:
-    """One trial over every grid point, seeded from its index."""
-    config, points, experiment, index, collect_mse = args
-    return run_point_trial(config, points,
-                           trial_seed(config.master_seed, experiment, index),
-                           collect_mse)
+def _group_size(config: SimConfig, points: list[GridPoint]) -> int:
+    """Trials per group: as many as keep their complex adaptive buffers
+    within ``GROUP_BYTES``, at least one; one if no detector is adaptive."""
+    if not set(ADAPTIVE_DETECTORS) & set(config.detectors):
+        return 1
+    return max(1, GROUP_BYTES // (len(points) * config.block_size * 16 * (
+        2 * config.pilot_frames + config.data_frames)))
 
 
 def _worker_count(config: SimConfig) -> int:
@@ -491,16 +514,23 @@ def _worker_count(config: SimConfig) -> int:
 
 def run_points(config: SimConfig, points: list[GridPoint], experiment: str,
                collect_mse: bool = False) -> ExperimentResult:
-    """Map trials over a grid and reduce the counts in trial order."""
-    jobs = [(config, points, experiment, t, collect_mse)
-            for t in range(config.trials)]
+    """Map groups of ``_group_size`` consecutive trials over a grid, the
+    same groups for any worker count; reduce the counts in trial order."""
+    size = _group_size(config, points)
+    seeds = [trial_seed(config.master_seed, experiment, t)
+             for t in range(config.trials)]
+    jobs = [seeds[start:start + size] for start in range(0, len(seeds), size)]
+    group = partial(_run_group, config, points, collect_mse=collect_mse)
     workers = _worker_count(config)
     if workers > 1:
-        chunk = max(1, config.trials // (workers * 4))
+        # imported here, so that a one-worker run never loads a pool
+        from concurrent.futures import ProcessPoolExecutor
+        chunk = max(1, len(jobs) // (workers * 4))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_trial = list(pool.map(_trial_job, jobs, chunksize=chunk))
+            groups = list(pool.map(group, jobs, chunksize=chunk))
     else:
-        per_trial = [_trial_job(job) for job in jobs]
+        groups = list(map(group, jobs))
+    per_trial = [trial for outputs in groups for trial in outputs]
 
     records = []
     for i, point in enumerate(points):

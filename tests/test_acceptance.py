@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from oracle import circulant_from_taps
+from uwfde import harness
 from uwfde.channel import (complex_noise, evolve_channel, generate_channel,
                            quantize_to_taps, sample_cluster_arrivals,
                            sample_nakagami, sample_ray_arrivals, sv_profile,
@@ -322,3 +323,46 @@ def test_criterion_10_determinism(tmp_path, monkeypatch):
     assert cli_main([*plc, "--out", str(p2)]) == 0
     assert file_hash(p1) == file_hash(p2)
     print("PASS criterion 10: byte-identical CSV across reruns and workers")
+
+
+# Eleven trials leave a ragged last group at every size above one.
+GROUPINGS = {1: [1] * 11, 2: [2] * 5 + [1], 3: [3, 3, 3, 2], 8: [8, 3]}
+
+
+@pytest.mark.parametrize("args,points,blocks", [
+    (["multirelay", "--detectors", "mmse,lms,rls", "--relays", "1,3",
+      "--snr", "0,20", "--N", "16", "--L", "4", "--data-frames", "4",
+      "--pilot-frames", "5"], 4, 2 * 5 + 4),
+    (["ber", "--scheme", "qpsk", "--fd", "0.01", "--U", "2", "--detectors",
+      "mmse,mrc,lms,rls", "--snr", "0:10:30", "--N", "16", "--L", "4",
+      "--data-frames", "4", "--pilot-frames", "5"], 4, 2 * 5 + 4),
+    (["converge", "--N", "16", "--L", "4", "--pilot-frames", "20",
+      "--snr-db", "10"], 1, 2 * 20 + 20),
+], ids=["multirelay", "ber-qpsk-drift", "converge"])
+def test_criterion_10_determinism_across_group_sizes(tmp_path, monkeypatch,
+                                                     args, points, blocks):
+    """Trials that train their adaptive filters in groups of any size give
+    the CSV of trials trained one at a time, byte for byte: BER counts,
+    and converge's full-precision learning curves."""
+    monkeypatch.delenv("UWFDE_WORKERS", raising=False)
+    sizes, run_group = [], harness._run_group
+
+    def counted_group(config, grid, seeds, collect_mse):
+        sizes.append(len(seeds))
+        return run_group(config, grid, seeds, collect_mse)
+
+    monkeypatch.setattr(harness, "_run_group", counted_group)
+    trial_bytes = points * 16 * 16 * blocks  # complex128 rows, N = 16
+    hashes = set()
+    # A cap of one byte is smaller than any trial, so every group holds one.
+    for cap, grouping in [(1, GROUPINGS[1])] + [
+            (size * trial_bytes, groups) for size, groups in GROUPINGS.items()]:
+        monkeypatch.setattr(harness, "GROUP_BYTES", cap)
+        sizes.clear()
+        out = tmp_path / f"{cap}.csv"
+        assert cli_main([*args, "--trials", "11", "--seed", "5",
+                         "--out", str(out)]) == 0
+        assert sizes == grouping
+        hashes.add(file_hash(out))
+    assert len(hashes) == 1
+    print("PASS criterion 10: byte-identical CSV across group sizes")

@@ -15,8 +15,8 @@ from uwfde.harness import (DETECTOR_NAMES, GridPoint, SimConfig,
                            run_ber_sweep, run_convergence, run_multirelay,
                            run_placement_sweep, run_point_trial, run_points,
                            transmit_block, trial_seed, wilson_half_width,
-                           _build_links, _cascade_powers, _TrialChannels,
-                           _worker_count)
+                           _build_links, _cascade_powers, _group_size,
+                           _TrialChannels, _worker_count)
 from uwfde.txrx import (ModulationScheme, append_cp, demodulate, modulate,
                         relay_forward, relay_receive, unitary_fft,
                         unitary_ifft)
@@ -287,6 +287,35 @@ class TestRunPoints:
         res = run_ber_sweep(cfg)
         bers = [res.record("mmse", snr_db=s).ber for s in cfg.snr_grid]
         assert bers[0] > bers[1] > bers[2]
+
+
+class TestGroupSize:
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 128), pilots=st.integers(1, 80),
+           data=st.integers(1, 40), size=st.integers(1, 20),
+           cap=st.integers(1, 1 << 23))
+    def test_groups_fit_the_cap(self, n, pilots, data, size, cap):
+        cfg = small_config(block_size=n, num_taps=1, sv=sv_profile(1),
+                           detectors=("mmse", "rls"), pilot_frames=pilots,
+                           data_frames=data)
+        trial_bytes = size * (2 * pilots + data) * n * 16
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(harness, "GROUP_BYTES", cap)
+            group = _group_size(cfg, [GridPoint(float(s)) for s in range(size)])
+        assert group >= 1
+        assert group == 1 or group * trial_bytes <= cap
+        assert (group + 1) * trial_bytes > cap
+
+    def test_a_trial_over_the_cap_is_a_group_of_one(self):
+        # the adaptive ber sweep over 16 SNR points at N = 64 takes
+        # 16 * 120 blocks of 64 complex bins, about 2 MB per trial
+        cfg = SimConfig(detectors=("mmse", "lms", "rls"))
+        assert _group_size(cfg, [GridPoint(s) for s in cfg.snr_grid]) == 1
+
+    @pytest.mark.parametrize("detectors", [("mmse",), ("mrc", "ml")])
+    def test_no_adaptive_detector_runs_one_trial_per_group(self, detectors):
+        cfg = small_config(detectors=detectors)
+        assert _group_size(cfg, [GridPoint(8.0)]) == 1
 
 
 class TestWorkerCount:
