@@ -8,7 +8,7 @@ reduce to per-bin scalars: closed-form matched-filter (MRC) and Wiener
 stochastic-gradient / recursive-least-squares adaptive filters that run as
 N independent scalar recursions. The search expands its per-bin distance
 so that every block received under one channel state is scored against
-all candidates by one real matrix product with cached candidate tables.
+the M/2 antipodal pairs (s, -s) of candidates by one real matrix product.
 
 Weights are plain ``(..., N)`` arrays, one complex weight per bin, and
 ``equalize`` holds the one application convention: the symbol estimate
@@ -27,9 +27,9 @@ from .txrx import ModulationScheme
 
 # Exhaustive search cap: constellation_order ** block_size candidates.
 ML_SEARCH_LIMIT = 2 ** 16
-# Received blocks searched per matrix product; with 8-byte costs this
-# keeps each (rows, candidates) buffer at 16 MB or less, whatever the
-# number of blocks (a drifting channel adds a second one for the energy).
+# Received blocks searched per matrix product; with 8-byte costs this keeps
+# each (rows, candidates / 2) buffer, linear terms, pair costs and a drifting
+# channel's energies, at 8 MB or less, whatever the number of blocks.
 ML_SLICE_ROWS = 32
 # The search inverts a block's noise variances as they are while its
 # smallest is at least this (an SNR of 1000 dB), and rescales them first
@@ -110,14 +110,17 @@ def mmse_weights(ch: EffectiveChannel) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def _ml_tables(scheme_name: str, block_size: int):
-    """Search tables over all ``order ** block_size`` candidate blocks, one
-    column per candidate: the real form of the time-domain blocks, ``Re s``
-    stacked over ``-Im s`` (``(2N, count)``; ``Re s`` alone, ``(N, count)``,
-    for a real constellation), and the energy ``|S|^2`` of their unitary
-    spectra (``(N, count)``)."""
+    """Search tables over the first ``count / 2`` of the ``order **
+    block_size`` candidate blocks, one column per candidate: the real form
+    of the time-domain blocks, ``Re s`` stacked over ``-Im s`` (``2N`` rows;
+    ``Re s`` alone, ``N`` rows, for a real constellation), and the energy
+    ``|S|^2`` of their unitary spectra (``N`` rows). The constellation must
+    be antipodal, so that candidate ``count - 1 - j`` is ``-s_j``."""
     scheme = ModulationScheme.from_name(scheme_name)
-    blocks = scheme.points[_ml_digits(scheme, block_size,
-                                      np.arange(scheme.order ** block_size))]
+    if scheme.order % 2 or np.any(scheme.points[::-1] != -scheme.points):
+        raise ValueError(f"{scheme_name} constellation is not antipodal")
+    blocks = scheme.points[_ml_digits(
+        scheme, block_size, np.arange(scheme.order ** block_size // 2))]
     power = np.abs(np.fft.fft(blocks, axis=1, norm="ortho").T) ** 2
     if np.any(scheme.points.imag):
         real_form = np.concatenate([blocks.real.T, -blocks.imag.T])
@@ -149,7 +152,9 @@ class MlDetector:
     the same for every candidate, the second is one energy per candidate
     and channel state, and the third is one real matrix product with the
     cached time-domain candidates, so ``detect`` minimises
-    ``energy / 2 - linear`` over all candidates.
+    ``energy / 2 - linear``. ``-s_j`` has the same energy and the negated
+    linear term, so one column scores the pair, ``energy / 2 - |linear|``,
+    and decides ``s_j`` if ``linear >= 0``, else ``-s_j``.
     """
 
     def __init__(self, ch: EffectiveChannel, scheme: ModulationScheme,
@@ -179,22 +184,27 @@ class MlDetector:
             z = np.concatenate([z.real, z.imag], axis=-1)
         else:
             z = z.real
-        shape = (min(len(rows), ML_SLICE_ROWS), self._real_form.shape[1])
-        cost = np.empty(shape)
-        energy = np.empty(shape) if self._half_energy is None else None
+        pairs = self._real_form.shape[1]
+        shape = (min(len(rows), ML_SLICE_ROWS), pairs)
+        # one allocation, which the C allocator can keep between searches
+        linear_rows, cost, *energy = np.empty(
+            (2 + (self._half_energy is None),) + shape)
         best = np.empty(len(rows), dtype=np.intp)
         for start in range(0, len(rows), ML_SLICE_ROWS):
             part = slice(start, start + ML_SLICE_ROWS)
             size = len(best[part])
-            linear = np.matmul(z[part], self._real_form, out=cost[:size])
-            if energy is None:
+            linear = np.matmul(z[part], self._real_form, out=linear_rows[:size])
+            if not energy:
                 half_energy = self._half_energy
             else:
                 half_energy = np.matmul(self._energy_weights[part],
-                                        self._power, out=energy[:size])
+                                        self._power, out=energy[0][:size])
                 half_energy *= 0.5
-            best[part] = np.argmin(
-                np.subtract(half_energy, linear, out=linear), axis=1)
+            pair_cost = np.abs(linear, out=cost[:size])
+            pair = np.argmin(np.subtract(half_energy, pair_cost, out=pair_cost),
+                             axis=1)
+            best[part] = np.where(linear[np.arange(size), pair] < 0,
+                                  2 * pairs - 1 - pair, pair)
         decided = self._scheme.points[_ml_digits(self._scheme,
                                                  self._block_size, best)]
         return decided if np.ndim(r_f) > 1 else decided[0]

@@ -3,13 +3,15 @@ filters, and their independent oracles."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracle import circulant_from_taps
 from uwfde.channel import freq_response
 from uwfde.detectors import (ML_SLICE_ROWS, EffectiveChannel, MlDetector,
-                             RlsState, effective_channel, equalize, lms_step,
-                             mmse_error_floor, mmse_weights, mrc_weights,
-                             rls_step)
+                             RlsState, _ml_tables, effective_channel, equalize,
+                             lms_step, mmse_error_floor, mmse_weights,
+                             mrc_weights, rls_step)
 from uwfde.harness import train_adaptive
 from uwfde.txrx import ModulationScheme, demodulate, modulate, unitary_ifft
 
@@ -233,6 +235,76 @@ class TestMlExpandedSearch:
         for wrong in (r_f[0], r_f[:3]):
             with pytest.raises(ValueError):
                 ml.detect(wrong)
+
+
+class TestMlAntipodalPairs:
+    """The search scores each antipodal pair (s, -s) by one column and still
+    decides as the direct form over every candidate; a zero linear term
+    keeps the lower index ``s``. (Two different pairs of exactly equal cost
+    with opposite signs would go to the lower pair, not the lower index.)"""
+
+    @settings(max_examples=60, deadline=None)
+    @given(name=st.sampled_from(["bpsk", "qpsk"]), n=st.integers(1, 8),
+           rows=st.integers(1, 2 * ML_SLICE_ROWS + 2),
+           drifting=st.booleans(), seed=st.integers(0, 2 ** 32 - 1),
+           dead=st.lists(st.booleans(), min_size=8, max_size=8))
+    def test_matches_direct_form(self, name, n, rows, drifting, seed, dead):
+        scheme = ModulationScheme.from_name(name)
+        n = min(n, 6) if name == "qpsk" else n  # keeps the oracle quick
+        g, v, r_f = ml_case(np.random.default_rng(seed), scheme, n, rows,
+                            drifting)
+        v[..., np.array(dead[:n])] = 0.0
+        TestMlExpandedSearch.check(r_f, g, v, scheme)
+
+    @pytest.mark.parametrize("name,n", [("bpsk", 8), ("qpsk", 4)])
+    def test_every_linear_term_zero_decides_candidate_zero(self, name, n):
+        # A dead channel scores every candidate 0; a received block of
+        # zeros under a channel dead in bin 0 gives the constant blocks
+        # energy 0. Either way every linear term is 0, and the direct
+        # form's first index is candidate 0, not its negation.
+        scheme = ModulationScheme.from_name(name)
+        rng = np.random.default_rng(46)
+        g, v, r_f = ml_case(rng, scheme, n, rows=3)
+        zero_in_bin_0 = g.copy()
+        zero_in_bin_0[0] = 0.0
+        for channel, received in ((np.zeros(n, dtype=complex), r_f),
+                                  (zero_in_bin_0, np.zeros_like(r_f))):
+            got = MlDetector(EffectiveChannel(channel, v), scheme,
+                             n).detect(received)
+            assert np.array_equal(got, np.full((3, n), scheme.points[0]))
+            TestMlExpandedSearch.check(received, channel, v, scheme)
+
+    @pytest.mark.parametrize("name,n,form_rows", [
+        ("bpsk", 8, 8), ("qpsk", 4, 8), ("bpsk", 1, 1), ("qpsk", 1, 2)])
+    def test_tables_hold_one_column_per_pair_read_only(self, name, n,
+                                                       form_rows):
+        scheme = ModulationScheme.from_name(name)
+        real_form, power = _ml_tables(name, n)
+        assert real_form.shape == (form_rows, scheme.order ** n // 2)
+        assert power.shape == (n, scheme.order ** n // 2)
+        for table in (real_form, power):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0, 0] = 1.0
+
+    def test_non_antipodal_constellation_refused(self, monkeypatch):
+        for name in ("bpsk", "qpsk"):
+            _ml_tables(name, 3)  # antipodal: accepted
+        skewed = {
+            "skew": ModulationScheme("skew", 2, np.array([1.0 + 0j, -0.5]), 1),
+            # antipodal as a set, but -s_j is not candidate count - 1 - j
+            "swapped": ModulationScheme(
+                "swapped", 4, np.array([1 + 1j, -1 - 1j, 1 - 1j, -1 + 1j]),
+                2),
+            # odd order: the zero block would be its own pair
+            "ternary": ModulationScheme("ternary", 3,
+                                        np.array([1.0 + 0j, 0.0, -1.0]), 1),
+        }
+        monkeypatch.setattr(ModulationScheme, "from_name", skewed.__getitem__)
+        ch = EffectiveChannel(np.ones(3, dtype=complex), np.ones(3))
+        for scheme in skewed.values():
+            with pytest.raises(ValueError, match="antipodal"):
+                MlDetector(ch, scheme, 3)
 
 
 class TestMlDetect:

@@ -432,8 +432,9 @@ class TestPairing:
 
 class TestMlCounts:
     # Counts recorded from the direct-form search |r - g S|^2 @ (1/noise)
-    # on the version-3 stream; the expanded-form search must reach the same
-    # decision on every block.
+    # over all M candidates on the version-3 stream; the expanded-form
+    # search, which scores the M/2 antipodal pairs (s, -s) one column each,
+    # must reach the same decision on every block.
     PINNED = [
         ("ml", 4.0, 0.0, 1, 21), ("mmse", 4.0, 0.0, 1, 18),
         ("ml", 8.0, 0.0, 1, 0), ("mmse", 8.0, 0.0, 1, 8),
