@@ -7,8 +7,9 @@ cluster, amplitudes are Nakagami-m and phases uniform. Realizations are
 quantized to symbol-spaced taps (unit total power) and can drift
 block-to-block through a first-order Gauss-Markov recursion.
 
-All operations are pure given an explicit ``numpy.random.Generator``;
-Monte Carlo workers each own their own stream.
+All operations are pure given explicit ``numpy.random.Generator``s; each
+quantity of many hops is one row-major array, whose rows do not depend on
+how many hops are drawn.
 """
 
 from __future__ import annotations
@@ -94,16 +95,21 @@ def complex_noise(rng: np.random.Generator, size, var) -> np.ndarray:
     return scale * (rng.standard_normal(size) + 1j * rng.standard_normal(size))
 
 
+def _arrival_times(u: np.ndarray, rate: float) -> np.ndarray:
+    """Arrival times on the last axis: 0, then ``1 / rate``-mean gaps."""
+    times = np.zeros(u.shape[:-1] + (u.shape[-1] + 1,))
+    np.cumsum(-np.log1p(-u) / rate, axis=-1, out=times[..., 1:])
+    return times
+
+
 def sample_cluster_arrivals(params: SvParams, rng: np.random.Generator) -> np.ndarray:
-    """Cluster start times: first at 0, then i.i.d. exponential gaps."""
-    gaps = rng.exponential(1.0 / params.cluster_rate, size=params.num_clusters - 1)
-    return np.concatenate(([0.0], np.cumsum(gaps)))
+    """One hop's cluster start times, made as ``generate_channel`` makes them."""
+    return _arrival_times(rng.random(params.num_clusters - 1), params.cluster_rate)
 
 
 def sample_ray_arrivals(params: SvParams, rng: np.random.Generator) -> np.ndarray:
-    """Ray offsets within one cluster: first at 0, then exponential gaps."""
-    gaps = rng.exponential(1.0 / params.ray_rate, size=params.rays_per_cluster - 1)
-    return np.concatenate(([0.0], np.cumsum(gaps)))
+    """Ray offsets within one cluster, made as ``generate_channel`` makes them."""
+    return _arrival_times(rng.random(params.rays_per_cluster - 1), params.ray_rate)
 
 
 def sample_nakagami(m: float, omega, rng: np.random.Generator, size=None):
@@ -116,82 +122,78 @@ def sample_nakagami(m: float, omega, rng: np.random.Generator, size=None):
     return np.sqrt(rng.gamma(shape=m, scale=omega / m, size=size))
 
 
-def generate_channel(params: SvParams,
-                     rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Draw one realization, its eigenray ``(gains, delays)``, with the total
-    eigenray power normalized to one."""
-    cluster_times = sample_cluster_arrivals(params, rng)
-    delays = np.concatenate(
-        [t + sample_ray_arrivals(params, rng) for t in cluster_times]
-    )
-    offsets = delays - np.repeat(cluster_times, params.rays_per_cluster)
-    mean_power = (params.omega
-                  * np.exp(-np.repeat(cluster_times, params.rays_per_cluster)
-                           / params.cluster_decay)
-                  * np.exp(-offsets / params.ray_decay))
+def generate_channel(params: SvParams, rngs,
+                     hops: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Draw ``hops`` realizations, their eigenray ``(gains, delays)`` each
+    ``(hops, C*R)`` cluster by cluster, every row at unit power. ``rngs``
+    are the generators of the gammas and of the uniforms, or one for both.
+    Each draws one row-major array, so a row is the same for any ``hops``:
+    uniforms ``(hops, 2*C*R - 1)``, a row's C - 1 cluster gaps, C*(R - 1)
+    ray gaps and C*R phases; then gammas ``(hops, C*R)``."""
+    gamma_rng, uniform_rng = ((rngs, rngs) if isinstance(
+        rngs, np.random.Generator) else rngs)
+    c, r = params.num_clusters, params.rays_per_cluster
+    u = uniform_rng.random((hops, 2 * c * r - 1))
+    starts = _arrival_times(u[:, :c - 1], params.cluster_rate)[:, :, None]
+    offsets = _arrival_times(u[:, c - 1:c * r - 1].reshape(hops, c, r - 1),
+                             params.ray_rate)
     # extreme decay underflows to zero mean power; those rays carry no gain
-    amps = np.zeros(len(delays))
-    alive = mean_power > 0
-    if alive.any():
-        amps[alive] = sample_nakagami(params.nakagami_m, mean_power[alive],
-                                      rng, size=int(alive.sum()))
-    phases = rng.uniform(0.0, TWO_PI, size=len(delays))
-    gains = amps * np.exp(1j * phases)
-    return gains / np.sqrt(np.sum(np.abs(gains) ** 2)), delays
+    power = params.omega * np.exp(-starts / params.cluster_decay
+                                  - offsets / params.ray_decay)
+    gains = (np.sqrt(power.reshape(hops, c * r))
+             * sample_nakagami(params.nakagami_m, 1.0, gamma_rng, (hops, c * r))
+             * np.exp(1j * TWO_PI * u[:, c * r - 1:]))
+    gains /= np.sqrt(np.sum(np.abs(gains) ** 2, axis=-1, keepdims=True))
+    return gains, (starts + offsets).reshape(hops, c * r)
 
 
 def quantize_to_taps(gains: np.ndarray, delays: np.ndarray,
                      sample_period: float, max_taps: int) -> np.ndarray:
-    """Reduce eigenrays to a unit-power tapped delay line of ``max_taps`` bins.
-
-    Each ray is added coherently into the nearest bin; rays beyond the last
-    bin are dropped and the survivors renormalized.
+    """Reduce eigenrays ``(..., rays)`` to unit-power tapped delay lines
+    ``(..., max_taps)``, one per row: each ray adds coherently into its
+    nearest bin, rays beyond the last bin drop, the survivors renormalize.
     """
     if sample_period <= 0:
         raise ValueError("sample_period must be positive")
-    if max_taps < 1:
-        raise ValueError("max_taps must be >= 1")
-    bins = np.rint(delays / sample_period).astype(int)
+    bins = np.rint(delays / sample_period)
     keep = bins < max_taps
-    if not keep.any():
+    if not keep.any(axis=-1).all():
         raise ValueError("all rays fall beyond the last tap bin")
-    taps = np.zeros(max_taps, dtype=complex)
-    np.add.at(taps, bins[keep], gains[keep])
-    power = np.sum(np.abs(taps) ** 2)
-    if power <= 0.0:
+    index = np.arange(bins.size).reshape(bins.shape) // bins.shape[-1] * max_taps
+    taps = np.zeros(bins.shape[:-1] + (max_taps,), dtype=complex)
+    np.add.at(taps.reshape(-1), (index + bins)[keep].astype(int), gains[keep])
+    power = np.sum(np.abs(taps) ** 2, axis=-1, keepdims=True)
+    if not np.all(power > 0.0):
         raise ValueError("quantized channel has no power")
     return taps / np.sqrt(power)
 
 
-def evolve_channel(taps: np.ndarray, fd_norm: float, blocks: int,
-                   rng: np.random.Generator,
+def evolve_channel(taps: np.ndarray, fd_norm: float, blocks: int, rng,
                    stationary_power: np.ndarray | None = None) -> np.ndarray:
-    """Gauss-Markov tap drift over ``blocks`` blocks of one tap vector or a
-    stack of them along the last axis: the ``(blocks,) + taps.shape`` track
-    whose row 0 is ``taps`` and whose every later row is one block step on
-    from the row before.
-
-    ``rho = exp(-2*pi*fd_norm)`` per block; the innovation keeps each tap's
-    stationary power (defaults to the powers of ``taps``) in expectation.
-    The innovations are drawn as one array, the real then the imaginary
-    parts of each step in turn, which is the stream a step-by-step
-    recursion drawing ``complex_noise`` per step consumes.
-    """
+    """Gauss-Markov drift of a tap vector, or a stack along the last axis,
+    over ``blocks`` blocks: the ``(blocks,) + taps.shape`` track from row
+    0 ``taps``, one step of ``rho = exp(-2*pi*fd_norm)`` per block, whose
+    innovation keeps each tap's stationary power (by default the powers of
+    ``taps``). ``rng`` is a generator, or the standard normals it would
+    draw, ``taps.shape[:-1] + (blocks - 1, 2, L)``: each vector's steps in
+    turn, real then imaginary; so a stack's first vectors drift the same
+    whatever follows them."""
     if not 0.0 <= fd_norm < 0.5:
         raise ValueError("fd_norm must be in [0, 0.5)")
     if blocks < 1:
         raise ValueError("blocks must be >= 1")
-    track = np.empty((blocks,) + np.shape(taps), dtype=complex)
-    track[:] = taps
+    track = np.repeat(np.asarray(taps, dtype=complex)[None], blocks, axis=0)
     if fd_norm == 0.0:
         return track
+    shape = track.shape[1:]
     power = np.abs(taps) ** 2 if stationary_power is None else stationary_power
     rho = np.exp(-TWO_PI * fd_norm)
-    draws = rng.standard_normal((blocks - 1, 2) + np.shape(taps))
-    scale = np.sqrt(np.asarray(power, dtype=float) / 2.0)
-    step = np.sqrt(1.0 - rho * rho) * (scale * (draws[:, 0] + 1j * draws[:, 1]))
+    draws = (rng.standard_normal(shape[:-1] + (blocks - 1, 2, shape[-1]))
+             if isinstance(rng, np.random.Generator) else rng)
+    scale = np.sqrt((1.0 - rho * rho) * np.asarray(power, dtype=float) / 2.0)
+    step = scale[..., None, :] * (draws[..., 0, :] + 1j * draws[..., 1, :])
     for b in range(1, blocks):
-        track[b] = rho * track[b - 1] + step[b - 1]
+        track[b] = rho * track[b - 1] + step[..., b - 1, :]
     return track
 
 

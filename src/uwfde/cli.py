@@ -27,10 +27,11 @@ import numpy as np
 
 from . import __version__
 from .channel import _whole_number, sv_profile
-from .harness import (DETECTOR_NAMES, STREAM_VERSION, SimConfig, _draw_taps,
+from .harness import (DETECTOR_NAMES, STREAM_VERSION, SimConfig, _hop_taps,
                       _convergence_point, _relay_counts, _relay_positions,
-                      _worker_count, run_ber_sweep, run_convergence,
-                      run_multirelay, run_placement_sweep, trial_seed)
+                      _substream, _worker_count, run_ber_sweep,
+                      run_convergence, run_multirelay, run_placement_sweep,
+                      trial_seed)
 
 BER_COLUMNS = ["experiment", "detector", "snr_db", "fd_norm", "delta", "U",
                "bits", "errors", "ber", "ci_half_width", "seed"]
@@ -94,12 +95,10 @@ def _converge_rows(config: SimConfig):
 
 
 def _dump_rows(config: SimConfig, count: int):
-    rng = np.random.default_rng(
-        trial_seed(config.master_seed, "channel-dump", 0))
-    for rid in range(count):
-        for idx, tap in enumerate(_draw_taps(config, rng)):
-            yield [rid, idx, float(tap.real), float(tap.imag),
-                   float(abs(tap) ** 2)]
+    seed = trial_seed(config.master_seed, "channel-dump", 0)
+    taps = _hop_taps(config, (_substream(seed, 0), _substream(seed, 1)), count)
+    for (rid, idx), tap in np.ndenumerate(taps):
+        yield [rid, idx, float(tap.real), float(tap.imag), float(abs(tap) ** 2)]
 
 
 def _parse_grid(text: str) -> list[float]:

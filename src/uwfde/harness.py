@@ -11,18 +11,15 @@ are independent. They run in consecutive groups, as many trials as keep
 the group's adaptive buffers within ``GROUP_BYTES``, and a group trains
 the adaptive filters of all its trials' points as one scan.
 
-A trial's random stream is derived purely from (master seed, experiment
-tag, trial index), and every grid point of a trial starts from that seed,
-so the points of a sweep are paired comparisons and aggregate results are
-bit-identical for any worker count. A trial runs as one call over all of
-its grid points. It draws the hop taps once, since every (Doppler, relay
-position, relay count) cell starts with the same hops, and each cell
-resumes from the generator state after its own hops. Points that differ
-only in SNR also share one draw of the drift, the bits and a unit white
-noise array, which each scales to its own per-bin noise variance. Each
-point decides its linear detectors as one ``(detectors, blocks, N)``
-stack. Each point's numbers are exactly those a separate run of that point
-would give, whatever its group.
+A trial's random stream derives purely from (master seed, experiment tag,
+trial index), so results are bit-identical for any worker count. A trial
+runs over all of its grid points and draws each quantity once for all of
+them (common random numbers): the bits and a unit white noise array, which
+every (Doppler, relay position, relay count) cell sends and each point
+scales to its noise variance; the hops of the largest relay count, whose
+first rows are those of every smaller one; and the drift innovations,
+which each drifting cell scales by its Doppler and tap powers. So every
+point's numbers are exactly those of a separate run of it, in any group.
 """
 
 from __future__ import annotations
@@ -46,12 +43,12 @@ from .detectors import (ML_SEARCH_LIMIT, EffectiveChannel, MlDetector,
 from .txrx import (ModulationScheme, demodulate, modulate,  # noqa: F401
                    relay_forward, relay_receive, unitary_fft, unitary_ifft)
 
-# Layout of a trial's random stream (see run_point_trial). A manifest
-# replays its CSV byte for byte only under the layout that wrote it, so any
-# change to the draws bumps this number. 1 (v0.1.0) drew per block; 2 drew
-# per trial: hop taps, drift track, block bits, then each hop's noise; 3
-# draws one unit white noise array per cell in place of the hop noise.
-STREAM_VERSION = 3
+# Layout of a trial's random stream (see run_point_trial); a manifest
+# replays its CSV only under the layout that wrote it, so any change to the
+# draws bumps it. 1 (v0.1.0) drew per block; 2 per trial: taps, drift, bits,
+# then each hop's noise; 3 one unit white noise array per cell for the hop
+# noise; 4 each quantity once per trial, from keyed substreams, over all hops.
+STREAM_VERSION = 4
 
 DETECTOR_NAMES = ("mrc", "mmse", "ml", "lms", "rls")
 ADAPTIVE_DETECTORS = ("lms", "rls")
@@ -247,39 +244,45 @@ def trial_seed(master_seed: int, experiment: str, trial_index: int) -> np.random
     return np.random.SeedSequence((int(master_seed), tag, int(trial_index)))
 
 
+def _substream(seed, q: int) -> np.random.Generator:
+    """Generator on keyed substream ``q`` of a trial seed (a
+    ``SeedSequence``, or an int for one); see ``run_point_trial``."""
+    seed = np.random.SeedSequence(seed) if isinstance(seed, int) else seed
+    return np.random.default_rng(np.random.SeedSequence(
+        seed.entropy, spawn_key=seed.spawn_key + (q,)))
+
+
 @dataclass
 class _TrialChannels:
-    """One trial's hop taps, unscaled, stacked ``(2U, L)`` for the largest
-    relay count U on its grid, relay u's source and destination hops in
-    rows ``2u`` and ``2u + 1``, plus the generator state right after the
-    hops of each relay count on the grid."""
+    """One trial's unit-power hop taps ``(2U, L)`` for its largest relay
+    count U, relay u's source and destination hops in rows 2u and 2u + 1."""
 
     taps: np.ndarray
-    states: dict[int, dict]
 
     def cascade(self, config: SimConfig, point: GridPoint, blocks: int,
-                rng: np.random.Generator) -> np.ndarray:
-        """Per-bin hop responses ``(2U, N)`` of ``point``'s cell: its first
-        ``2U`` hops at its path gains, or ``(blocks, 2U, N)`` drifting over
-        ``blocks`` blocks when its Doppler is nonzero. Leaves ``rng`` where a
-        trial of that cell alone would be after its drift. A prefix shorter
-        than the hops' memory is refused: the per-bin model holds only when
-        it covers them."""
+                drift) -> np.ndarray:
+        """Per-bin responses ``(2U, N)`` of the first 2U hops of ``point``'s
+        cell at its path gains, or ``(blocks, 2U, N)`` drifting by the first
+        2U rows of the innovations ``drift`` when its Doppler is nonzero. A
+        prefix shorter than the hops' memory, which the per-bin model needs
+        it to cover, is refused."""
         if config.effective_cp_len < self.taps.shape[-1] - 1:
             raise ValueError("prefix shorter than the channel memory")
         relays = point.num_relays
         taps = self.taps[:2 * relays] * np.sqrt(
             np.tile(path_gain(point.delta, config.eta), relays))[:, None]
-        rng.bit_generator.state = self.states[relays]
         if point.fd_norm > 0:
-            taps = evolve_channel(taps, point.fd_norm, blocks, rng)
+            taps = evolve_channel(taps, point.fd_norm, blocks,
+                                  drift[:2 * relays])
         return freq_response(taps, config.block_size)
 
 
-def _draw_taps(config: SimConfig, rng: np.random.Generator) -> np.ndarray:
+def _hop_taps(config: SimConfig, rngs, hops: int) -> np.ndarray:
+    """``(hops, L)`` taps of the channel model from ``rngs`` (see
+    ``generate_channel``); the flat model draws nothing: unit first taps."""
     if config.channel_model == "flat":
-        return np.array([1] + [0] * (config.num_taps - 1), dtype=complex)
-    gains, delays = generate_channel(config.sv, rng)
+        return np.tile(np.eye(1, config.num_taps, dtype=complex), (hops, 1))
+    gains, delays = generate_channel(config.sv, rngs, hops)
     return quantize_to_taps(gains, delays, config.sv.sample_period,
                             config.num_taps)
 
@@ -306,18 +309,11 @@ def _cascade_powers(config: SimConfig,
 
 
 def _build_links(config: SimConfig, points: list[GridPoint],
-                 rng: np.random.Generator) -> _TrialChannels:
-    """Draw the hops of a trial over ``points``: every (Doppler, position,
-    relay count) cell's stream starts with the same hops, so those of the
-    largest relay count are drawn once, and the state after each relay
-    count on the grid is saved for its cells to resume from."""
-    counts = {point.num_relays for point in points}
-    hops, states = [], {}
-    for relays in range(1, max(counts) + 1):
-        hops += [_draw_taps(config, rng), _draw_taps(config, rng)]
-        if relays in counts:
-            states[relays] = rng.bit_generator.state
-    return _TrialChannels(np.array(hops), states)
+                 rngs) -> _TrialChannels:
+    """The hops of the largest relay count on ``points``, whose first rows
+    are those of every smaller one, from ``rngs`` (see ``_hop_taps``)."""
+    return _TrialChannels(_hop_taps(config, rngs, 2 * max(
+        point.num_relays for point in points)))
 
 
 def transmit_block(x_f: np.ndarray, ch: EffectiveChannel,
@@ -360,15 +356,15 @@ def run_point_trial(config: SimConfig, points: list[GridPoint], seed,
     names both) and records their per-block MSE and the Wiener floor at
     the last pilot block.
 
-    Random stream (``STREAM_VERSION``), per (Doppler, position, relay
-    count) cell of the grid: hop taps, the drift track, the bits of every
-    block, then one unit-variance white noise array ``(blocks, N)``, which
-    each point of the cell scales by the root of its own ``noise_var``
-    (see ``transmit_block``). The taps are drawn once per trial and shared
-    as the module docstring says, so each output equals a separate run of
-    its point from the same seed. A cell's powers, effective channels and
-    linear weights are stacked over its points. Each point sends its own
-    ``(blocks, N)`` observation and decides its linear detectors as one
+    Random stream (``STREAM_VERSION``), U the largest relay count on
+    ``points``: keyed substream q of ``seed`` (a ``SeedSequence``, or an
+    int) draws, for 0, the bits of every block, a unit white noise array
+    ``(blocks, N)``, then the hops' gammas; for 1, their uniforms (see
+    ``generate_channel``); for 2, if a cell drifts, the innovations
+    ``(2U, blocks - 1, 2, L)`` (see ``evolve_channel``). A cell of u relays
+    reads the first 2u rows. Its powers, effective channels and linear
+    weights are stacked over its points; each point sends ``sqrt(noise_var)``
+    times the white array and decides its linear detectors as one
     ``(detectors, blocks, N)`` stack. Adaptive detectors train in a group
     of trials: the trial fills ``rows``, its row per point of the group's
     buffers (see ``_run_group``); without ``rows`` it is a group of one.
@@ -376,27 +372,30 @@ def run_point_trial(config: SimConfig, points: list[GridPoint], seed,
     adaptive = [d for d in ADAPTIVE_DETECTORS if d in config.detectors]
     if adaptive and rows is None:
         return _run_group(config, points, [seed], collect_mse)[0]
-    rng = np.random.default_rng(seed)
     scheme = ModulationScheme.from_name(config.scheme)
     n = config.block_size
     cells: dict[tuple, list[int]] = {}
     for i, p in enumerate(points):
         cells.setdefault((p.fd_norm, p.delta, p.num_relays), []).append(i)
-    chans = _build_links(config, points, rng)
-
     linear = [d for d in config.detectors if d in ("mrc", "mmse")]
     pilots = config.pilot_frames if adaptive else 0
     blocks = pilots + (0 if collect_mse else config.data_frames)
     outputs = [TrialOutput(dict.fromkeys(config.detectors, 0),
                            (blocks - pilots) * n * scheme.bits_per_symbol)
                for _ in points]
+
+    rng = _substream(seed, 0)
+    bits = rng.integers(0, 2, size=(blocks, n * scheme.bits_per_symbol))
+    x_f = unitary_fft(modulate(bits, scheme))
+    sent = bits[pilots:] == 1
+    white = complex_noise(rng, (blocks, n), 1.0)
+    chans = _build_links(config, points, (rng, _substream(seed, 1)))
+    shape = chans.taps.shape[:1] + (blocks - 1, 2) + chans.taps.shape[1:]
+    drift = (_substream(seed, 2).standard_normal(shape)
+             if any(p.fd_norm > 0 for p in points) else None)
     for members in cells.values():
-        hops = chans.cascade(config, points[members[0]], blocks, rng)
+        hops = chans.cascade(config, points[members[0]], blocks, drift)
         drifting = points[members[0]].fd_norm > 0
-        bits = rng.integers(0, 2, size=(blocks, n * scheme.bits_per_symbol))
-        x_f = unitary_fft(modulate(bits, scheme))
-        sent = bits[pilots:] == 1
-        white = complex_noise(rng, (blocks, n), 1.0)
         powers = np.array([_cascade_powers(config, points[i]) for i in members])
         ch = effective_channel(hops, *powers.T.reshape(3, -1, *[1] * hops.ndim))
         scale = np.sqrt(ch.noise_var)

@@ -1,4 +1,4 @@
-"""Dense-matrix oracles for the per-bin channel algebra; test helpers only."""
+"""Dense-matrix and per-hop oracles for the channel model; test helpers only."""
 
 import numpy as np
 
@@ -12,3 +12,35 @@ def circulant_from_taps(taps: np.ndarray, block_size: int) -> np.ndarray:
     col[: len(taps)] = taps
     idx = (np.arange(block_size)[:, None] - np.arange(block_size)[None, :]) % block_size
     return col[idx]
+
+
+def sv_realization_per_hop(params, rng: np.random.Generator):
+    """One realization ``(gains, delays)`` drawn the way the simulator drew
+    it before its draws took a hop axis: exponential cluster gaps, then each
+    cluster's ray gaps in a loop, the amplitudes of the rays whose mean
+    power did not underflow, then the phases; unit total power."""
+    starts = np.concatenate(([0.0], np.cumsum(rng.exponential(
+        1.0 / params.cluster_rate, size=params.num_clusters - 1))))
+    delays = np.concatenate([t + np.concatenate(([0.0], np.cumsum(
+        rng.exponential(1.0 / params.ray_rate,
+                        size=params.rays_per_cluster - 1))))
+        for t in starts])
+    first = np.repeat(starts, params.rays_per_cluster)
+    mean_power = (params.omega * np.exp(-first / params.cluster_decay)
+                  * np.exp(-(delays - first) / params.ray_decay))
+    amps = np.zeros(len(delays))
+    alive = mean_power > 0
+    m = params.nakagami_m
+    amps[alive] = np.sqrt(rng.gamma(shape=m, scale=mean_power[alive] / m))
+    gains = amps * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=len(delays)))
+    return gains / np.sqrt(np.sum(np.abs(gains) ** 2)), delays
+
+
+def ks_statistic(a: np.ndarray, b: np.ndarray) -> float:
+    """Two-sample Kolmogorov-Smirnov statistic: the largest gap between the
+    empirical distribution functions of ``a`` and ``b``."""
+    a, b = np.sort(a), np.sort(b)
+    both = np.concatenate((a, b))
+    gap = (np.searchsorted(a, both, side="right") / len(a)
+           - np.searchsorted(b, both, side="right") / len(b))
+    return float(np.max(np.abs(gap)))

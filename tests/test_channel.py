@@ -3,11 +3,10 @@
 import numpy as np
 import pytest
 
-from oracle import circulant_from_taps
+from oracle import circulant_from_taps, ks_statistic, sv_realization_per_hop
 from uwfde.channel import (SvParams, complex_noise, evolve_channel,
                            freq_response, generate_channel, path_gain,
-                           quantize_to_taps, sample_cluster_arrivals,
-                           sample_nakagami, sample_ray_arrivals, sv_profile)
+                           quantize_to_taps, sample_nakagami, sv_profile)
 
 # Cluster/ray timing constants quoted in nanoseconds by the channel
 # measurement literature this model follows.
@@ -72,39 +71,70 @@ class TestSvParams:
         assert params.num_clusters * params.rays_per_cluster == 7
 
 
+def draw(params, hops, seed=0):
+    """``generate_channel`` over ``hops`` rows from two seeded generators."""
+    return generate_channel(params, (np.random.default_rng(seed),
+                                     np.random.default_rng(seed + 1)), hops)
+
+
+def starts_of(params, delays):
+    """Cluster start times: the delay of each cluster's first ray."""
+    return delays[:, ::params.rays_per_cluster]
+
+
 class TestArrivals:
     def test_single_cluster_at_origin(self):
         params = sv_profile(4)
         one = SvParams(**{**params.__dict__, "num_clusters": 1})
-        times = sample_cluster_arrivals(one, np.random.default_rng(0))
-        assert times.tolist() == [0.0]
+        _, delays = draw(one, 20)
+        assert starts_of(one, delays).tolist() == [[0.0]] * 20
 
     def test_single_ray_at_origin(self):
-        params = sv_profile(4)
-        one = SvParams(**{**params.__dict__, "rays_per_cluster": 1})
-        assert sample_ray_arrivals(one, np.random.default_rng(0)).tolist() == [0.0]
+        # one ray per cluster: every ray sits at its cluster's start, the
+        # cumulative cluster gaps from the first C - 1 uniforms of its row
+        params = SvParams(**{**sv_profile(15).__dict__, "rays_per_cluster": 1})
+        _, delays = draw(params, 6, seed=3)
+        u = np.random.default_rng(4).random((6, 2 * 3 - 1))
+        gaps = -np.log1p(-u[:, :2]) / params.cluster_rate
+        assert np.allclose(delays, np.concatenate(
+            (np.zeros((6, 1)), np.cumsum(gaps, axis=1)), axis=1), rtol=1e-15)
+
+    def test_uniform_layout(self):
+        # per row: C - 1 cluster gaps, C(R - 1) ray gaps, then C R phases
+        params = sv_profile(15)
+        c, r = params.num_clusters, params.rays_per_cluster
+        gains, delays = draw(params, 4, seed=5)
+        u = np.random.default_rng(6).random((4, 2 * c * r - 1))
+        starts = np.cumsum(-np.log1p(-u[:, :c - 1]) / params.cluster_rate, 1)
+        rays = np.cumsum(-np.log1p(-u[:, c - 1:c * r - 1]).reshape(4, c, r - 1)
+                         / params.ray_rate, axis=2)
+        assert np.allclose(starts_of(params, delays)[:, 1:], starts, rtol=1e-15)
+        assert np.allclose((delays.reshape(4, c, r) - delays[:, ::r, None])
+                           [..., 1:], rays, rtol=1e-12, atol=1e-12)
+        phases = np.angle(gains) % (2 * np.pi)
+        assert np.allclose(phases, 2 * np.pi * u[:, c * r - 1:], atol=1e-9)
 
     def test_ray_times_sorted_nonnegative(self):
         params = SvParams(cluster_rate=1.0, ray_rate=1.0, cluster_decay=1.0,
                           ray_decay=1.0, num_clusters=1, rays_per_cluster=3)
-        times = sample_ray_arrivals(params, np.random.default_rng(3))
-        assert times[0] == 0.0
-        assert np.all(np.diff(times) >= 0)
+        _, delays = draw(params, 200, seed=3)
+        assert np.all(delays[:, 0] == 0.0)
+        assert np.all(np.diff(delays, axis=1) >= 0)
 
     def test_cluster_gap_mean_matches_rate(self):
         # 10^6 gaps against the quoted 14.99 ns mean, within 1%
-        params = SvParams(**{**NS_PARAMS.__dict__, "num_clusters": 101})
-        rng = np.random.default_rng(7)
-        gaps = np.concatenate([np.diff(sample_cluster_arrivals(params, rng))
-                               for _ in range(10_000)])
+        params = SvParams(**{**NS_PARAMS.__dict__, "num_clusters": 101,
+                             "rays_per_cluster": 1})
+        _, delays = draw(params, 10_000, seed=7)
+        gaps = np.diff(starts_of(params, delays), axis=1)
         assert gaps.size == 1_000_000
         assert abs(gaps.mean() - 14.99) / 14.99 < 0.01
 
     def test_ray_gap_mean_matches_rate(self):
-        params = SvParams(**{**NS_PARAMS.__dict__, "rays_per_cluster": 101})
-        rng = np.random.default_rng(8)
-        gaps = np.concatenate([np.diff(sample_ray_arrivals(params, rng))
-                               for _ in range(10_000)])
+        params = SvParams(**{**NS_PARAMS.__dict__, "num_clusters": 1,
+                             "rays_per_cluster": 101})
+        _, delays = draw(params, 10_000, seed=8)
+        gaps = np.diff(delays, axis=1)
         assert abs(gaps.mean() - 0.476) / 0.476 < 0.01
 
 
@@ -117,63 +147,91 @@ class TestNakagami:
         with pytest.raises(ValueError):
             sample_nakagami(1.0, 0.0, np.random.default_rng(0))
 
+    @staticmethod
+    def first_share(m, seed):
+        # two rays of one mean power: the first's share of the row's power
+        # is Gamma(m) / (Gamma(m) + Gamma(m)), a Beta(m, m) variable
+        params = SvParams(cluster_rate=1.0, ray_rate=1.0, cluster_decay=1.0,
+                          ray_decay=1e300, num_clusters=1, rays_per_cluster=2,
+                          nakagami_m=m)
+        gains, _ = draw(params, 400_000, seed=seed)
+        return np.abs(gains[:, 0]) ** 2
+
     def test_rayleigh_moments(self):
-        # m = 1 degenerates to Rayleigh: E r^2 = omega, E r^4 / (E r^2)^2 = 2
-        rng = np.random.default_rng(11)
-        r = sample_nakagami(1.0, 2.0, rng, size=1_000_000)
-        second = np.mean(r ** 2)
-        ratio = np.mean(r ** 4) / second ** 2
-        assert abs(second - 2.0) / 2.0 < 0.01
-        assert abs(ratio - 2.0) / 2.0 < 0.01
+        # m = 1 degenerates to Rayleigh: the share is uniform on [0, 1]
+        share = self.first_share(1.0, 11)
+        assert abs(share.mean() - 0.5) < 0.005
+        assert abs(share.var() - 1.0 / 12.0) / (1.0 / 12.0) < 0.01
 
     def test_shape_1_3_moment_identity(self):
-        # E r^4 / (E r^2)^2 = 1 + 1/m
-        rng = np.random.default_rng(12)
-        r = sample_nakagami(1.3, 1.0, rng, size=1_000_000)
-        ratio = np.mean(r ** 4) / np.mean(r ** 2) ** 2
-        expected = 1.0 + 1.0 / 1.3
-        assert abs(ratio - expected) / expected < 0.01
+        # Beta(m, m) has variance 1 / (4 (2m + 1))
+        share = self.first_share(1.3, 12)
+        expected = 1.0 / (4.0 * (2.0 * 1.3 + 1.0))
+        assert abs(share.mean() - 0.5) < 0.005
+        assert abs(share.var() - expected) / expected < 0.01
 
 
 class TestGenerateChannel:
     def test_unit_total_power(self):
-        rng = np.random.default_rng(21)
-        for _ in range(50):
-            gains, _ = generate_channel(sv_profile(15), rng)
-            assert abs(np.sum(np.abs(gains) ** 2) - 1.0) < 1e-9
+        gains, delays = draw(sv_profile(15), 50, seed=21)
+        assert gains.shape == delays.shape == (50, 15)
+        assert np.max(np.abs(np.sum(np.abs(gains) ** 2, axis=1) - 1.0)) < 1e-9
 
     def test_single_ray_degenerate(self):
         params = SvParams(cluster_rate=1.0, ray_rate=1.0, cluster_decay=1.0,
                           ray_decay=1.0, num_clusters=1, rays_per_cluster=1)
-        gains, delays = generate_channel(params, np.random.default_rng(2))
-        assert delays.tolist() == [0.0]
-        assert abs(abs(gains[0]) - 1.0) < 1e-12
+        gains, delays = draw(params, 3, seed=2)
+        assert delays.tolist() == [[0.0]] * 3
+        assert np.max(np.abs(np.abs(gains) - 1.0)) < 1e-12
+
+    def test_one_generator_serves_both_draws(self):
+        gains, delays = generate_channel(sv_profile(4),
+                                         np.random.default_rng(9), 3)
+        assert gains.shape == delays.shape == (3, 4)
+        assert np.allclose(np.sum(np.abs(gains) ** 2, axis=1), 1.0)
+
+    def test_rows_do_not_depend_on_the_hop_count(self):
+        params = sv_profile(15)
+        many, few = draw(params, 7, seed=40), draw(params, 3, seed=40)
+        for a, b in zip(many, few):
+            assert np.array_equal(a[:3], b)
 
     def test_tiny_cluster_decay_kills_later_clusters(self):
         params = SvParams(cluster_rate=1.0, ray_rate=1.0, cluster_decay=1e-6,
                           ray_decay=1.0, num_clusters=3, rays_per_cluster=1)
-        rng = np.random.default_rng(5)
-        power_first = power_rest = 0.0
-        for _ in range(200):
-            gains, _ = generate_channel(params, rng)
-            power_first += np.abs(gains[0]) ** 2
-            power_rest += np.sum(np.abs(gains[1:]) ** 2)
+        gains, _ = draw(params, 200, seed=5)
+        power_first = np.sum(np.abs(gains[:, 0]) ** 2)
+        power_rest = np.sum(np.abs(gains[:, 1:]) ** 2)
         assert power_rest < 1e-6 * power_first
 
     def test_mean_profile_decays_with_delay(self):
         # Ensemble tap powers under the nanosecond timing constants decay
         # monotonically with delay.
-        rng = np.random.default_rng(31)
-        acc = np.zeros(15)
-        n = 10_000
-        for _ in range(n):
-            gains, delays = generate_channel(NS_PARAMS, rng)
-            acc += np.abs(quantize_to_taps(gains, delays,
-                                           NS_PARAMS.sample_period, 15)) ** 2
-        profile = acc / n
+        gains, delays = draw(NS_PARAMS, 10_000, seed=31)
+        taps = quantize_to_taps(gains, delays, NS_PARAMS.sample_period, 15)
+        profile = np.mean(np.abs(taps) ** 2, axis=0)
         slack = 0.01 * profile[0]
         assert np.all(np.diff(profile) <= slack)
         assert profile[0] > profile[3]
+
+    @pytest.mark.parametrize("params,num_taps", [
+        (sv_profile(15), 15), (sv_profile(4), 4), (NS_PARAMS, 15)])
+    def test_matches_the_per_hop_oracle(self, params, num_taps):
+        # 4,000 array-drawn hops against 4,000 hops of the old per-cluster,
+        # per-hop draw, all quantized: each tap's mean power agrees within
+        # five standard errors of the difference, and the two-sample KS
+        # statistic of |h_0|^2 stays below its 0.1% critical value
+        hops = 4000
+        gains, delays = draw(params, hops, seed=50)
+        ours = quantize_to_taps(gains, delays, params.sample_period, num_taps)
+        rng = np.random.default_rng(52)
+        theirs = np.array([quantize_to_taps(
+            *sv_realization_per_hop(params, rng), params.sample_period,
+            num_taps) for _ in range(hops)])
+        a, b = np.abs(ours) ** 2, np.abs(theirs) ** 2
+        se = np.sqrt((a.var(axis=0) + b.var(axis=0)) / hops)
+        assert np.all(np.abs(a.mean(axis=0) - b.mean(axis=0)) <= 5 * se + 1e-12)
+        assert ks_statistic(a[:, 0], b[:, 0]) < 1.95 * np.sqrt(2.0 / hops)
 
 
 class TestQuantize:
@@ -187,11 +245,24 @@ class TestQuantize:
         assert np.allclose(np.abs(taps), [1 / np.sqrt(2)] * 2)
 
     def test_pads_to_requested_count(self):
-        rng = np.random.default_rng(4)
-        gains, delays = generate_channel(NS_PARAMS, rng)
+        gains, delays = draw(NS_PARAMS, 1, seed=4)
         taps = quantize_to_taps(gains, delays, NS_PARAMS.sample_period, 15)
-        assert len(taps) == 15
+        assert taps.shape == (1, 15)
         assert abs(np.sum(np.abs(taps) ** 2) - 1.0) < 1e-9
+
+    def test_stack_quantizes_each_row(self):
+        gains, delays = draw(sv_profile(15), 12, seed=14)
+        gains, delays = gains.reshape(3, 4, 15), delays.reshape(3, 4, 15)
+        stack = quantize_to_taps(gains, delays, 1.0, 15)
+        assert stack.shape == (3, 4, 15)
+        for i in np.ndindex(3, 4):
+            assert np.allclose(stack[i], quantize_to_taps(gains[i], delays[i],
+                                                          1.0, 15), rtol=1e-14)
+
+    def test_rejects_a_row_beyond_the_window(self):
+        with pytest.raises(ValueError):
+            quantize_to_taps(np.ones((2, 1), dtype=complex),
+                             np.array([[0.0], [50.0]]), 1.0, 15)
 
     def test_colliding_rays_add_coherently(self):
         taps = quantize_to_taps(np.array([0.6 + 0j, 0.3j]),
@@ -229,7 +300,8 @@ class TestEvolve:
         ((2, 15), 70, False), ((6, 4), 9, True), ((3,), 1, False), ((1,), 2, True),
     ])
     def test_track_matches_stepwise_recurrence(self, shape, blocks, given_power):
-        # oracle: one Gauss-Markov step per block, real then imaginary draws
+        # oracle: one Gauss-Markov step per block, drawn tap vector by tap
+        # vector, each vector's steps in turn, real then imaginary parts
         fd = 0.01
         taps = complex_noise(np.random.default_rng(1), shape, 1.0)
         power = np.linspace(0.5, 2.0, shape[-1]) if given_power else None
@@ -237,17 +309,30 @@ class TestEvolve:
         track = evolve_channel(taps, fd, blocks, rng, power)
 
         ref = np.random.default_rng(2)
+        drive = np.empty((blocks - 1,) + shape, dtype=complex)
+        for vector in np.ndindex(shape[:-1]):
+            for b in range(blocks - 1):
+                drive[(b,) + vector] = (ref.standard_normal(shape[-1])
+                                        + 1j * ref.standard_normal(shape[-1]))
         rho = np.exp(-2 * np.pi * fd)
         var = np.abs(taps) ** 2 if power is None else power
         cur = taps
         assert track.shape == (blocks,) + shape
         assert np.array_equal(track[0], taps)
         for b in range(1, blocks):
-            drive = np.sqrt(var / 2.0) * (ref.standard_normal(shape)
-                                          + 1j * ref.standard_normal(shape))
-            cur = rho * cur + np.sqrt(1.0 - rho * rho) * drive
+            cur = rho * cur + np.sqrt((1.0 - rho * rho) * var / 2.0) * drive[b - 1]
             assert np.array_equal(track[b], cur)
         assert rng.random() == ref.random()  # the same stream consumed
+
+    def test_given_innovations_match_the_generator(self):
+        # the draws passed as an array drive the same track; a stack's first
+        # rows drift by the first rows of the innovations alone
+        taps = complex_noise(np.random.default_rng(1), (6, 4), 1.0)
+        track = evolve_channel(taps, 0.02, 9, np.random.default_rng(3))
+        draws = np.random.default_rng(3).standard_normal((6, 8, 2, 4))
+        assert np.array_equal(evolve_channel(taps, 0.02, 9, draws), track)
+        assert np.array_equal(evolve_channel(taps[:2], 0.02, 9, draws[:2]),
+                              track[:, :2])
 
     def test_lag_one_autocorrelation(self):
         # AR(1) oracle: inter-block correlation equals exp(-2 pi fd)

@@ -16,7 +16,7 @@ from uwfde.harness import (DETECTOR_NAMES, GridPoint, SimConfig,
                            run_placement_sweep, run_point_trial, run_points,
                            transmit_block, trial_seed, wilson_half_width,
                            _build_links, _cascade_powers, _group_size,
-                           _TrialChannels, _worker_count)
+                           _substream, _TrialChannels, _worker_count)
 from uwfde.txrx import (ModulationScheme, append_cp, demodulate, modulate,
                         relay_forward, relay_receive, unitary_fft,
                         unitary_ifft)
@@ -431,19 +431,19 @@ class TestPairing:
 
 
 class TestMlCounts:
-    # Counts recorded from the direct-form search |r - g S|^2 @ (1/noise)
-    # over all M candidates on the version-3 stream; the expanded-form
-    # search, which scores the M/2 antipodal pairs (s, -s) one column each,
-    # must reach the same decision on every block.
+    # Counts recorded on the version-4 stream, once from the direct-form
+    # search |r - g S|^2 @ (1/noise) over all M candidates and once from the
+    # expanded-form search, which scores the M/2 antipodal pairs (s, -s)
+    # one column each; the two agreed on every count.
     PINNED = [
-        ("ml", 4.0, 0.0, 1, 21), ("mmse", 4.0, 0.0, 1, 18),
-        ("ml", 8.0, 0.0, 1, 0), ("mmse", 8.0, 0.0, 1, 8),
-        ("ml", 4.0, 0.0, 2, 15), ("mmse", 4.0, 0.0, 2, 17),
-        ("ml", 8.0, 0.0, 2, 5), ("mmse", 8.0, 0.0, 2, 7),
-        ("ml", 4.0, 0.02, 1, 21), ("mmse", 4.0, 0.02, 1, 23),
-        ("ml", 8.0, 0.02, 1, 5), ("mmse", 8.0, 0.02, 1, 8),
-        ("ml", 4.0, 0.02, 2, 17), ("mmse", 4.0, 0.02, 2, 24),
-        ("ml", 8.0, 0.02, 2, 2), ("mmse", 8.0, 0.02, 2, 7),
+        ("ml", 4.0, 0.0, 1, 15), ("mmse", 4.0, 0.0, 1, 16),
+        ("ml", 8.0, 0.0, 1, 3), ("mmse", 8.0, 0.0, 1, 4),
+        ("ml", 4.0, 0.0, 2, 21), ("mmse", 4.0, 0.0, 2, 21),
+        ("ml", 8.0, 0.0, 2, 8), ("mmse", 8.0, 0.0, 2, 9),
+        ("ml", 4.0, 0.02, 1, 18), ("mmse", 4.0, 0.02, 1, 18),
+        ("ml", 8.0, 0.02, 1, 7), ("mmse", 8.0, 0.02, 1, 12),
+        ("ml", 4.0, 0.02, 2, 28), ("mmse", 4.0, 0.02, 2, 30),
+        ("ml", 8.0, 0.02, 2, 8), ("mmse", 8.0, 0.02, 2, 13),
     ]
 
     def test_counts_with_and_without_drift(self):
@@ -461,24 +461,24 @@ class TestMlCounts:
 
 class TestLinearAndAdaptiveCounts:
     # Counts of the per-bin detectors and the adaptive training scan on the
-    # version-3 stream; any change to a draw or to the arithmetic moves them.
+    # version-4 stream; any change to a draw or to the arithmetic moves them.
     PINNED = [
-        ("mrc", 4.0, 0.0, 1, 44), ("mmse", 4.0, 0.0, 1, 30),
-        ("lms", 4.0, 0.0, 1, 46), ("rls", 4.0, 0.0, 1, 41),
-        ("mrc", 8.0, 0.0, 1, 27), ("mmse", 8.0, 0.0, 1, 12),
-        ("lms", 8.0, 0.0, 1, 36), ("rls", 8.0, 0.0, 1, 17),
-        ("mrc", 4.0, 0.0, 2, 22), ("mmse", 4.0, 0.0, 2, 18),
-        ("lms", 4.0, 0.0, 2, 25), ("rls", 4.0, 0.0, 2, 23),
-        ("mrc", 8.0, 0.0, 2, 15), ("mmse", 8.0, 0.0, 2, 6),
-        ("lms", 8.0, 0.0, 2, 17), ("rls", 8.0, 0.0, 2, 9),
-        ("mrc", 4.0, 0.02, 1, 28), ("mmse", 4.0, 0.02, 1, 29),
-        ("lms", 4.0, 0.02, 1, 59), ("rls", 4.0, 0.02, 1, 57),
-        ("mrc", 8.0, 0.02, 1, 22), ("mmse", 8.0, 0.02, 1, 12),
-        ("lms", 8.0, 0.02, 1, 48), ("rls", 8.0, 0.02, 1, 43),
-        ("mrc", 4.0, 0.02, 2, 41), ("mmse", 4.0, 0.02, 2, 39),
-        ("lms", 4.0, 0.02, 2, 80), ("rls", 4.0, 0.02, 2, 81),
-        ("mrc", 8.0, 0.02, 2, 20), ("mmse", 8.0, 0.02, 2, 21),
-        ("lms", 8.0, 0.02, 2, 73), ("rls", 8.0, 0.02, 2, 72),
+        ("mrc", 4.0, 0.0, 1, 36), ("mmse", 4.0, 0.0, 1, 29),
+        ("lms", 4.0, 0.0, 1, 40), ("rls", 4.0, 0.0, 1, 33),
+        ("mrc", 8.0, 0.0, 1, 26), ("mmse", 8.0, 0.0, 1, 6),
+        ("lms", 8.0, 0.0, 1, 23), ("rls", 8.0, 0.0, 1, 14),
+        ("mrc", 4.0, 0.0, 2, 22), ("mmse", 4.0, 0.0, 2, 24),
+        ("lms", 4.0, 0.0, 2, 32), ("rls", 4.0, 0.0, 2, 35),
+        ("mrc", 8.0, 0.0, 2, 11), ("mmse", 8.0, 0.0, 2, 5),
+        ("lms", 8.0, 0.0, 2, 16), ("rls", 8.0, 0.0, 2, 15),
+        ("mrc", 4.0, 0.02, 1, 27), ("mmse", 4.0, 0.02, 1, 23),
+        ("lms", 4.0, 0.02, 1, 60), ("rls", 4.0, 0.02, 1, 59),
+        ("mrc", 8.0, 0.02, 1, 15), ("mmse", 8.0, 0.02, 1, 11),
+        ("lms", 8.0, 0.02, 1, 53), ("rls", 8.0, 0.02, 1, 55),
+        ("mrc", 4.0, 0.02, 2, 30), ("mmse", 4.0, 0.02, 2, 28),
+        ("lms", 4.0, 0.02, 2, 52), ("rls", 4.0, 0.02, 2, 55),
+        ("mrc", 8.0, 0.02, 2, 15), ("mmse", 8.0, 0.02, 2, 12),
+        ("lms", 8.0, 0.02, 2, 48), ("rls", 8.0, 0.02, 2, 43),
     ]
 
     def test_counts_with_and_without_drift(self):
@@ -664,31 +664,71 @@ class TestTransmitBlock:
                 assert np.ptp(expected, axis=0).max() > 0
             assert np.max(np.abs(measured / expected - 1.0)) < 0.08
 
-    def test_cells_scale_one_white_draw(self, monkeypatch):
-        # each point sends sqrt(noise_var) times its cell's one white draw
-        white = []
+    def test_every_cell_shares_the_bits_and_white_noise(self, monkeypatch):
+        # every (Doppler, position, relay count) cell of a trial, and a
+        # separate run of any one point, sends the same symbol spectra and
+        # scales the same unit white draw by the root of its noise_var
+        sent = []
 
         def capture(x_f, ch, noise):
-            white.append(noise / np.sqrt(ch.noise_var))
+            sent.append((x_f, noise / np.sqrt(ch.noise_var)))
             return transmit_block(x_f, ch, noise)
 
         monkeypatch.setattr(harness, "transmit_block", capture)
-        cfg = small_config(data_frames=2000)
-        run_point_trial(cfg, [GridPoint(s, fd, 0.5, 2) for fd in (0.0, 0.02)
-                              for s in (0.0, 12.0)], 1)
-        assert np.allclose(white[0], white[1], rtol=1e-12, atol=0)
-        assert np.allclose(white[2], white[3], rtol=1e-12, atol=0)
-        for draw in (white[0], white[2]):
-            cov = draw.T @ draw.conj() / len(draw)
-            assert np.max(np.abs(np.diag(cov) - 1.0)) < 0.1
-            assert np.max(np.abs(cov - np.diag(np.diag(cov)))) < 0.1
+        cfg = small_config(data_frames=2000, detectors=("mmse", "mrc"))
+        points = [GridPoint(s, fd, delta, u) for fd in (0.0, 0.02)
+                  for delta in (0.3, 0.5) for u in (2, 1) for s in (0.0, 12.0)]
+        run_point_trial(cfg, points, 1)
+        run_point_trial(cfg, [GridPoint(12.0, 0.02, 0.3, 1)], 1)
+        assert len(sent) == len(points) + 1
+        x_f, white = sent[0]
+        for other_x, other_white in sent[1:]:
+            assert np.array_equal(other_x, x_f)
+            assert np.allclose(other_white, white, rtol=1e-12, atol=0)
+        cov = white.T @ white.conj() / len(white)
+        assert np.max(np.abs(np.diag(cov) - 1.0)) < 0.1
+        assert np.max(np.abs(cov - np.diag(np.diag(cov)))) < 0.1
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2 ** 63 - 1), relays=st.integers(1, 4),
+           data=st.data())
+    def test_fewer_relays_draw_the_first_rows(self, seed, relays, data):
+        # the hop taps and drift innovations of u relays are the first 2u
+        # rows of those of U >= u relays from the same trial seed
+        fewer = data.draw(st.integers(1, relays))
+        cfg = small_config(block_size=8, num_taps=3, sv=sv_profile(3),
+                           data_frames=3, snr_grid=(10.0,))
+        drawn = []
+
+        def capture(taps, fd_norm, blocks, draws):
+            drawn.append((taps, draws))
+            return evolve_channel(taps, fd_norm, blocks, draws)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(harness, "evolve_channel", capture)
+            for u in (relays, fewer):
+                run_point_trial(cfg, [GridPoint(10.0, 0.02, 0.5, u)],
+                                trial_seed(seed, "prefix", 0))
+        (taps, draws), (few_taps, few_draws) = drawn
+        assert taps.shape == (2 * relays, 3) and draws.shape[0] >= 2 * relays
+        assert np.array_equal(taps[:2 * fewer], few_taps)
+        assert np.array_equal(draws[:2 * fewer], few_draws)
+
+    def test_substreams_are_keyed_on_the_trial_seed(self):
+        seed = trial_seed(5, "ber", 2)
+        for q in range(3):
+            expected = np.random.default_rng(np.random.SeedSequence(
+                seed.entropy, spawn_key=(q,))).random(4)
+            assert np.array_equal(_substream(seed, q).random(4), expected)
+        assert np.array_equal(_substream(7, 1).random(4), np.random.default_rng(
+            np.random.SeedSequence(7, spawn_key=(1,))).random(4))
 
     def test_prefix_shorter_than_memory_rejected(self):
         rng = np.random.default_rng(4)
         cfg = small_config(num_taps=3, cp_len=2)
-        chans = _TrialChannels(complex_noise(rng, (2, 4), 1.0), {})
+        chans = _TrialChannels(complex_noise(rng, (2, 4), 1.0))
         with pytest.raises(ValueError, match="prefix"):
-            chans.cascade(cfg, GridPoint(8.0), 1, rng)
+            chans.cascade(cfg, GridPoint(8.0), 1, None)
 
 
 class TestPerRelayChainBer:
