@@ -20,13 +20,12 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import replace
 from functools import partial
 
 import numpy as np
 
 from . import __version__
-from .channel import _whole_number, sv_profile
+from .channel import _whole_number
 from .harness import (DETECTOR_NAMES, STREAM_VERSION, SimConfig, _hop_taps,
                       _convergence_point, _relay_counts, _relay_positions,
                       _substream, _worker_count, run_ber_sweep,
@@ -186,9 +185,9 @@ def _run(parser: argparse.ArgumentParser, args: argparse.Namespace,
     write the CSV rows of ``table(config)`` and the manifest. Each
     ``SimConfig`` field and the command's ``extra`` value comes from its
     flag when given, else the config file (a manifest's extras for
-    ``extra``), else ``defaults``. Without ``sv``, ``num_taps`` picks the
-    arrival profile. ``check(config[, value])`` vets the config and turns
-    the extra value into the argument ``table`` takes after the config."""
+    ``extra``), else ``defaults``. ``check(config[, value])`` vets the
+    config and turns the extra value into the argument ``table`` takes
+    after the config."""
     data, extras = _read_config_file(parser, args)
     fields = set(SimConfig.__dataclass_fields__)
     try:
@@ -198,8 +197,6 @@ def _run(parser: argparse.ArgumentParser, args: argparse.Namespace,
         values.update((k, _from_text(k, v)) for k, v in vars(args).items()
                       if k in fields and v is not None)
         config = SimConfig.from_dict(values)
-        if "sv" not in values:
-            config = replace(config, sv=sv_profile(config.num_taps))
         _worker_count(config)  # a malformed UWFDE_WORKERS is a usage error
         saved, arguments = {}, []
         if extra is not None:

@@ -7,9 +7,11 @@ arrays: a cell's hop spectra, and its points' effective channels and
 equalizer weights stacked ``(points, ...)``, which apply through
 ``detectors.equalize``. Taps hold still within a block and, under nonzero
 Doppler, take one Gauss-Markov step between consecutive blocks. Trials
-are independent. They run in consecutive groups, as many trials as keep
-the group's adaptive buffers within ``GROUP_BYTES``, and a group trains
-the adaptive filters of all its trials' points as one scan.
+are independent. They run in consecutive groups through one engine,
+``_run_group``: as many trials as keep the group's adaptive buffers within
+``GROUP_BYTES``, whose adaptive filters train as one scan. A group returns
+its bit errors as one ``(trials, points, detectors)`` array, and
+``run_points`` sums them over the trials.
 
 A trial's random stream derives purely from (master seed, experiment tag,
 trial index), so results are bit-identical for any worker count. A trial
@@ -27,7 +29,7 @@ from __future__ import annotations
 import math
 import os
 import zlib
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -72,13 +74,14 @@ class SimConfig:
 
     ``snr_grid`` entries are destination energy-per-bit to noise-density
     ratios in dB for unit-energy constellations; relay noise is that times
-    ``relay_noise_factor``. ``cp_len`` defaults to ``num_taps - 1``.
+    ``relay_noise_factor``. ``cp_len`` defaults to ``num_taps - 1``, and
+    ``sv`` to the arrival profile of ``num_taps`` paths (``sv_profile``).
     """
 
     block_size: int = 64
     cp_len: int | None = None
     scheme: str = "bpsk"
-    sv: SvParams = field(default_factory=lambda: sv_profile(15))
+    sv: SvParams | None = None
     num_taps: int = 15
     snr_grid: tuple[float, ...] = tuple(float(s) for s in range(0, 31, 2))
     detectors: tuple[str, ...] = ("mmse",)
@@ -100,14 +103,16 @@ class SimConfig:
         for name in _INTEGER_FIELDS:
             if not (name == "cp_len" and self.cp_len is None):
                 setattr(self, name, _whole_number(getattr(self, name), name))
-        if isinstance(self.sv, dict):
-            self.sv = SvParams(**self.sv)
-        if not isinstance(self.sv, SvParams):
-            raise ValueError(f"sv must be a dict or SvParams, got {self.sv!r}")
         if self.block_size < 1:
             raise ValueError("block_size must be >= 1")
         if self.num_taps < 1 or self.num_taps > self.block_size:
             raise ValueError("num_taps must be in [1, block_size]")
+        if self.sv is None:
+            self.sv = sv_profile(self.num_taps)
+        if isinstance(self.sv, dict):
+            self.sv = SvParams(**self.sv)
+        if not isinstance(self.sv, SvParams):
+            raise ValueError(f"sv must be a dict or SvParams, got {self.sv!r}")
         if not 0 <= self.effective_cp_len <= self.block_size:
             raise ValueError("cp_len must be in [0, block_size]")
         if self.effective_cp_len < self.num_taps - 1:
@@ -238,18 +243,18 @@ def wilson_half_width(errors: int, bits: int, z: float = 1.96) -> float:
     return z * math.sqrt(p * (1.0 - p) / bits + z * z / (4.0 * bits * bits)) / denom
 
 
-def trial_seed(master_seed: int, experiment: str, trial_index: int) -> np.random.SeedSequence:
-    """Pure seed derivation; the experiment tag is folded in as a CRC."""
+def trial_seed(master_seed: int, experiment: str,
+               trial_index: int) -> tuple[int, int, int]:
+    """Pure seed derivation, the key (master seed, CRC of the experiment
+    tag, trial index) that ``_substream`` seeds from."""
     tag = zlib.crc32(experiment.encode("utf-8"))
-    return np.random.SeedSequence((int(master_seed), tag, int(trial_index)))
+    return int(master_seed), tag, int(trial_index)
 
 
 def _substream(seed, q: int) -> np.random.Generator:
-    """Generator on keyed substream ``q`` of a trial seed (a
-    ``SeedSequence``, or an int for one); see ``run_point_trial``."""
-    seed = np.random.SeedSequence(seed) if isinstance(seed, int) else seed
-    return np.random.default_rng(np.random.SeedSequence(
-        seed.entropy, spawn_key=seed.spawn_key + (q,)))
+    """Generator on keyed substream ``q`` of a trial seed, an int or a
+    tuple of ints such as ``trial_seed`` gives; see ``run_point_trial``."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(q,)))
 
 
 @dataclass
@@ -332,18 +337,11 @@ def transmit_block(x_f: np.ndarray, ch: EffectiveChannel,
     return ch.response * x_f + noise
 
 
-@dataclass
-class TrialOutput:
-    errors: dict[str, int]
-    bits: int
-    mse_traces: dict[str, np.ndarray] | None = None
-    mmse_floor: float | None = None
-
-
 def run_point_trial(config: SimConfig, points: list[GridPoint], seed,
-                    collect_mse: bool = False, rows=None) -> list[TrialOutput]:
-    """One trial over all of its grid points, from a generator on ``seed``;
-    one output per point, in order.
+                    collect_mse: bool = False, rows=None) -> np.ndarray:
+    """Bit errors ``(points, detectors)`` of one trial over all of its grid
+    points, in ``config.detectors`` order; the adaptive columns stay 0
+    here, for ``_run_group`` to count.
 
     Draws fresh cascades, sends pilot blocks when a detector is adaptive,
     then counts bit errors over the data blocks. Taps are constant within
@@ -352,37 +350,33 @@ def run_point_trial(config: SimConfig, points: list[GridPoint], seed,
     carry a tracking lag while ideal-CSI detectors follow the drift.
 
     With ``collect_mse`` the trial is a learning-curve run: it sends only
-    the pilot blocks, trains the adaptive filters (``run_convergence``
-    names both) and records their per-block MSE and the Wiener floor at
-    the last pilot block.
+    the pilot blocks, for the adaptive filters (``run_convergence`` names
+    both) to train on, and records the Wiener floor at the last one.
 
     Random stream (``STREAM_VERSION``), U the largest relay count on
-    ``points``: keyed substream q of ``seed`` (a ``SeedSequence``, or an
-    int) draws, for 0, the bits of every block, a unit white noise array
+    ``points``: keyed substream q of ``seed`` (see ``_substream``) draws,
+    for 0, the bits of every block, a unit white noise array
     ``(blocks, N)``, then the hops' gammas; for 1, their uniforms (see
     ``generate_channel``); for 2, if a cell drifts, the innovations
     ``(2U, blocks - 1, 2, L)`` (see ``evolve_channel``). A cell of u relays
     reads the first 2u rows. Its powers, effective channels and linear
     weights are stacked over its points; each point sends ``sqrt(noise_var)``
     times the white array and decides its linear detectors as one
-    ``(detectors, blocks, N)`` stack. Adaptive detectors train in a group
-    of trials: the trial fills ``rows``, its row per point of the group's
-    buffers (see ``_run_group``); without ``rows`` it is a group of one.
+    ``(detectors, blocks, N)`` stack. When a detector is adaptive, the trial
+    fills ``rows``, its row per point of the group's received, pilot,
+    data-bit and Wiener-floor buffers (see ``_run_group``).
     """
-    adaptive = [d for d in ADAPTIVE_DETECTORS if d in config.detectors]
-    if adaptive and rows is None:
-        return _run_group(config, points, [seed], collect_mse)[0]
+    adaptive = any(d in ADAPTIVE_DETECTORS for d in config.detectors)
     scheme = ModulationScheme.from_name(config.scheme)
     n = config.block_size
     cells: dict[tuple, list[int]] = {}
     for i, p in enumerate(points):
         cells.setdefault((p.fd_norm, p.delta, p.num_relays), []).append(i)
     linear = [d for d in config.detectors if d in ("mrc", "mmse")]
+    linear_columns = [config.detectors.index(d) for d in linear]
     pilots = config.pilot_frames if adaptive else 0
     blocks = pilots + (0 if collect_mse else config.data_frames)
-    outputs = [TrialOutput(dict.fromkeys(config.detectors, 0),
-                           (blocks - pilots) * n * scheme.bits_per_symbol)
-               for _ in points]
+    errors = np.zeros((len(points), len(config.detectors)), dtype=int)
 
     rng = _substream(seed, 0)
     bits = rng.integers(0, 2, size=(blocks, n * scheme.bits_per_symbol))
@@ -408,53 +402,57 @@ def run_point_trial(config: SimConfig, points: list[GridPoint], seed,
             if adaptive:
                 rows[0][i], rows[1][i], rows[2][i] = r_f, x_f[:pilots], sent
             if collect_mse:
-                outputs[i].mmse_floor = mmse_error_floor(
-                    ch[m, -1] if drifting else ch[m])
+                rows[3][i] = mmse_error_floor(ch[m, -1] if drifting else ch[m])
             if "ml" in config.detectors:
                 decided = MlDetector(ch[m, pilots:] if drifting else ch[m],
                                      scheme, n).detect(r_f[pilots:])
-                _count_errors(outputs[i], ["ml"], decided[None], scheme, sent)
+                errors[i, config.detectors.index("ml")] = np.sum(
+                    demodulate(decided, scheme) != sent)
             if linear:
                 decided = unitary_ifft(equalize(w[m], r_f[pilots:]))
-                _count_errors(outputs[i], linear, decided, scheme, sent)
-    return outputs
+                errors[i, linear_columns] = np.sum(
+                    demodulate(decided, scheme) != sent, axis=(1, 2))
+    return errors
 
 
 def _run_group(config: SimConfig, points: list[GridPoint], seeds,
-               collect_mse: bool) -> list[list[TrialOutput]]:
-    """One output list per trial on ``seeds``. The trials fill their rows
-    of the received, pilot and data-bit buffers; one training scan,
-    elementwise per row, runs on all rows; each row decides its own."""
+               collect_mse: bool) -> np.ndarray | tuple[np.ndarray, ...]:
+    """Bit errors ``(trials, points, detectors)`` of the trials on ``seeds``,
+    in ``config.detectors`` order, one ``run_point_trial`` call each; with
+    ``collect_mse``, also their MSE traces ``(trials, points, adaptive,
+    pilots)`` and Wiener floors ``(trials, points)``. Only an adaptive run
+    holds buffers: its trials fill their rows, one training scan,
+    elementwise per row, runs on all rows, and each row decides its own
+    adaptive columns."""
     adaptive = [d for d in ADAPTIVE_DETECTORS if d in config.detectors]
-    if not adaptive:
-        return [run_point_trial(config, points, s, collect_mse) for s in seeds]
     scheme = ModulationScheme.from_name(config.scheme)
     n, pilots, size = config.block_size, config.pilot_frames, len(points)
     count, data = len(seeds) * size, 0 if collect_mse else config.data_frames
-    received = np.empty((count, pilots + data, n), dtype=complex)
-    sent = np.empty((count, pilots, n), dtype=complex)
-    bits = np.empty((count, data, n * scheme.bits_per_symbol), dtype=bool)
-    trials = [run_point_trial(config, points, seed, collect_mse, [
-        buffer[t * size:(t + 1) * size] for buffer in (received, sent, bits)])
-        for t, seed in enumerate(seeds)]
-    weights, traces = train_adaptive(
-        adaptive, received[:, :pilots].swapaxes(0, 1), sent.swapaxes(0, 1),
-        config.mu, config.lambda_rls, collect_mse)
-    w = np.stack([weights[det] for det in adaptive], axis=1)[:, :, None]
-    for i, out in enumerate(out for outputs in trials for out in outputs):
+    rows = (np.empty((count, pilots + data, n), dtype=complex),
+            np.empty((count, pilots, n), dtype=complex),
+            np.empty((count, data, n * scheme.bits_per_symbol), dtype=bool),
+            np.empty(count)) if adaptive else ()
+    errors = np.concatenate([run_point_trial(
+        config, points, seed, collect_mse,
+        [buffer[t * size:(t + 1) * size] for buffer in rows])
+        for t, seed in enumerate(seeds)])
+    if adaptive:
+        received, sent, bits, floors = rows
+        weights, traces = train_adaptive(
+            adaptive, received[:, :pilots].swapaxes(0, 1), sent.swapaxes(0, 1),
+            config.mu, config.lambda_rls, collect_mse)
         if collect_mse:
-            out.mse_traces = {det: traces[det][:, i] for det in adaptive}
-        else:
+            mse = np.stack([traces[det].T for det in adaptive], axis=1)
+            return (errors.reshape(len(seeds), size, -1),
+                    mse.reshape(len(seeds), size, len(adaptive), pilots),
+                    floors.reshape(len(seeds), size))
+        w = np.stack([weights[det] for det in adaptive], axis=1)[:, :, None]
+        columns = [config.detectors.index(det) for det in adaptive]
+        for i in range(count):
             decided = unitary_ifft(equalize(w[i], received[i, pilots:]))
-            _count_errors(out, adaptive, decided, scheme, bits[i])
-    return trials
-
-
-def _count_errors(out: TrialOutput, detectors: list[str], decided: np.ndarray,
-                  scheme: ModulationScheme, bits: np.ndarray) -> None:
-    """Record in ``out`` each detector's bit errors, one row of ``decided``."""
-    wrong = demodulate(decided, scheme) != bits
-    out.errors.update(zip(detectors, wrong.sum(axis=(1, 2)).tolist()))
+            errors[i, columns] = np.sum(
+                demodulate(decided, scheme) != bits[i], axis=(1, 2))
+    return errors.reshape(len(seeds), size, -1)
 
 
 def train_adaptive(detectors, r_f: np.ndarray, s_f: np.ndarray, mu: float,
@@ -514,7 +512,9 @@ def _worker_count(config: SimConfig) -> int:
 def run_points(config: SimConfig, points: list[GridPoint], experiment: str,
                collect_mse: bool = False) -> ExperimentResult:
     """Map groups of ``_group_size`` consecutive trials over a grid, the
-    same groups for any worker count; reduce the counts in trial order."""
+    same groups for any worker count, and sum their bit errors over the
+    trials; every record holds trials * data_frames * N * bits_per_symbol
+    bits (0 for a learning-curve run)."""
     size = _group_size(config, points)
     seeds = [trial_seed(config.master_seed, experiment, t)
              for t in range(config.trials)]
@@ -529,24 +529,26 @@ def run_points(config: SimConfig, points: list[GridPoint], experiment: str,
             groups = list(pool.map(group, jobs, chunksize=chunk))
     else:
         groups = list(map(group, jobs))
-    per_trial = [trial for outputs in groups for trial in outputs]
-
-    records = []
-    for i, point in enumerate(points):
-        bits = sum(trial[i].bits for trial in per_trial)
-        for det in config.detectors:
-            errs = sum(trial[i].errors[det] for trial in per_trial)
-            records.append(BerRecord(
-                experiment, det, point.snr_db, point.fd_norm, point.delta,
-                point.num_relays, bits, errs, config.master_seed))
+    if collect_mse:
+        groups, mse, floors = zip(*groups)
+    errors = np.concatenate(groups).sum(axis=0).tolist()
+    bits = 0 if collect_mse else (
+        config.trials * config.data_frames * config.block_size
+        * ModulationScheme.from_name(config.scheme).bits_per_symbol)
+    records = [BerRecord(experiment, det, point.snr_db, point.fd_norm,
+                         point.delta, point.num_relays, bits, errors[i][k],
+                         config.master_seed)
+               for i, point in enumerate(points)
+               for k, det in enumerate(config.detectors)]
 
     traces = floor = None
     if collect_mse:
         # Single-point experiments only; summation runs in trial order so
         # the float reduction is identical for any worker count.
-        traces = {det: sum(trial[0].mse_traces[det] for trial in per_trial)
-                  / config.trials for det in ("lms", "rls")}
-        floor = sum(trial[0].mmse_floor for trial in per_trial) / config.trials
+        mse, floors = np.concatenate(mse), np.concatenate(floors)
+        traces = {det: sum(mse[:, 0, k]) / config.trials
+                  for k, det in enumerate(ADAPTIVE_DETECTORS)}
+        floor = float(sum(floors[:, 0])) / config.trials
 
     return ExperimentResult(experiment, config, records, traces, floor)
 

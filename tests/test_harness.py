@@ -1,6 +1,8 @@
 """Monte Carlo orchestration tests: config, seeding, determinism, sweeps."""
 
 import math
+import zlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +18,8 @@ from uwfde.harness import (DETECTOR_NAMES, GridPoint, SimConfig,
                            run_placement_sweep, run_point_trial, run_points,
                            transmit_block, trial_seed, wilson_half_width,
                            _build_links, _cascade_powers, _group_size,
-                           _substream, _TrialChannels, _worker_count)
+                           _run_group, _substream, _TrialChannels,
+                           _worker_count)
 from uwfde.txrx import (ModulationScheme, append_cp, demodulate, modulate,
                         relay_forward, relay_receive, unitary_fft,
                         unitary_ifft)
@@ -128,6 +131,13 @@ class TestSimConfig:
     def test_ml_at_the_search_limit_is_accepted(self):
         assert small_config(detectors=("ml",), block_size=16).block_size == 16
 
+    def test_num_taps_picks_the_default_profile(self):
+        # the profile used to default to 15 rays, cut to num_taps taps
+        assert SimConfig(num_taps=4).sv == sv_profile(4)
+        assert SimConfig(num_taps=4, sv=sv_profile(15)).sv == sv_profile(15)
+        with pytest.raises(ValueError, match=r"num_taps must be in \[1"):
+            SimConfig(num_taps=0)
+
     def test_dict_round_trip(self):
         cfg = small_config(detectors=("mmse", "rls"), mu=0.07, pilot_frames=1)
         clone = SimConfig.from_dict(cfg.to_dict())
@@ -213,9 +223,12 @@ class TestNoisePowers:
                             relay_noise_factor=factor)
         except ValueError:
             return
-        out, = run_point_trial(cfg, [GridPoint(snr, 0.0, delta)], 0)
-        for det in DETECTOR_NAMES:
-            assert 0 <= out.errors[det] <= out.bits == 8
+        point = GridPoint(snr, 0.0, delta)
+        errors = _run_group(cfg, [point], [0], False)
+        assert errors.shape == (1, 1, len(DETECTOR_NAMES))
+        assert np.all((0 <= errors) & (errors <= 8))
+        assert [r.bits for r in run_points(cfg, [point], "powers").records] \
+            == [8] * len(DETECTOR_NAMES)
 
     @pytest.mark.parametrize("snr", [3100.0, 3200.0])
     def test_ml_decides_subnormal_noise_like_mmse(self, snr):
@@ -231,15 +244,17 @@ class TestNoisePowers:
 class TestRunTrial:
     def test_deterministic_given_seed(self):
         cfg = small_config(detectors=("mmse", "mrc"))
-        points = [GridPoint(8.0)]
-        assert (run_point_trial(cfg, points, 123)
-                == run_point_trial(cfg, points, 123))
+        points = [GridPoint(8.0), GridPoint(0.0)]
+        errors = _run_group(cfg, points, [123], False)
+        assert errors.shape == (1, 2, 2) and errors.sum() > 0
+        assert np.array_equal(errors, _run_group(cfg, points, [123], False))
 
     def test_noise_free_mmse_is_error_free(self):
         cfg = small_config(snr_grid=(120.0,), relay_noise_factor=0.0)
-        out, = run_point_trial(cfg, [GridPoint(120.0)], 5)
-        assert out.errors["mmse"] == 0
-        assert out.bits == 4 * 16
+        points = [GridPoint(120.0)]
+        assert _run_group(cfg, points, [5], False).tolist() == [[[0]]]
+        rec, = run_points(cfg, points, "noise-free").records
+        assert (rec.errors, rec.bits) == (0, 5 * 4 * 16)
 
     def test_awgn_anchor_quick(self):
         # flat single-tap, relay noise off: plain coherent-detection theory
@@ -255,9 +270,32 @@ class TestRunTrial:
         cfg = small_config(detectors=("mmse", "mrc", "lms", "rls", "ml"),
                            block_size=4, num_taps=2, sv=sv_profile(2),
                            cp_len=1, pilot_frames=5)
-        out, = run_point_trial(cfg, [GridPoint(8.0)], 9)
-        assert set(out.errors) == {"mmse", "mrc", "lms", "rls", "ml"}
-        assert out.bits == 4 * 4
+        errors = _run_group(cfg, [GridPoint(8.0)], [9], False)
+        assert errors.shape == (1, 1, 5)
+        res = run_points(cfg, [GridPoint(8.0)], "cover")
+        assert [r.detector for r in res.records] == list(cfg.detectors)
+        assert all(r.bits == 5 * 4 * 4 for r in res.records)
+
+    def test_records_sum_one_trial_groups_in_detector_order(self):
+        # a non-canonical detector order over mixed cells: each record is
+        # the column sum of one-trial groups, and holds the count that the
+        # canonical order gives its detector
+        detectors = ("rls", "ml", "mmse", "lms", "mrc")
+        cfg = small_config(block_size=8, num_taps=3, sv=sv_profile(3),
+                           pilot_frames=3, data_frames=2, trials=3,
+                           detectors=detectors)
+        points = [GridPoint(6.0, 0.0, 0.5, 2), GridPoint(12.0, 0.01, 0.3, 1),
+                  GridPoint(0.0, 0.0, 0.7, 1), GridPoint(12.0, 0.0, 0.5, 2)]
+        res = run_points(cfg, points, "order")
+        errors = sum(_run_group(cfg, points, [trial_seed(
+            cfg.master_seed, "order", t)], False) for t in range(cfg.trials))
+        assert [(r.detector, r.snr_db, r.errors) for r in res.records] == [
+            (det, p.snr_db, errors[0, i, k]) for i, p in enumerate(points)
+            for k, det in enumerate(detectors)]
+        canonical = run_points(replace(cfg, detectors=DETECTOR_NAMES), points,
+                               "order")
+        assert sorted(counts(res)) == sorted(counts(canonical))
+        assert len({r.errors for r in res.records}) > 5
 
 
 class TestRunPoints:
@@ -715,13 +753,19 @@ class TestTransmitBlock:
         assert np.array_equal(draws[:2 * fewer], few_draws)
 
     def test_substreams_are_keyed_on_the_trial_seed(self):
+        # the trial seed is the key itself; the pinned draws are those of
+        # stream version 4, whichever form the key takes
         seed = trial_seed(5, "ber", 2)
+        assert seed == (5, zlib.crc32(b"ber"), 2)
+        pinned = [[2292263621, 1405624441], [3575963506, 1975027880],
+                  [1855949362, 1161204833]]
         for q in range(3):
             expected = np.random.default_rng(np.random.SeedSequence(
-                seed.entropy, spawn_key=(q,))).random(4)
-            assert np.array_equal(_substream(seed, q).random(4), expected)
-        assert np.array_equal(_substream(7, 1).random(4), np.random.default_rng(
-            np.random.SeedSequence(7, spawn_key=(1,))).random(4))
+                seed, spawn_key=(q,))).integers(0, 2 ** 32, 2)
+            assert _substream(seed, q).integers(0, 2 ** 32, 2).tolist() \
+                == expected.tolist() == pinned[q]
+        assert _substream(7, 1).integers(0, 2 ** 32, 2).tolist() == [
+            2926574226, 2064083997]
 
     def test_prefix_shorter_than_memory_rejected(self):
         rng = np.random.default_rng(4)
@@ -740,10 +784,11 @@ class TestPerRelayChainBer:
                            trials=300)
         point, scheme = GridPoint(6.0, 0.0, 0.5, 2), ModulationScheme.bpsk()
         bits_per_trial = cfg.data_frames * cfg.block_size
-        ours = np.array([run_point_trial(cfg, [point], trial_seed(
-            cfg.master_seed, "chain-check", t))[0].errors["mmse"]
-            for t in range(cfg.trials)]) / bits_per_trial
+        ours = _run_group(cfg, [point], [trial_seed(
+            cfg.master_seed, "chain-check", t) for t in range(cfg.trials)],
+            False)[:, 0, 0] / bits_per_trial
         pooled = run_points(cfg, [point], "chain-check").records[0]
+        assert pooled.bits == cfg.trials * bits_per_trial
         assert pooled.ber == pytest.approx(ours.mean(), abs=1e-15)
         chain = []
         for t in range(cfg.trials):
