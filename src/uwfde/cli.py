@@ -60,9 +60,8 @@ def _write_csv(path: str, columns: list[str], rows) -> None:
     _atomic_write(path, buf.getvalue())
 
 
-def _write_manifest(path: str, experiment: str, config: SimConfig,
-                    outputs: list[str], started: float,
-                    extras: dict | None = None) -> None:
+def _write_manifest(out: str, experiment: str, config: SimConfig,
+                    started: float, extras: dict) -> None:
     manifest = {
         "experiment": experiment,
         "version": __version__,
@@ -70,11 +69,11 @@ def _write_manifest(path: str, experiment: str, config: SimConfig,
         "workers_effective": _worker_count(config),
         "master_seed": config.master_seed,
         "duration_s": round(time.monotonic() - started, 3),
-        "outputs": outputs,
+        "outputs": [out],
         "config": config.to_dict(),
-        "extras": extras or {},
+        "extras": extras,
     }
-    _atomic_write(path, json.dumps(manifest, indent=2) + "\n")
+    _atomic_write(out + ".manifest.json", json.dumps(manifest, indent=2) + "\n")
 
 
 def _ber_rows(run, config: SimConfig, *extra):
@@ -209,10 +208,11 @@ def _run(parser: argparse.ArgumentParser, args: argparse.Namespace,
             check(config)
     except (TypeError, ValueError) as exc:
         parser.error(str(exc))
+    if not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
+        parser.error(f"the directory of --out {args.out} does not exist")
     started = time.monotonic()
     _write_csv(args.out, columns, table(config, *arguments))
-    _write_manifest(args.out + ".manifest.json", args.command, config,
-                    [args.out], started, extras=saved)
+    _write_manifest(args.out, args.command, config, started, saved)
     return 0
 
 

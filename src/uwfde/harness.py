@@ -8,10 +8,10 @@ equalizer weights stacked ``(points, ...)``, which apply through
 ``detectors.equalize``. Taps hold still within a block and, under nonzero
 Doppler, take one Gauss-Markov step between consecutive blocks. Trials
 are independent. They run in consecutive groups through one engine,
-``_run_group``: as many trials as keep the group's adaptive buffers within
-``GROUP_BYTES``, whose adaptive filters train as one scan. A group returns
-its bit errors as one ``(trials, points, detectors)`` array, and
-``run_points`` sums them over the trials.
+``_run_group``: as many trials as keep the group's adaptive buffers (a
+received row per point, the pilots and bits once per trial) within
+``GROUP_BYTES``, whose filters train as one scan. A group's bit errors form
+one ``(trials, points, detectors)`` array; ``run_points`` sums over trials.
 
 A trial's random stream derives purely from (master seed, experiment tag,
 trial index), so results are bit-identical for any worker count. A trial
@@ -55,8 +55,8 @@ STREAM_VERSION = 4
 DETECTOR_NAMES = ("mrc", "mmse", "ml", "lms", "rls")
 ADAPTIVE_DETECTORS = ("lms", "rls")
 WORKERS_ENV_VAR = "UWFDE_WORKERS"
-# Bytes of the adaptive buffers one group of trials shares (_group_size),
-# picked by measurement: bigger groups train faster but cost memory.
+# Group cap, in bytes as _group_size charges each point pilots of its own (an
+# upper bound); picked by measurement: bigger groups train faster, cost memory.
 GROUP_BYTES = 3 << 19
 # Path gains of a grid point lie within this factor of one (1000 dB) and its
 # noise powers at most this, so no product of them in the model overflows.
@@ -363,8 +363,8 @@ def run_point_trial(config: SimConfig, points: list[GridPoint], seed,
     weights are stacked over its points; each point sends ``sqrt(noise_var)``
     times the white array and decides its linear detectors as one
     ``(detectors, blocks, N)`` stack. When a detector is adaptive, the trial
-    fills ``rows``, its row per point of the group's received, pilot,
-    data-bit and Wiener-floor buffers (see ``_run_group``).
+    fills ``rows`` (see ``_run_group``): its pilots and bits once, and per
+    point its received row and, for ``collect_mse``, its Wiener floor.
     """
     adaptive = any(d in ADAPTIVE_DETECTORS for d in config.detectors)
     scheme = ModulationScheme.from_name(config.scheme)
@@ -387,6 +387,8 @@ def run_point_trial(config: SimConfig, points: list[GridPoint], seed,
     shape = chans.taps.shape[:1] + (blocks - 1, 2) + chans.taps.shape[1:]
     drift = (_substream(seed, 2).standard_normal(shape)
              if any(p.fd_norm > 0 for p in points) else None)
+    if adaptive:
+        rows[1][:], rows[2][:] = x_f[:pilots], sent
     for members in cells.values():
         hops = chans.cascade(config, points[members[0]], blocks, drift)
         drifting = points[members[0]].fd_norm > 0
@@ -400,7 +402,7 @@ def run_point_trial(config: SimConfig, points: list[GridPoint], seed,
         for m, i in enumerate(members):
             r_f = transmit_block(x_f, ch[m], scale[m] * white)
             if adaptive:
-                rows[0][i], rows[1][i], rows[2][i] = r_f, x_f[:pilots], sent
+                rows[0][i] = r_f
             if collect_mse:
                 rows[3][i] = mmse_error_floor(ch[m, -1] if drifting else ch[m])
             if "ml" in config.detectors:
@@ -420,50 +422,48 @@ def _run_group(config: SimConfig, points: list[GridPoint], seeds,
     """Bit errors ``(trials, points, detectors)`` of the trials on ``seeds``,
     in ``config.detectors`` order, one ``run_point_trial`` call each; with
     ``collect_mse``, also their MSE traces ``(trials, points, adaptive,
-    pilots)`` and Wiener floors ``(trials, points)``. Only an adaptive run
-    holds buffers: its trials fill their rows, one training scan,
-    elementwise per row, runs on all rows, and each row decides its own
-    adaptive columns."""
+    pilots)`` and Wiener floors ``(trials, points)``. An adaptive run's
+    buffers keep a trial's layout: received ``(trials, points, blocks, N)``
+    and, once per trial, the pilots and bits all cells send. One scan trains
+    each row on its own; a trial decides its adaptive columns as one stack."""
     adaptive = [d for d in ADAPTIVE_DETECTORS if d in config.detectors]
     scheme = ModulationScheme.from_name(config.scheme)
-    n, pilots, size = config.block_size, config.pilot_frames, len(points)
-    count, data = len(seeds) * size, 0 if collect_mse else config.data_frames
-    rows = (np.empty((count, pilots + data, n), dtype=complex),
-            np.empty((count, pilots, n), dtype=complex),
-            np.empty((count, data, n * scheme.bits_per_symbol), dtype=bool),
-            np.empty(count)) if adaptive else ()
-    errors = np.concatenate([run_point_trial(
-        config, points, seed, collect_mse,
-        [buffer[t * size:(t + 1) * size] for buffer in rows])
-        for t, seed in enumerate(seeds)])
+    n, pilots, trials = config.block_size, config.pilot_frames, len(seeds)
+    data = 0 if collect_mse else config.data_frames
+    rows = (np.empty((trials, len(points), pilots + data, n), dtype=complex),
+            np.empty((trials, pilots, n), dtype=complex),
+            np.empty((trials, data, n * scheme.bits_per_symbol), dtype=bool),
+            np.empty((trials, len(points)))) if adaptive else ()
+    errors = np.stack([run_point_trial(config, points, seed, collect_mse,
+                                       [buffer[t] for buffer in rows])
+                       for t, seed in enumerate(seeds)])
     if adaptive:
         received, sent, bits, floors = rows
         weights, traces = train_adaptive(
-            adaptive, received[:, :pilots].swapaxes(0, 1), sent.swapaxes(0, 1),
-            config.mu, config.lambda_rls, collect_mse)
+            adaptive, np.moveaxis(received[:, :, :pilots], 2, 0),
+            np.moveaxis(sent, 1, 0)[:, :, None], config.mu, config.lambda_rls,
+            collect_mse)
         if collect_mse:
-            mse = np.stack([traces[det].T for det in adaptive], axis=1)
-            return (errors.reshape(len(seeds), size, -1),
-                    mse.reshape(len(seeds), size, len(adaptive), pilots),
-                    floors.reshape(len(seeds), size))
-        w = np.stack([weights[det] for det in adaptive], axis=1)[:, :, None]
+            mse = np.stack([traces[det] for det in adaptive], axis=-1)
+            return errors, np.moveaxis(mse, 0, -1), floors
+        w = np.stack([weights[det] for det in adaptive], axis=2)[..., None, :]
         columns = [config.detectors.index(det) for det in adaptive]
-        for i in range(count):
-            decided = unitary_ifft(equalize(w[i], received[i, pilots:]))
-            errors[i, columns] = np.sum(
-                demodulate(decided, scheme) != bits[i], axis=(1, 2))
-    return errors.reshape(len(seeds), size, -1)
+        for t, trial in enumerate(received[:, :, None, pilots:]):
+            decided = unitary_ifft(equalize(w[t], trial))
+            errors[t][:, columns] = np.sum(
+                demodulate(decided, scheme) != bits[t], axis=(2, 3))
+    return errors
 
 
 def train_adaptive(detectors, r_f: np.ndarray, s_f: np.ndarray, mu: float,
                    lambda_rls: float, collect_mse: bool = False
                    ) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
     """Train the adaptive filters named in ``detectors`` on pilot blocks,
-    one step per block, from received spectra ``r_f`` sent as ``s_f``, both
-    ``(pilots, ..., N)``; every row of the middle axes trains filters of its
-    own. Returns each filter's final weights ``(..., N)`` and, with
-    ``collect_mse``, its mean squared a priori error per pilot block
-    ``(pilots, ...)``."""
+    one step per block, from received spectra ``r_f`` ``(pilots, ..., N)``
+    sent as ``s_f``, which broadcasts against it; every row of the middle
+    axes trains filters of its own. Returns each filter's final weights
+    ``(..., N)`` and, with ``collect_mse``, its mean squared a priori error
+    per pilot block ``(pilots, ...)``."""
     unknown = set(detectors) - set(ADAPTIVE_DETECTORS)
     if unknown:
         raise ValueError(f"unknown adaptive detectors: {sorted(unknown)}")
@@ -487,8 +487,8 @@ def train_adaptive(detectors, r_f: np.ndarray, s_f: np.ndarray, mu: float,
 
 
 def _group_size(config: SimConfig, points: list[GridPoint]) -> int:
-    """Trials per group: as many as keep their complex adaptive buffers
-    within ``GROUP_BYTES``, at least one; one if no detector is adaptive."""
+    """Trials per group: as many as fit ``GROUP_BYTES`` at an upper bound on
+    their complex adaptive buffers, at least one; one with no adaptive detector."""
     if not set(ADAPTIVE_DETECTORS) & set(config.detectors):
         return 1
     return max(1, GROUP_BYTES // (len(points) * config.block_size * 16 * (

@@ -313,6 +313,14 @@ class TestConfigHandling:
                      "--out", str(tmp_path / "o.csv"), *FAST])
         assert err.value.code == 2
 
+    def test_missing_out_directory_is_usage_error(self, tmp_path, capsys):
+        # refused before the run starts, so nothing is simulated or written
+        with pytest.raises(SystemExit) as err:
+            run_cli(["ber", "--out", str(tmp_path / "nope" / "o.csv"), *FAST])
+        assert err.value.code == 2
+        assert "directory of --out" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_empty_detector_list_is_usage_error(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"detectors": []}))

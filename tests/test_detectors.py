@@ -476,19 +476,23 @@ class TestTrainAdaptive:
                                    0.05, 0.995, collect_mse=True)
         assert np.mean(traces["rls"][-20:]) <= np.mean(traces["lms"][-20:])
 
-    def test_rows_train_independently(self):
-        # a (pilots, 2, 3, N) stack trains each row exactly as it would alone
+    @pytest.mark.parametrize("sent_shape", [(12, 2, 3, 8), (12, 2, 1, 8)],
+                             ids=["per-row", "shared"])
+    def test_rows_train_independently(self, sent_shape):
+        # a (pilots, 2, 3, N) stack trains each row exactly as it would alone,
+        # also when each trial's pilots broadcast over its 3 points
         rng = np.random.default_rng(14)
         shape = (12, 2, 3, 8)
         r = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        s = np.exp(2j * np.pi * rng.uniform(size=shape))
+        s = np.exp(2j * np.pi * rng.uniform(size=sent_shape))
         weights, traces = train_adaptive(("lms", "rls"), r, s, 0.05, 0.9,
                                          collect_mse=True)
         assert traces["rls"].shape == (12, 2, 3)
         for row in np.ndindex(2, 3):
             alone, alone_traces = train_adaptive(
                 ("rls", "lms"), r[(slice(None),) + row],
-                s[(slice(None),) + row], 0.05, 0.9, collect_mse=True)
+                s[:, row[0], min(row[1], sent_shape[2] - 1)], 0.05, 0.9,
+                collect_mse=True)
             for det in ("lms", "rls"):
                 assert np.array_equal(weights[det][row], alone[det])
                 assert np.array_equal(traces[det][(slice(None),) + row],
