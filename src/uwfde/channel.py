@@ -102,36 +102,23 @@ def _arrival_times(u: np.ndarray, rate: float) -> np.ndarray:
     return times
 
 
-def sample_cluster_arrivals(params: SvParams, rng: np.random.Generator) -> np.ndarray:
-    """One hop's cluster start times, made as ``generate_channel`` makes them."""
-    return _arrival_times(rng.random(params.num_clusters - 1), params.cluster_rate)
-
-
-def sample_ray_arrivals(params: SvParams, rng: np.random.Generator) -> np.ndarray:
-    """Ray offsets within one cluster, made as ``generate_channel`` makes them."""
-    return _arrival_times(rng.random(params.rays_per_cluster - 1), params.ray_rate)
-
-
-def sample_nakagami(m: float, omega, rng: np.random.Generator, size=None):
-    """Nakagami-m amplitude draw(s): sqrt of Gamma(shape=m, mean=omega)."""
+def sample_nakagami(m: float, rng: np.random.Generator, size=None):
+    """Unit-power Nakagami-m amplitude draw(s): sqrt of Gamma(shape=m,
+    scale=1/m)."""
     if m < 0.5:
         raise ValueError("Nakagami shape must be >= 0.5")
-    omega = np.asarray(omega, dtype=float)
-    if np.any(omega <= 0):
-        raise ValueError("omega must be positive")
-    return np.sqrt(rng.gamma(shape=m, scale=omega / m, size=size))
+    return np.sqrt(rng.gamma(shape=m, scale=1.0 / m, size=size))
 
 
 def generate_channel(params: SvParams, rngs,
                      hops: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Draw ``hops`` realizations, their eigenray ``(gains, delays)`` each
     ``(hops, C*R)`` cluster by cluster, every row at unit power. ``rngs``
-    are the generators of the gammas and of the uniforms, or one for both.
-    Each draws one row-major array, so a row is the same for any ``hops``:
-    uniforms ``(hops, 2*C*R - 1)``, a row's C - 1 cluster gaps, C*(R - 1)
-    ray gaps and C*R phases; then gammas ``(hops, C*R)``."""
-    gamma_rng, uniform_rng = ((rngs, rngs) if isinstance(
-        rngs, np.random.Generator) else rngs)
+    is the pair (gamma generator, uniform generator), which may be one
+    generator twice. Each draws one row-major array, so a row is the same
+    for any ``hops``: uniforms ``(hops, 2*C*R - 1)``, a row's C - 1 cluster
+    gaps, C*(R - 1) ray gaps and C*R phases; then gammas ``(hops, C*R)``."""
+    gamma_rng, uniform_rng = rngs
     c, r = params.num_clusters, params.rays_per_cluster
     u = uniform_rng.random((hops, 2 * c * r - 1))
     starts = _arrival_times(u[:, :c - 1], params.cluster_rate)[:, :, None]
@@ -141,7 +128,7 @@ def generate_channel(params: SvParams, rngs,
     power = params.omega * np.exp(-starts / params.cluster_decay
                                   - offsets / params.ray_decay)
     gains = (np.sqrt(power.reshape(hops, c * r))
-             * sample_nakagami(params.nakagami_m, 1.0, gamma_rng, (hops, c * r))
+             * sample_nakagami(params.nakagami_m, gamma_rng, (hops, c * r))
              * np.exp(1j * TWO_PI * u[:, c * r - 1:]))
     gains /= np.sqrt(np.sum(np.abs(gains) ** 2, axis=-1, keepdims=True))
     return gains, (starts + offsets).reshape(hops, c * r)

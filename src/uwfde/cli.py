@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .channel import _whole_number
-from .harness import (DETECTOR_NAMES, STREAM_VERSION, SimConfig, _hop_taps,
+from .harness import (DETECTOR_NAMES, STREAM_VERSION, SimConfig, _build_links,
                       _convergence_point, _relay_counts, _relay_positions,
                       _substream, _worker_count, run_ber_sweep,
                       run_convergence, run_multirelay, run_placement_sweep,
@@ -94,7 +94,8 @@ def _converge_rows(config: SimConfig):
 
 def _dump_rows(config: SimConfig, count: int):
     seed = trial_seed(config.master_seed, "channel-dump", 0)
-    taps = _hop_taps(config, (_substream(seed, 0), _substream(seed, 1)), count)
+    taps = _build_links(config, (_substream(seed, 0), _substream(seed, 1)),
+                        count)
     for (rid, idx), tap in np.ndenumerate(taps):
         yield [rid, idx, float(tap.real), float(tap.imag), float(abs(tap) ** 2)]
 
@@ -210,6 +211,8 @@ def _run(parser: argparse.ArgumentParser, args: argparse.Namespace,
         parser.error(str(exc))
     if not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
         parser.error(f"the directory of --out {args.out} does not exist")
+    if os.path.isdir(args.out):
+        parser.error(f"--out {args.out} is a directory, not a CSV path")
     started = time.monotonic()
     _write_csv(args.out, columns, table(config, *arguments))
     _write_manifest(args.out, args.command, config, started, saved)

@@ -3,11 +3,11 @@
 Every experiment reduces to the same trial: draw fresh relay cascades,
 optionally train the adaptive equalizers on pilot blocks, transmit data
 blocks and count bit errors per detector. Per-bin quantities are plain
-arrays: a cell's hop spectra, and its points' effective channels and
-equalizer weights stacked ``(points, ...)``, which apply through
-``detectors.equalize``. Taps hold still within a block and, under nonzero
-Doppler, take one Gauss-Markov step between consecutive blocks. Trials
-are independent. They run in consecutive groups through one engine,
+arrays: a cell's hop spectra (``_cascade``), and its points' effective
+channels and equalizer weights stacked ``(points, ...)``, which apply
+through ``detectors.equalize``. Taps hold still within a block and, under
+nonzero Doppler, take one Gauss-Markov step between consecutive blocks.
+Trials are independent. They run in consecutive groups through one engine,
 ``_run_group``: as many trials as keep the group's adaptive buffers (a
 received row per point, the pilots and bits once per trial) within
 ``GROUP_BYTES``, whose filters train as one scan. A group's bit errors form
@@ -257,39 +257,31 @@ def _substream(seed, q: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(q,)))
 
 
-@dataclass
-class _TrialChannels:
-    """One trial's unit-power hop taps ``(2U, L)`` for its largest relay
-    count U, relay u's source and destination hops in rows 2u and 2u + 1."""
-
-    taps: np.ndarray
-
-    def cascade(self, config: SimConfig, point: GridPoint, blocks: int,
-                drift) -> np.ndarray:
-        """Per-bin responses ``(2U, N)`` of the first 2U hops of ``point``'s
-        cell at its path gains, or ``(blocks, 2U, N)`` drifting by the first
-        2U rows of the innovations ``drift`` when its Doppler is nonzero. A
-        prefix shorter than the hops' memory, which the per-bin model needs
-        it to cover, is refused."""
-        if config.effective_cp_len < self.taps.shape[-1] - 1:
-            raise ValueError("prefix shorter than the channel memory")
-        relays = point.num_relays
-        taps = self.taps[:2 * relays] * np.sqrt(
-            np.tile(path_gain(point.delta, config.eta), relays))[:, None]
-        if point.fd_norm > 0:
-            taps = evolve_channel(taps, point.fd_norm, blocks,
-                                  drift[:2 * relays])
-        return freq_response(taps, config.block_size)
-
-
-def _hop_taps(config: SimConfig, rngs, hops: int) -> np.ndarray:
-    """``(hops, L)`` taps of the channel model from ``rngs`` (see
-    ``generate_channel``); the flat model draws nothing: unit first taps."""
+def _build_links(config: SimConfig, rngs, hops: int) -> np.ndarray:
+    """Unit-power taps ``(hops, L)`` of the channel model from the gamma and
+    uniform generators ``rngs`` (see ``generate_channel``); the flat model
+    draws nothing and gives unit first taps. A trial draws the hops of its
+    largest relay count U, relay u's source and destination hops in rows 2u
+    and 2u + 1, so the first rows are those of every smaller count."""
     if config.channel_model == "flat":
         return np.tile(np.eye(1, config.num_taps, dtype=complex), (hops, 1))
     gains, delays = generate_channel(config.sv, rngs, hops)
     return quantize_to_taps(gains, delays, config.sv.sample_period,
                             config.num_taps)
+
+
+def _cascade(config: SimConfig, taps: np.ndarray, point: GridPoint,
+             blocks: int, drift) -> np.ndarray:
+    """Per-bin responses ``(2u, N)`` of the first 2u hops ``taps`` of
+    ``point``'s cell of u relays at its path gains, or ``(blocks, 2u, N)``
+    drifting by the first 2u rows of the innovations ``drift`` when its
+    Doppler is nonzero."""
+    relays = point.num_relays
+    taps = taps[:2 * relays] * np.sqrt(
+        np.tile(path_gain(point.delta, config.eta), relays))[:, None]
+    if point.fd_norm > 0:
+        taps = evolve_channel(taps, point.fd_norm, blocks, drift[:2 * relays])
+    return freq_response(taps, config.block_size)
 
 
 def _cascade_powers(config: SimConfig,
@@ -311,14 +303,6 @@ def _cascade_powers(config: SimConfig,
                          f"{point.delta}, eta {config.eta}: path gains must "
                          "lie in [1e-100, 1e100], noise powers at most 1e100")
     return af_gain(gain_sr, sigma_relay), sigma_relay, sigma_dest
-
-
-def _build_links(config: SimConfig, points: list[GridPoint],
-                 rngs) -> _TrialChannels:
-    """The hops of the largest relay count on ``points``, whose first rows
-    are those of every smaller one, from ``rngs`` (see ``_hop_taps``)."""
-    return _TrialChannels(_hop_taps(config, rngs, 2 * max(
-        point.num_relays for point in points)))
 
 
 def transmit_block(x_f: np.ndarray, ch: EffectiveChannel,
@@ -383,14 +367,15 @@ def run_point_trial(config: SimConfig, points: list[GridPoint], seed,
     x_f = unitary_fft(modulate(bits, scheme))
     sent = bits[pilots:] == 1
     white = complex_noise(rng, (blocks, n), 1.0)
-    chans = _build_links(config, points, (rng, _substream(seed, 1)))
-    shape = chans.taps.shape[:1] + (blocks - 1, 2) + chans.taps.shape[1:]
+    taps = _build_links(config, (rng, _substream(seed, 1)),
+                        2 * max(p.num_relays for p in points))
+    shape = taps.shape[:1] + (blocks - 1, 2) + taps.shape[1:]
     drift = (_substream(seed, 2).standard_normal(shape)
              if any(p.fd_norm > 0 for p in points) else None)
     if adaptive:
         rows[1][:], rows[2][:] = x_f[:pilots], sent
     for members in cells.values():
-        hops = chans.cascade(config, points[members[0]], blocks, drift)
+        hops = _cascade(config, taps, points[members[0]], blocks, drift)
         drifting = points[members[0]].fd_norm > 0
         powers = np.array([_cascade_powers(config, points[i]) for i in members])
         ch = effective_channel(hops, *powers.T.reshape(3, -1, *[1] * hops.ndim))

@@ -15,15 +15,14 @@ import pytest
 from oracle import circulant_from_taps
 from uwfde import harness
 from uwfde.channel import (complex_noise, evolve_channel, generate_channel,
-                           quantize_to_taps, sample_cluster_arrivals,
-                           sample_nakagami, sample_ray_arrivals, sv_profile,
+                           quantize_to_taps, sample_nakagami, sv_profile,
                            SvParams)
 from uwfde.cli import main as cli_main
 from uwfde.detectors import EffectiveChannel, effective_channel, mmse_weights
 from uwfde.harness import (GridPoint, SimConfig, run_convergence,
                            run_multirelay, run_placement_sweep, run_points,
-                           train_adaptive, _build_links, _cascade_powers,
-                           transmit_block)
+                           train_adaptive, _build_links, _cascade,
+                           _cascade_powers, transmit_block)
 from uwfde.txrx import ModulationScheme, modulate, unitary_fft
 
 
@@ -173,7 +172,7 @@ def test_criterion_05_wiener_convergence():
     ref_power = np.zeros(n)
     point = GridPoint(snr)
     for _ in range(channels):
-        hops = _build_links(cfg, [point], rng).cascade(cfg, point, 1, rng)
+        hops = _cascade(cfg, _build_links(cfg, (rng, rng), 2), point, 1, None)
         ch = effective_channel(hops, *_cascade_powers(cfg, point))
         w_opt = mmse_weights(ch)
         pilots_list = []
@@ -270,24 +269,24 @@ def test_criterion_09_statistical_generators():
     tap-drift autocorrelation oracle."""
     rng = np.random.default_rng(99)
 
-    r = sample_nakagami(1.3, 1.0, rng, size=1_000_000)
+    r = sample_nakagami(1.3, rng, size=1_000_000)
     ratio = np.mean(r ** 4) / np.mean(r ** 2) ** 2
     assert abs(ratio - (1.0 + 1.0 / 1.3)) / (1.0 + 1.0 / 1.3) < 0.01
     assert abs(np.mean(r ** 2) - 1.0) < 0.01
-    r = sample_nakagami(1.0, 1.0, rng, size=1_000_000)
+    r = sample_nakagami(1.0, rng, size=1_000_000)
     assert abs(np.mean(r ** 4) / np.mean(r ** 2) ** 2 - 2.0) / 2.0 < 0.01
 
     ns_params = dict(cluster_decay=0.024, ray_decay=0.12, nakagami_m=1.3,
                      omega=1.0, sample_period=0.1)
     clusters = SvParams(cluster_rate=1.0 / 14.99, ray_rate=1.0 / 0.476,
                         num_clusters=101, rays_per_cluster=2, **ns_params)
-    gaps = np.concatenate([np.diff(sample_cluster_arrivals(clusters, rng))
-                           for _ in range(10_000)])
+    gaps = np.diff(generate_channel(clusters, (rng, rng), 10_000)[1]
+                   .reshape(10_000, 101, 2)[:, :, 0])
     assert abs(gaps.mean() - 14.99) / 14.99 < 0.01
     rays = SvParams(cluster_rate=1.0 / 14.99, ray_rate=1.0 / 0.476,
                     num_clusters=2, rays_per_cluster=101, **ns_params)
-    gaps = np.concatenate([np.diff(sample_ray_arrivals(rays, rng))
-                           for _ in range(10_000)])
+    gaps = np.diff(generate_channel(rays, (rng, rng), 5_000)[1]
+                   .reshape(5_000, 2, 101))
     assert abs(gaps.mean() - 0.476) / 0.476 < 0.01
 
     fd = 0.05

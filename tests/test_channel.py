@@ -141,11 +141,7 @@ class TestArrivals:
 class TestNakagami:
     def test_rejects_small_shape(self):
         with pytest.raises(ValueError):
-            sample_nakagami(0.4, 1.0, np.random.default_rng(0))
-
-    def test_rejects_nonpositive_omega(self):
-        with pytest.raises(ValueError):
-            sample_nakagami(1.0, 0.0, np.random.default_rng(0))
+            sample_nakagami(0.4, np.random.default_rng(0))
 
     @staticmethod
     def first_share(m, seed):
@@ -183,12 +179,6 @@ class TestGenerateChannel:
         gains, delays = draw(params, 3, seed=2)
         assert delays.tolist() == [[0.0]] * 3
         assert np.max(np.abs(np.abs(gains) - 1.0)) < 1e-12
-
-    def test_one_generator_serves_both_draws(self):
-        gains, delays = generate_channel(sv_profile(4),
-                                         np.random.default_rng(9), 3)
-        assert gains.shape == delays.shape == (3, 4)
-        assert np.allclose(np.sum(np.abs(gains) ** 2, axis=1), 1.0)
 
     def test_rows_do_not_depend_on_the_hop_count(self):
         params = sv_profile(15)

@@ -6,6 +6,7 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -321,6 +322,15 @@ class TestConfigHandling:
         assert "directory of --out" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_out_directory_is_usage_error(self, tmp_path, capsys):
+        # refused before the run starts, with or without a trailing slash
+        for out in (str(tmp_path), str(tmp_path) + os.sep):
+            with pytest.raises(SystemExit) as err:
+                run_cli(["ber", "--out", out, *FAST])
+            assert err.value.code == 2
+            assert "is a directory" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_empty_detector_list_is_usage_error(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"detectors": []}))
@@ -632,6 +642,26 @@ class TestChannelDumpCommand:
             run_cli(["channel-dump", "--realizations", "5", "--L", "4",
                      "--out", str(out), "--seed", "8"])
         assert file_hash(a) == file_hash(b)
+
+    def test_pinned_taps(self, tmp_path):
+        # the taps of seed 8 as stream version 4 draws them; a tolerance
+        # rather than a hash, since numpy builds may round libm calls apart
+        out = tmp_path / "taps.csv"
+        assert run_cli(["channel-dump", "--realizations", "3", "--L", "4",
+                        "--out", str(out), "--seed", "8"]) == 0
+        _, rows = read_csv(out)
+        taps = np.array([complex(float(re_part), float(im_part))
+                         for _, _, re_part, im_part, _ in rows]).reshape(3, 4)
+        pinned = np.array([
+            [-0.32865374471466047 + 0.26172143329107306j,
+             0.5986581383849816 - 0.6819802348943296j, 0, 0],
+            [0.6401345633113712 - 0.27495915279741273j,
+             0.3064477451376084 - 0.14800686233888782j,
+             0.34636035282289745 - 0.5280563031913926j, 0],
+            [0.6020606518042811 - 0.42575864181287626j, 0,
+             0.44805777496369503 - 0.42026053594451024j,
+             0.260314887635649 - 0.10542306184186843j]])
+        assert np.allclose(taps, pinned, rtol=0, atol=1e-12)
 
     def test_flat_channel_dumps_a_unit_first_tap(self, tmp_path):
         out = tmp_path / "taps.csv"

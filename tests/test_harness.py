@@ -17,8 +17,8 @@ from uwfde.harness import (DETECTOR_NAMES, GridPoint, SimConfig,
                            run_ber_sweep, run_convergence, run_multirelay,
                            run_placement_sweep, run_point_trial, run_points,
                            transmit_block, trial_seed, wilson_half_width,
-                           _build_links, _cascade_powers, _group_size,
-                           _run_group, _substream, _TrialChannels,
+                           _build_links, _cascade, _cascade_powers,
+                           _group_size, _run_group, _substream,
                            _worker_count)
 from uwfde.txrx import (ModulationScheme, append_cp, demodulate, modulate,
                         relay_forward, relay_receive, unitary_fft,
@@ -650,7 +650,7 @@ class TestTransmitBlock:
                            relay_noise_factor=0.0, snr_grid=(200.0,))
         rng = np.random.default_rng(0)
         point = GridPoint(200.0)
-        hops = _build_links(cfg, [point], rng).cascade(cfg, point, 1, rng)
+        hops = _cascade(cfg, _build_links(cfg, (rng, rng), 2), point, 1, None)
         x = np.exp(2j * np.pi * rng.uniform(size=16))
         ch = effective_channel(hops, *_cascade_powers(cfg, point))
         r_f = transmit_block(unitary_fft(x), ch, np.zeros(16))
@@ -767,13 +767,6 @@ class TestTransmitBlock:
         assert _substream(7, 1).integers(0, 2 ** 32, 2).tolist() == [
             2926574226, 2064083997]
 
-    def test_prefix_shorter_than_memory_rejected(self):
-        rng = np.random.default_rng(4)
-        cfg = small_config(num_taps=3, cp_len=2)
-        chans = _TrialChannels(complex_noise(rng, (2, 4), 1.0))
-        with pytest.raises(ValueError, match="prefix"):
-            chans.cascade(cfg, GridPoint(8.0), 1, None)
-
 
 class TestPerRelayChainBer:
     def test_mmse_ber_matches_the_time_domain_chain(self):
@@ -793,12 +786,12 @@ class TestPerRelayChainBer:
         chain = []
         for t in range(cfg.trials):
             rng = np.random.default_rng(trial_seed(cfg.master_seed, "oracle", t))
-            chans = _build_links(cfg, [point], rng)
-            hops = chans.cascade(cfg, point, 1, rng)
+            drawn = _build_links(cfg, (rng, rng), 4)
+            hops = _cascade(cfg, drawn, point, 1, None)
             bits = rng.integers(0, 2, size=(cfg.data_frames, cfg.block_size))
             x = modulate(bits, scheme)
             # at the midpoint both hops have unit path gain: taps as drawn
-            taps = np.broadcast_to(chans.taps, (len(x),) + chans.taps.shape)
+            taps = np.broadcast_to(drawn, (len(x),) + drawn.shape)
             powers = _cascade_powers(cfg, point)
             r_f = time_domain_chain(x, taps, *powers, cfg.effective_cp_len,
                                     rng)
