@@ -67,8 +67,8 @@ class SvParams:
 _CLUSTER_SPLITS = {4: (2, 2), 15: (3, 5)}
 
 
-def sv_profile(num_paths: int, sample_period: float = 1.0) -> SvParams:
-    """Default profile spreading ``num_paths`` rays over as many tap bins.
+def sv_profile(num_paths: int) -> SvParams:
+    """Default profile of ``num_paths`` rays over as many one-symbol tap bins.
 
     Arrival gaps scale with the requested spread while the decay constants
     stay fixed in symbol units, so several taps remain significant and the
@@ -77,15 +77,13 @@ def sv_profile(num_paths: int, sample_period: float = 1.0) -> SvParams:
     if num_paths < 1:
         raise ValueError("num_paths must be >= 1")
     clusters, rays = _CLUSTER_SPLITS.get(num_paths, (1, num_paths))
-    span = num_paths * sample_period
     return SvParams(
-        cluster_rate=clusters / span,
-        ray_rate=1.0 / sample_period,
-        cluster_decay=6.0 * sample_period,
-        ray_decay=2.0 * sample_period,
+        cluster_rate=clusters / num_paths,
+        ray_rate=1.0,
+        cluster_decay=6.0,
+        ray_decay=2.0,
         num_clusters=clusters,
         rays_per_cluster=rays,
-        sample_period=sample_period,
     )
 
 

@@ -209,10 +209,10 @@ def _run(parser: argparse.ArgumentParser, args: argparse.Namespace,
             check(config)
     except (TypeError, ValueError) as exc:
         parser.error(str(exc))
+    if not os.path.basename(args.out) or os.path.isdir(args.out):
+        parser.error(f"--out {args.out!r} is a directory, not a CSV path")
     if not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
         parser.error(f"the directory of --out {args.out} does not exist")
-    if os.path.isdir(args.out):
-        parser.error(f"--out {args.out} is a directory, not a CSV path")
     started = time.monotonic()
     _write_csv(args.out, columns, table(config, *arguments))
     _write_manifest(args.out, args.command, config, started, saved)

@@ -406,11 +406,11 @@ def _run_group(config: SimConfig, points: list[GridPoint], seeds,
                collect_mse: bool) -> np.ndarray | tuple[np.ndarray, ...]:
     """Bit errors ``(trials, points, detectors)`` of the trials on ``seeds``,
     in ``config.detectors`` order, one ``run_point_trial`` call each; with
-    ``collect_mse``, also their MSE traces ``(trials, points, adaptive,
-    pilots)`` and Wiener floors ``(trials, points)``. An adaptive run's
-    buffers keep a trial's layout: received ``(trials, points, blocks, N)``
-    and, once per trial, the pilots and bits all cells send. One scan trains
-    each row on its own; a trial decides its adaptive columns as one stack."""
+    ``collect_mse``, also MSE traces ``(trials, points, adaptive, pilots)``
+    and Wiener floors ``(trials, points)``. An adaptive run's buffers keep a
+    trial's layout, which one scan trains in place: received ``(trials,
+    points, blocks, N)`` and, once per trial, the pilots and bits all cells
+    send. A trial decides its adaptive columns as one stack."""
     adaptive = [d for d in ADAPTIVE_DETECTORS if d in config.detectors]
     scheme = ModulationScheme.from_name(config.scheme)
     n, pilots, trials = config.block_size, config.pilot_frames, len(seeds)
@@ -425,12 +425,10 @@ def _run_group(config: SimConfig, points: list[GridPoint], seeds,
     if adaptive:
         received, sent, bits, floors = rows
         weights, traces = train_adaptive(
-            adaptive, np.moveaxis(received[:, :, :pilots], 2, 0),
-            np.moveaxis(sent, 1, 0)[:, :, None], config.mu, config.lambda_rls,
-            collect_mse)
+            adaptive, received[:, :, :pilots], sent[:, None], config.mu,
+            config.lambda_rls, collect_mse)
         if collect_mse:
-            mse = np.stack([traces[det] for det in adaptive], axis=-1)
-            return errors, np.moveaxis(mse, 0, -1), floors
+            return errors, np.stack([traces[det] for det in adaptive], -2), floors
         w = np.stack([weights[det] for det in adaptive], axis=2)[..., None, :]
         columns = [config.detectors.index(det) for det in adaptive]
         for t, trial in enumerate(received[:, :, None, pilots:]):
@@ -444,29 +442,30 @@ def train_adaptive(detectors, r_f: np.ndarray, s_f: np.ndarray, mu: float,
                    lambda_rls: float, collect_mse: bool = False
                    ) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
     """Train the adaptive filters named in ``detectors`` on pilot blocks,
-    one step per block, from received spectra ``r_f`` ``(pilots, ..., N)``
-    sent as ``s_f``, which broadcasts against it; every row of the middle
+    one step per block, from received spectra ``r_f`` ``(..., pilots, N)``
+    sent as ``s_f``, which broadcasts against it; every row of the leading
     axes trains filters of its own. Returns each filter's final weights
     ``(..., N)`` and, with ``collect_mse``, its mean squared a priori error
-    per pilot block ``(pilots, ...)``."""
+    per pilot block ``(..., pilots)``."""
     unknown = set(detectors) - set(ADAPTIVE_DETECTORS)
     if unknown:
         raise ValueError(f"unknown adaptive detectors: {sorted(unknown)}")
-    if len(r_f) == 0:
+    if r_f.shape[-2] == 0:
         raise ValueError("need at least one pilot block")
     n = r_f.shape[-1]
     filters = {det: np.zeros(n, dtype=complex) if det == "lms"
                else RlsState.initial(n, lambda_rls) for det in detectors}
     traces = ({det: np.empty(r_f.shape[:-1]) for det in detectors}
               if collect_mse else {})
-    for b in range(len(r_f)):
+    for b in range(r_f.shape[-2]):
+        r_b, s_b = r_f[..., b, :], s_f[..., b, :]
         for det in detectors:
             if det == "lms":
-                filters[det], err = lms_step(filters[det], r_f[b], s_f[b], mu)
+                filters[det], err = lms_step(filters[det], r_b, s_b, mu)
             else:
-                filters[det], err = rls_step(filters[det], r_f[b], s_f[b])
+                filters[det], err = rls_step(filters[det], r_b, s_b)
             if collect_mse:
-                traces[det][b] = np.mean(np.abs(err) ** 2, axis=-1)
+                traces[det][..., b] = np.mean(np.abs(err) ** 2, axis=-1)
     return {det: filters[det] if det == "lms" else filters[det].w
             for det in detectors}, traces
 

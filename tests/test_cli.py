@@ -322,9 +322,14 @@ class TestConfigHandling:
         assert "directory of --out" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
-    def test_out_directory_is_usage_error(self, tmp_path, capsys):
-        # refused before the run starts, with or without a trailing slash
-        for out in (str(tmp_path), str(tmp_path) + os.sep):
+    def test_out_directory_is_usage_error(self, tmp_path, capsys,
+                                          monkeypatch):
+        # refused before the run starts, with or without a trailing slash,
+        # also when a path names a directory only by its form: a trailing
+        # slash on a name that does not exist, or no name at all
+        monkeypatch.chdir(tmp_path)
+        for out in (str(tmp_path), str(tmp_path) + os.sep, "nodir" + os.sep,
+                    "x.csv" + os.sep, ""):
             with pytest.raises(SystemExit) as err:
                 run_cli(["ber", "--out", out, *FAST])
             assert err.value.code == 2

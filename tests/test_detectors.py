@@ -476,27 +476,26 @@ class TestTrainAdaptive:
                                    0.05, 0.995, collect_mse=True)
         assert np.mean(traces["rls"][-20:]) <= np.mean(traces["lms"][-20:])
 
-    @pytest.mark.parametrize("sent_shape", [(12, 2, 3, 8), (12, 2, 1, 8)],
+    @pytest.mark.parametrize("sent_shape", [(2, 3, 12, 8), (2, 1, 12, 8)],
                              ids=["per-row", "shared"])
     def test_rows_train_independently(self, sent_shape):
-        # a (pilots, 2, 3, N) stack trains each row exactly as it would alone,
-        # also when each trial's pilots broadcast over its 3 points
+        # a (2, 3, pilots, N) stack trains each row exactly as its (pilots, N)
+        # slice would alone, also when each trial's pilots broadcast over its
+        # 3 points
         rng = np.random.default_rng(14)
-        shape = (12, 2, 3, 8)
+        shape = (2, 3, 12, 8)
         r = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         s = np.exp(2j * np.pi * rng.uniform(size=sent_shape))
         weights, traces = train_adaptive(("lms", "rls"), r, s, 0.05, 0.9,
                                          collect_mse=True)
-        assert traces["rls"].shape == (12, 2, 3)
+        assert traces["rls"].shape == (2, 3, 12)
         for row in np.ndindex(2, 3):
             alone, alone_traces = train_adaptive(
-                ("rls", "lms"), r[(slice(None),) + row],
-                s[:, row[0], min(row[1], sent_shape[2] - 1)], 0.05, 0.9,
-                collect_mse=True)
+                ("rls", "lms"), r[row], s[row[0], min(row[1], sent_shape[1] - 1)],
+                0.05, 0.9, collect_mse=True)
             for det in ("lms", "rls"):
                 assert np.array_equal(weights[det][row], alone[det])
-                assert np.array_equal(traces[det][(slice(None),) + row],
-                                      alone_traces[det])
+                assert np.array_equal(traces[det][row], alone_traces[det])
 
 
 class TestScaleInvariance:
