@@ -4,22 +4,23 @@ Because the cascade of prefix-protected circulant channels is itself
 circulant, the combined response, the noise covariance and every linear
 equalizer here are diagonal in the DFT basis. All detectors therefore
 reduce to per-bin scalars: closed-form matched-filter (MRC) and Wiener
-(MMSE) weights, an exhaustive small-block maximum-likelihood search, and
-stochastic-gradient / recursive-least-squares adaptive filters that run as
-N independent scalar recursions. The search expands its per-bin distance
-so that every block received under one channel state is scored against
-the M/2 antipodal pairs (s, -s) of candidates by one real matrix product.
+(MMSE) weights, an exhaustive small-block maximum-likelihood search,
+stochastic-gradient (LMS) recursions, and recursive least squares (RLS) in
+its closed form, one weighted sum over the pilot blocks. The search expands
+its per-bin distance so that every block received under one channel state
+is scored against the M/2 antipodal pairs (s, -s) of candidates by one real
+matrix product.
 
 Weights are plain ``(..., N)`` arrays, one complex weight per bin, and
 ``equalize`` holds the one application convention: the symbol estimate
 is ``conj(w) * r`` per bin, so the Wiener fixed point of both adaptive
-recursions is ``w_k = g_k / (|g_k|^2 + noise_k)``.
+filters is ``w_k = g_k / (|g_k|^2 + noise_k)``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -236,26 +237,39 @@ def lms_step(w: np.ndarray, r_f: np.ndarray, s_f: np.ndarray,
     return w + mu * r_f * np.conj(err), err
 
 
-def rls_step(state: RlsState, r_f: np.ndarray,
-             s_f: np.ndarray) -> tuple[RlsState, np.ndarray]:
-    """One recursive-least-squares update of the per-bin filters.
-
-    Scalar per-bin form of the usual gain / error / weight / inverse-
-    autocorrelation sweep. A bin whose inverse autocorrelation collapses to
-    a non-positive value is reinitialized to one and counted in ``reinits``.
+def rls_step(state: RlsState, r_f: np.ndarray, s_f: np.ndarray,
+             errors: bool = False) -> tuple[RlsState, np.ndarray | None]:
+    """Closed-form RLS training of the per-bin filters on received spectra
+    ``r_f`` ``(..., blocks, N)`` sent as ``s_f``, which broadcasts against
+    it: from ``(w0, P0)``, exponentially weighted least squares (Haykin,
+    *Adaptive Filter Theory*) gives ``1/P = lambda^B / P0 + sum_k
+    lambda^(B-1-k) |r_k|^2`` and ``w = P (lambda^B w0 / P0 + sum_k
+    lambda^(B-1-k) r_k conj(s_k))``. ``1/P`` is floored at the smallest
+    normal float, so a bin that got no signal weighs 0 once ``lambda^B``
+    underflows. A bin with ``P0 <= 0`` keeps ``w0``, as a recursion step
+    does, and is reset to one and counted in ``reinits``. ``errors`` adds
+    the a priori errors ``(..., blocks, N)`` under the weights before each
+    block, from the same sums over every prefix (``blocks`` times the work).
     """
-    lam_inv = 1.0 / state.lambda_rls
-    p = state.inv_corr
-    scaled = lam_inv * p
-    gain = scaled * r_f / (1.0 + scaled * np.abs(r_f) ** 2)
-    err = s_f - equalize(state.w, r_f)
-    w_next = state.w + gain * np.conj(err)
-    p_next = scaled * (1.0 - (gain * np.conj(r_f)).real)
-    bad = p_next <= 0
-    reinits = state.reinits + int(np.count_nonzero(bad))
-    if bad.any():
-        p_next = np.where(bad, 1.0, p_next)
-    return RlsState(w_next, p_next, state.lambda_rls, reinits), err
+    lam, blocks = state.lambda_rls, r_f.shape[-2]
+    bad = state.inv_corr <= 0
+    w0, p0 = state.w[..., None, :], np.where(bad, 1.0, state.inv_corr)
+    # row i weighs block j by lambda^(k - 1 - j) if j < k = ends[i], else 0
+    ends = np.arange(blocks + 1) if errors else np.array([blocks])
+    ages = ends[:, None] - np.arange(blocks) - 1
+    decay = np.where(ages >= 0, lam ** np.abs(ages), 0.0)
+    # every prefix goes through BLAS on the products; the final sums alone
+    # contract without (..., blocks, N) temporaries
+    sums = ((lambda a, b: decay @ (a * b)) if errors else
+            partial(np.einsum, "kj,...jn,...jn->...kn", decay))
+    prior = (lam ** ends)[:, None] / p0[..., None, :]
+    p = 1.0 / np.maximum(prior + sums(r_f.real, r_f.real)
+                         + sums(r_f.imag, r_f.imag), np.finfo(float).tiny)
+    w = np.where(bad[..., None, :], w0,
+                 p * (prior * w0 + sums(r_f, np.conj(s_f))))
+    out = RlsState(w[..., -1, :], np.where(bad, 1.0, p[..., -1, :]), lam,
+                   state.reinits + int(np.count_nonzero(bad)))
+    return out, (s_f - equalize(w[..., :-1, :], r_f)) if errors else None
 
 
 def mmse_error_floor(ch: EffectiveChannel) -> float:

@@ -10,7 +10,7 @@ nonzero Doppler, take one Gauss-Markov step between consecutive blocks.
 Trials are independent. They run in consecutive groups through one engine,
 ``_run_group``: as many trials as keep the group's adaptive buffers (a
 received row per point, the pilots and bits once per trial) within
-``GROUP_BYTES``, whose filters train as one scan. A group's bit errors form
+``GROUP_BYTES``, whose filters train in one call. A group's bit errors form
 one ``(trials, points, detectors)`` array; ``run_points`` sums over trials.
 
 A trial's random stream derives purely from (master seed, experiment tag,
@@ -408,9 +408,9 @@ def _run_group(config: SimConfig, points: list[GridPoint], seeds,
     in ``config.detectors`` order, one ``run_point_trial`` call each; with
     ``collect_mse``, also MSE traces ``(trials, points, adaptive, pilots)``
     and Wiener floors ``(trials, points)``. An adaptive run's buffers keep a
-    trial's layout, which one scan trains in place: received ``(trials,
-    points, blocks, N)`` and, once per trial, the pilots and bits all cells
-    send. A trial decides its adaptive columns as one stack."""
+    trial's layout, which one ``train_adaptive`` call takes: received
+    ``(trials, points, blocks, N)`` and, once per trial, the pilots and bits
+    all cells send. A trial decides its adaptive columns as one stack."""
     adaptive = [d for d in ADAPTIVE_DETECTORS if d in config.detectors]
     scheme = ModulationScheme.from_name(config.scheme)
     n, pilots, trials = config.block_size, config.pilot_frames, len(seeds)
@@ -442,32 +442,35 @@ def train_adaptive(detectors, r_f: np.ndarray, s_f: np.ndarray, mu: float,
                    lambda_rls: float, collect_mse: bool = False
                    ) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
     """Train the adaptive filters named in ``detectors`` on pilot blocks,
-    one step per block, from received spectra ``r_f`` ``(..., pilots, N)``
-    sent as ``s_f``, which broadcasts against it; every row of the leading
-    axes trains filters of its own. Returns each filter's final weights
-    ``(..., N)`` and, with ``collect_mse``, its mean squared a priori error
-    per pilot block ``(..., pilots)``."""
+    ``lms`` one step per block and ``rls`` in one closed-form ``rls_step``,
+    from received spectra ``r_f`` ``(..., pilots, N)`` sent as ``s_f``,
+    which broadcasts against it; every row of the leading axes trains
+    filters of its own. Returns each filter's final weights ``(..., N)``
+    and, with ``collect_mse``, its mean squared a priori error per pilot
+    block ``(..., pilots)``."""
     unknown = set(detectors) - set(ADAPTIVE_DETECTORS)
     if unknown:
         raise ValueError(f"unknown adaptive detectors: {sorted(unknown)}")
     if r_f.shape[-2] == 0:
         raise ValueError("need at least one pilot block")
     n = r_f.shape[-1]
-    filters = {det: np.zeros(n, dtype=complex) if det == "lms"
-               else RlsState.initial(n, lambda_rls) for det in detectors}
     traces = ({det: np.empty(r_f.shape[:-1]) for det in detectors}
               if collect_mse else {})
-    for b in range(r_f.shape[-2]):
-        r_b, s_b = r_f[..., b, :], s_f[..., b, :]
-        for det in detectors:
-            if det == "lms":
-                filters[det], err = lms_step(filters[det], r_b, s_b, mu)
-            else:
-                filters[det], err = rls_step(filters[det], r_b, s_b)
+    weights = {}
+    if "rls" in detectors:
+        state, err = rls_step(RlsState.initial(n, lambda_rls), r_f, s_f,
+                              collect_mse)
+        weights["rls"] = state.w
+        if collect_mse:
+            traces["rls"][:] = np.mean(np.abs(err) ** 2, axis=-1)
+    if "lms" in detectors:
+        weights["lms"] = np.zeros(n, dtype=complex)
+        for b in range(r_f.shape[-2]):
+            weights["lms"], err = lms_step(weights["lms"], r_f[..., b, :],
+                                           s_f[..., b, :], mu)
             if collect_mse:
-                traces[det][..., b] = np.mean(np.abs(err) ** 2, axis=-1)
-    return {det: filters[det] if det == "lms" else filters[det].w
-            for det in detectors}, traces
+                traces["lms"][..., b] = np.mean(np.abs(err) ** 2, axis=-1)
+    return weights, traces
 
 
 def _group_size(config: SimConfig, points: list[GridPoint]) -> int:

@@ -44,3 +44,21 @@ def ks_statistic(a: np.ndarray, b: np.ndarray) -> float:
     gap = (np.searchsorted(a, both, side="right") / len(a)
            - np.searchsorted(b, both, side="right") / len(b))
     return float(np.max(np.abs(gap)))
+
+
+def rls_recursion(w, inv_corr, lambda_rls, r_f, s_f):
+    """The per-block RLS recursion over received spectra ``r_f`` ``(...,
+    blocks, N)`` sent as ``s_f``, from weights ``w`` and inverse
+    autocorrelation ``inv_corr``: each block one scalar per-bin gain / error
+    / weight / inverse-autocorrelation sweep. Returns the final weights, the
+    final inverse autocorrelation and the a priori error of every block."""
+    errors = []
+    for b in range(r_f.shape[-2]):
+        r, s = r_f[..., b, :], s_f[..., b, :]
+        scaled = inv_corr / lambda_rls
+        gain = scaled * r / (1.0 + scaled * np.abs(r) ** 2)
+        err = s - np.conj(w) * r
+        w = w + gain * np.conj(err)
+        inv_corr = scaled * (1.0 - (gain * np.conj(r)).real)
+        errors.append(err)
+    return w, inv_corr, np.stack(errors, axis=-2)

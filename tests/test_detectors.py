@@ -6,14 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle import circulant_from_taps
+from oracle import circulant_from_taps, rls_recursion
 from uwfde.channel import freq_response
 from uwfde.detectors import (ML_SLICE_ROWS, EffectiveChannel, MlDetector,
                              RlsState, _ml_tables, effective_channel, equalize,
                              lms_step, mmse_error_floor, mmse_weights,
                              mrc_weights, rls_step)
 from uwfde.harness import train_adaptive
-from uwfde.txrx import ModulationScheme, demodulate, modulate, unitary_ifft
+from uwfde.txrx import (ModulationScheme, demodulate, modulate, unitary_fft,
+                        unitary_ifft)
 
 
 def unitary_dft(n):
@@ -397,7 +398,7 @@ class TestRls:
                          state.lambda_rls)
         r = np.array([1.0 + 0j, 2.0 + 0j])
         s = np.conj(state.w) * r
-        out, err = rls_step(state, r, s)
+        out, err = rls_step(state, r[None], s[None], errors=True)
         assert np.allclose(err, 0.0)
         assert np.allclose(out.w, state.w)
 
@@ -408,7 +409,7 @@ class TestRls:
         s = np.array([0.7 * np.exp(-1.1j)])
         state = RlsState.initial(1, 1.0)
         for i in range(1, 40):
-            state, _ = rls_step(state, r, s)
+            state, _ = rls_step(state, r[None], s[None])
             expected = i * r[0] * np.conj(s[0]) / (1.0 + i * np.abs(r[0]) ** 2)
             assert abs(state.w[0] - expected) < 1e-8
 
@@ -428,10 +429,52 @@ class TestRls:
         # under the plain recursion; the guard restores it to one
         state = RlsState(np.zeros(2, dtype=complex), np.array([0.0, 1.0]), 1.0)
         r = np.array([1.0 + 0j, 1.0 + 0j])
-        out, _ = rls_step(state, r, np.array([1.0 + 0j, 1.0 + 0j]))
+        out, _ = rls_step(state, r[None], np.array([1.0 + 0j, 1.0 + 0j])[None])
         assert out.inv_corr[0] == 1.0
         assert out.inv_corr[1] == pytest.approx(0.5)
         assert out.reinits == 1
+
+    @settings(max_examples=100, deadline=None)
+    @given(lam=st.floats(0.01, 1.0), blocks=st.integers(1, 500),
+           qpsk=st.booleans(), zeroed=st.sets(st.integers(0, 5), max_size=3),
+           start=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_closed_form_matches_recursion(self, lam, blocks, qpsk, zeroed,
+                                           start, seed):
+        # final weights and a priori errors of the closed form against the
+        # per-block recursion, over BPSK and QPSK pilots, all-zero bins and
+        # a start state (w0, P0) that is not the initial one. Below lambda
+        # 0.01 the recursion is the one that drifts past the tolerance: its
+        # P update cancels about log10(P |r|^2 / lambda) digits, and at
+        # lambda 2^-8 an exact rational sum agreed with the closed form
+        rng = np.random.default_rng(seed)
+        n = 6
+        scheme = ModulationScheme.qpsk() if qpsk else ModulationScheme.bpsk()
+        bits = rng.integers(0, 2, size=(blocks, n * scheme.bits_per_symbol))
+        s = unitary_fft(modulate(bits, scheme))
+        gain = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        r = gain * s + 0.3 * (rng.standard_normal((blocks, n))
+                              + 1j * rng.standard_normal((blocks, n)))
+        r[:, sorted(zeroed)] = 0
+        state = RlsState.initial(n, lam)
+        if start:
+            state = RlsState(rng.standard_normal(n) + 1j * rng.standard_normal(n),
+                             rng.uniform(0.1, 10.0, size=n), lam)
+        out, err = rls_step(state, r, s, errors=True)
+        with np.errstate(over="ignore", invalid="ignore"):
+            w, inv_corr, err_oracle = rls_recursion(state.w, state.inv_corr,
+                                                    lam, r, s)
+        # an all-zero bin's P overflows in the recursion once lambda^P
+        # underflows; the closed form gives weight 0 to a bin whose 1/P is
+        # below the smallest normal float (see TestTrainAdaptive), so only
+        # bins the recursion keeps above that compare
+        kept = np.isfinite(w) & (inv_corr <= 1.0 / np.finfo(float).tiny)
+        assert np.all(kept[[k for k in range(n) if k not in zeroed]])
+        assert np.all(np.abs(out.w - w)[kept] <= 1e-10 * np.abs(w)[kept])
+        assert np.all(np.abs(out.inv_corr - inv_corr)[kept]
+                      <= 1e-10 * inv_corr[kept])
+        scale = np.abs(s) + np.abs(s - err_oracle)  # |s| + |conj(w) r|
+        assert np.all((np.abs(err - err_oracle) <= 1e-10 * scale)[:, kept])
+        assert out.reinits == 0
 
 
 class TestTrainAdaptive:
@@ -475,6 +518,21 @@ class TestTrainAdaptive:
         _, traces = train_adaptive(("lms", "rls"), np.array(r), np.array(s),
                                    0.05, 0.995, collect_mse=True)
         assert np.mean(traces["rls"][-20:]) <= np.mean(traces["lms"][-20:])
+
+    @pytest.mark.parametrize("collect_mse", [False, True])
+    def test_rls_dead_bin_gets_zero_weight(self, collect_mse):
+        # an all-zero bin keeps only the ridge lambda^P in 1/P, which
+        # underflows to 0 at 400 pilots and lambda 0.1; its weight is 0, as
+        # a dead Wiener bin's is, and no warning is raised
+        rng = np.random.default_rng(15)
+        r = rng.standard_normal((400, 4)) + 1j * rng.standard_normal((400, 4))
+        r[:, 2] = 0
+        s = np.exp(2j * np.pi * rng.uniform(size=(400, 4)))
+        weights, traces = train_adaptive(("rls",), r, s, 0.05, 0.1,
+                                         collect_mse)
+        assert weights["rls"][2] == 0
+        assert np.all(np.isfinite(weights["rls"]))
+        assert np.all(np.isfinite(traces.get("rls", 0.0)))
 
     @pytest.mark.parametrize("sent_shape", [(2, 3, 12, 8), (2, 1, 12, 8)],
                              ids=["per-row", "shared"])
@@ -538,6 +596,7 @@ class TestScaleInvariance:
         state_scaled = RlsState(np.zeros(n, dtype=complex), np.full(n, 1.0 / c),
                                 0.995)
         for r_b, s_b in zip(r, s):
-            state, _ = rls_step(state, r_b, s_b)
-            state_scaled, _ = rls_step(state_scaled, np.sqrt(c) * r_b, s_b)
+            state, _ = rls_step(state, r_b[None], s_b[None])
+            state_scaled, _ = rls_step(state_scaled, np.sqrt(c) * r_b[None],
+                                       s_b[None])
         assert np.max(np.abs(state_scaled.w - state.w / np.sqrt(c))) < 1e-10
