@@ -108,28 +108,44 @@ def sample_nakagami(m: float, rng: np.random.Generator, size=None):
     return np.sqrt(rng.gamma(shape=m, scale=1.0 / m, size=size))
 
 
-def generate_channel(params: SvParams, rngs,
-                     hops: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """Draw ``hops`` realizations, their eigenray ``(gains, delays)`` each
-    ``(hops, C*R)`` cluster by cluster, every row at unit power. ``rngs``
-    is the pair (gamma generator, uniform generator), which may be one
-    generator twice. Each draws one row-major array, so a row is the same
-    for any ``hops``: uniforms ``(hops, 2*C*R - 1)``, a row's C - 1 cluster
-    gaps, C*(R - 1) ray gaps and C*R phases; then gammas ``(hops, C*R)``."""
+def channel_variates(params: SvParams, rngs,
+                     hops: int) -> tuple[np.ndarray, np.ndarray]:
+    """The draws of ``hops`` realizations that ``generate_channel`` reads,
+    as (amplitudes, uniforms). ``rngs`` is the pair (gamma generator,
+    uniform generator), which may be one generator twice. The uniform
+    generator draws first, ``(hops, 2*C*R - 1)``: a row's C - 1 cluster
+    gaps, C*(R - 1) ray gaps and C*R phases; then the gamma generator draws
+    the Nakagami ray amplitudes ``(hops, C*R)``. Each is one row-major
+    array, so a row is the same for any ``hops``."""
     gamma_rng, uniform_rng = rngs
     c, r = params.num_clusters, params.rays_per_cluster
-    u = uniform_rng.random((hops, 2 * c * r - 1))
-    starts = _arrival_times(u[:, :c - 1], params.cluster_rate)[:, :, None]
-    offsets = _arrival_times(u[:, c - 1:c * r - 1].reshape(hops, c, r - 1),
+    uniforms = uniform_rng.random((hops, 2 * c * r - 1))
+    return (sample_nakagami(params.nakagami_m, gamma_rng, (hops, c * r)),
+            uniforms)
+
+
+def generate_channel(params: SvParams, rngs,
+                     hops: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenray ``(gains, delays)`` of ``hops`` realizations, each
+    ``(hops, C*R)`` cluster by cluster, every row at unit power. ``rngs`` is
+    the generator pair of ``channel_variates``, or the (amplitudes,
+    uniforms) it draws, with any leading axes, which carry through to the
+    result."""
+    if isinstance(rngs[0], np.random.Generator):
+        rngs = channel_variates(params, rngs, hops)
+    amplitudes, u = rngs
+    c, r = params.num_clusters, params.rays_per_cluster
+    lead = u.shape[:-1]
+    starts = _arrival_times(u[..., :c - 1], params.cluster_rate)[..., None]
+    offsets = _arrival_times(u[..., c - 1:c * r - 1].reshape(lead + (c, r - 1)),
                              params.ray_rate)
     # extreme decay underflows to zero mean power; those rays carry no gain
     power = params.omega * np.exp(-starts / params.cluster_decay
                                   - offsets / params.ray_decay)
-    gains = (np.sqrt(power.reshape(hops, c * r))
-             * sample_nakagami(params.nakagami_m, gamma_rng, (hops, c * r))
-             * np.exp(1j * TWO_PI * u[:, c * r - 1:]))
+    gains = (np.sqrt(power.reshape(lead + (c * r,))) * amplitudes
+             * np.exp(1j * TWO_PI * u[..., c * r - 1:]))
     gains /= np.sqrt(np.sum(np.abs(gains) ** 2, axis=-1, keepdims=True))
-    return gains, (starts + offsets).reshape(hops, c * r)
+    return gains, (starts + offsets).reshape(lead + (c * r,))
 
 
 def quantize_to_taps(gains: np.ndarray, delays: np.ndarray,

@@ -4,14 +4,14 @@ Every experiment reduces to the same trial: draw fresh relay cascades,
 optionally train the adaptive equalizers on pilot blocks, transmit data
 blocks and count bit errors per detector. Per-bin quantities are plain
 arrays: a cell's hop spectra (``_cascade``), and its points' effective
-channels and equalizer weights stacked ``(points, ...)``, which apply
-through ``detectors.equalize``. Taps hold still within a block and, under
-nonzero Doppler, take one Gauss-Markov step between consecutive blocks.
-Trials are independent. They run in consecutive groups through one engine,
-``_run_group``: as many trials as keep the group's adaptive buffers (a
-received row per point, the pilots and bits once per trial) within
-``GROUP_BYTES``, whose filters train in one call. A group's bit errors form
-one ``(trials, points, detectors)`` array; ``run_points`` sums over trials.
+channels and equalizer weights, which apply through ``detectors.equalize``.
+Taps hold still within a block and, under nonzero Doppler, take one
+Gauss-Markov step between consecutive blocks. Trials are independent. They
+run in consecutive groups of at most ``GROUP_BYTES`` of buffers through one
+engine, ``_run_group``: it draws each trial's variates, computes the
+channels once for the group, sends and decides each trial's blocks, and
+trains the adaptive filters in one call. A group's bit errors form one
+``(trials, points, detectors)`` array; ``run_points`` sums over trials.
 
 A trial's random stream derives purely from (master seed, experiment tag,
 trial index), so results are bit-identical for any worker count. A trial
@@ -34,9 +34,10 @@ from functools import partial
 
 import numpy as np
 
-from .channel import (SvParams, _whole_number, af_gain, complex_noise,
-                      evolve_channel, freq_response, generate_channel,
-                      path_gain, quantize_to_taps, sv_profile)
+from .channel import (SvParams, _whole_number, af_gain, channel_variates,
+                      complex_noise, evolve_channel, freq_response,
+                      generate_channel, path_gain, quantize_to_taps,
+                      sv_profile)
 from .detectors import (ML_SEARCH_LIMIT, EffectiveChannel, MlDetector,
                         RlsState, effective_channel, equalize, lms_step,
                         mmse_error_floor, mmse_weights, mrc_weights, rls_step)
@@ -45,7 +46,7 @@ from .detectors import (ML_SEARCH_LIMIT, EffectiveChannel, MlDetector,
 from .txrx import (ModulationScheme, demodulate, modulate,  # noqa: F401
                    relay_forward, relay_receive, unitary_fft, unitary_ifft)
 
-# Layout of a trial's random stream (see run_point_trial); a manifest
+# Layout of a trial's random stream (see _run_group); a manifest
 # replays its CSV only under the layout that wrote it, so any change to the
 # draws bumps it. 1 (v0.1.0) drew per block; 2 per trial: taps, drift, bits,
 # then each hop's noise; 3 one unit white noise array per cell for the hop
@@ -55,8 +56,8 @@ STREAM_VERSION = 4
 DETECTOR_NAMES = ("mrc", "mmse", "ml", "lms", "rls")
 ADAPTIVE_DETECTORS = ("lms", "rls")
 WORKERS_ENV_VAR = "UWFDE_WORKERS"
-# Group cap, in bytes as _group_size charges each point pilots of its own (an
-# upper bound); picked by measurement: bigger groups train faster, cost memory.
+# Group cap, in bytes as _group_size charges a trial's buffers (an upper
+# bound); picked by measurement: bigger groups train faster, cost memory.
 GROUP_BYTES = 3 << 19
 # Path gains of a grid point lie within this factor of one (1000 dB) and its
 # noise powers at most this, so no product of them in the model overflows.
@@ -253,18 +254,21 @@ def trial_seed(master_seed: int, experiment: str,
 
 def _substream(seed, q: int) -> np.random.Generator:
     """Generator on keyed substream ``q`` of a trial seed, an int or a
-    tuple of ints such as ``trial_seed`` gives; see ``run_point_trial``."""
+    tuple of ints such as ``trial_seed`` gives; see ``_run_group``."""
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(q,)))
 
 
-def _build_links(config: SimConfig, rngs, hops: int) -> np.ndarray:
+def _build_links(config: SimConfig, rngs, hops) -> np.ndarray:
     """Unit-power taps ``(hops, L)`` of the channel model from the gamma and
-    uniform generators ``rngs`` (see ``generate_channel``); the flat model
-    draws nothing and gives unit first taps. A trial draws the hops of its
-    largest relay count U, relay u's source and destination hops in rows 2u
-    and 2u + 1, so the first rows are those of every smaller count."""
+    uniform generators ``rngs``, or ``(trials, hops, L)`` from their draws
+    stacked over a group's trials, ``hops`` then being that shape (see
+    ``generate_channel``); the flat model draws nothing and gives unit
+    first taps. A trial draws the hops of its largest relay count U, relay
+    u's source and destination hops in rows 2u and 2u + 1, so the first
+    rows are those of every smaller count."""
     if config.channel_model == "flat":
-        return np.tile(np.eye(1, config.num_taps, dtype=complex), (hops, 1))
+        return np.tile(np.eye(1, config.num_taps, dtype=complex),
+                       np.append(hops, 1))
     gains, delays = generate_channel(config.sv, rngs, hops)
     return quantize_to_taps(gains, delays, config.sv.sample_period,
                             config.num_taps)
@@ -272,15 +276,18 @@ def _build_links(config: SimConfig, rngs, hops: int) -> np.ndarray:
 
 def _cascade(config: SimConfig, taps: np.ndarray, point: GridPoint,
              blocks: int, drift) -> np.ndarray:
-    """Per-bin responses ``(2u, N)`` of the first 2u hops ``taps`` of
-    ``point``'s cell of u relays at its path gains, or ``(blocks, 2u, N)``
-    drifting by the first 2u rows of the innovations ``drift`` when its
-    Doppler is nonzero."""
+    """Per-bin responses ``(..., 2u, N)`` of the first 2u hops of ``taps``
+    ``(..., hops, L)`` for ``point``'s cell of u relays at its path gains.
+    When its Doppler is nonzero, their taps instead, drifting by the first
+    2u rows of the innovations ``drift`` ``(..., hops, blocks - 1, 2, L)``:
+    a track ``(blocks, ..., 2u, L)``, whose spectra each trial takes alone:
+    a group's would hold ``blocks`` times a static cell's."""
     relays = point.num_relays
-    taps = taps[:2 * relays] * np.sqrt(
+    taps = taps[..., :2 * relays, :] * np.sqrt(
         np.tile(path_gain(point.delta, config.eta), relays))[:, None]
     if point.fd_norm > 0:
-        taps = evolve_channel(taps, point.fd_norm, blocks, drift[:2 * relays])
+        return evolve_channel(taps, point.fd_norm, blocks,
+                              drift[..., :2 * relays, :, :, :])
     return freq_response(taps, config.block_size)
 
 
@@ -321,120 +328,153 @@ def transmit_block(x_f: np.ndarray, ch: EffectiveChannel,
     return ch.response * x_f + noise
 
 
-def run_point_trial(config: SimConfig, points: list[GridPoint], seed,
-                    collect_mse: bool = False, rows=None) -> np.ndarray:
-    """Bit errors ``(points, detectors)`` of one trial over all of its grid
-    points, in ``config.detectors`` order; the adaptive columns stay 0
-    here, for ``_run_group`` to count.
+def _channel_state(config: SimConfig, hops: np.ndarray, powers: np.ndarray,
+                   pilots: int, drifting: bool) -> tuple:
+    """Effective channels ``(points, ..., N)`` of a cell's hop spectra at its
+    points' powers ``(points, 3)``, the roots of their noise variances, and
+    the linear weights ``(points, ..., detectors, blocks, N)``: one per data
+    block when ``drifting``, else one for all (None without linear ones)."""
+    ch = effective_channel(hops, *powers.T.reshape(3, -1, *[1] * hops.ndim))
+    data = ch[:, pilots:] if drifting else ch[..., None, :]
+    w = [(mrc_weights if d == "mrc" else mmse_weights)(data)
+         for d in config.detectors if d in ("mrc", "mmse")]
+    return ch, np.sqrt(ch.noise_var), np.stack(w, axis=-3) if w else None
 
-    Draws fresh cascades, sends pilot blocks when a detector is adaptive,
-    then counts bit errors over the data blocks. Taps are constant within
-    a block; with nonzero Doppler they take one Gauss-Markov step between
-    consecutive blocks, pilots and data alike, so the adaptive weights
-    carry a tracking lag while ideal-CSI detectors follow the drift.
 
-    With ``collect_mse`` the trial is a learning-curve run: it sends only
-    the pilot blocks, for the adaptive filters (``run_convergence`` names
-    both) to train on, and records the Wiener floor at the last one.
-
-    Random stream (``STREAM_VERSION``), U the largest relay count on
-    ``points``: keyed substream q of ``seed`` (see ``_substream``) draws,
-    for 0, the bits of every block, a unit white noise array
-    ``(blocks, N)``, then the hops' gammas; for 1, their uniforms (see
-    ``generate_channel``); for 2, if a cell drifts, the innovations
-    ``(2U, blocks - 1, 2, L)`` (see ``evolve_channel``). A cell of u relays
-    reads the first 2u rows. Its powers, effective channels and linear
-    weights are stacked over its points; each point sends ``sqrt(noise_var)``
-    times the white array and decides its linear detectors as one
-    ``(detectors, blocks, N)`` stack. When a detector is adaptive, the trial
-    fills ``rows`` (see ``_run_group``): its pilots and bits once, and per
-    point its received row and, for ``collect_mse``, its Wiener floor.
-    """
-    adaptive = any(d in ADAPTIVE_DETECTORS for d in config.detectors)
+def run_point_trial(config: SimConfig, members: list[int], state: tuple,
+                    x_f: np.ndarray, noise: np.ndarray, sent: np.ndarray,
+                    rows: np.ndarray) -> np.ndarray:
+    """Bit errors ``(points, detectors)`` of one trial at the grid points
+    ``members`` of one cell, in ``config.detectors`` order; the adaptive
+    columns stay 0, for ``_run_group`` to count. ``state`` is the cell's
+    ``_channel_state`` in the trial, of channels ``(points, N)``, or
+    ``(points, blocks, N)`` when it drifts. Each point sends ``x_f`` plus
+    ``sqrt(noise_var)`` times the unit white ``noise`` and decides ``ml``
+    and, as one ``(detectors, blocks, N)`` stack, its linear detectors
+    against ``sent``; with an adaptive detector, point i's received blocks
+    go to ``rows[i]``."""
     scheme = ModulationScheme.from_name(config.scheme)
-    n = config.block_size
-    cells: dict[tuple, list[int]] = {}
-    for i, p in enumerate(points):
-        cells.setdefault((p.fd_norm, p.delta, p.num_relays), []).append(i)
-    linear = [d for d in config.detectors if d in ("mrc", "mmse")]
-    linear_columns = [config.detectors.index(d) for d in linear]
+    adaptive = any(d in ADAPTIVE_DETECTORS for d in config.detectors)
     pilots = config.pilot_frames if adaptive else 0
-    blocks = pilots + (0 if collect_mse else config.data_frames)
-    errors = np.zeros((len(points), len(config.detectors)), dtype=int)
-
-    rng = _substream(seed, 0)
-    bits = rng.integers(0, 2, size=(blocks, n * scheme.bits_per_symbol))
-    x_f = unitary_fft(modulate(bits, scheme))
-    sent = bits[pilots:] == 1
-    white = complex_noise(rng, (blocks, n), 1.0)
-    taps = _build_links(config, (rng, _substream(seed, 1)),
-                        2 * max(p.num_relays for p in points))
-    shape = taps.shape[:1] + (blocks - 1, 2) + taps.shape[1:]
-    drift = (_substream(seed, 2).standard_normal(shape)
-             if any(p.fd_norm > 0 for p in points) else None)
-    if adaptive:
-        rows[1][:], rows[2][:] = x_f[:pilots], sent
-    for members in cells.values():
-        hops = _cascade(config, taps, points[members[0]], blocks, drift)
-        drifting = points[members[0]].fd_norm > 0
-        powers = np.array([_cascade_powers(config, points[i]) for i in members])
-        ch = effective_channel(hops, *powers.T.reshape(3, -1, *[1] * hops.ndim))
-        scale = np.sqrt(ch.noise_var)
-        if linear:  # (points, detectors, data blocks or 1, N)
-            data = ch[:, pilots:] if drifting else ch[:, None]
-            w = np.stack([(mrc_weights if d == "mrc" else mmse_weights)(data)
-                          for d in linear], axis=1)
-        for m, i in enumerate(members):
-            r_f = transmit_block(x_f, ch[m], scale[m] * white)
-            if adaptive:
-                rows[0][i] = r_f
-            if collect_mse:
-                rows[3][i] = mmse_error_floor(ch[m, -1] if drifting else ch[m])
-            if "ml" in config.detectors:
-                decided = MlDetector(ch[m, pilots:] if drifting else ch[m],
-                                     scheme, n).detect(r_f[pilots:])
-                errors[i, config.detectors.index("ml")] = np.sum(
-                    demodulate(decided, scheme) != sent)
-            if linear:
-                decided = unitary_ifft(equalize(w[m], r_f[pilots:]))
-                errors[i, linear_columns] = np.sum(
-                    demodulate(decided, scheme) != sent, axis=(1, 2))
+    linear_columns = [k for k, d in enumerate(config.detectors)
+                      if d in ("mrc", "mmse")]
+    ch, scale, w = state
+    drifting = ch.response.ndim > 2
+    errors = np.zeros((len(members), len(config.detectors)), dtype=int)
+    for m, i in enumerate(members):
+        r_f = transmit_block(x_f, ch[m], scale[m] * noise)
+        if adaptive:
+            rows[i] = r_f
+        if "ml" in config.detectors:
+            decided = MlDetector(ch[m, pilots:] if drifting else ch[m], scheme,
+                                 config.block_size).detect(r_f[pilots:])
+            errors[m, config.detectors.index("ml")] = np.sum(
+                demodulate(decided, scheme) != sent)
+        if w is not None:
+            decided = unitary_ifft(equalize(w[m], r_f[pilots:]))
+            errors[m, linear_columns] = np.sum(
+                demodulate(decided, scheme) != sent, axis=(1, 2))
     return errors
 
 
 def _run_group(config: SimConfig, points: list[GridPoint], seeds,
                collect_mse: bool) -> np.ndarray | tuple[np.ndarray, ...]:
     """Bit errors ``(trials, points, detectors)`` of the trials on ``seeds``,
-    in ``config.detectors`` order, one ``run_point_trial`` call each; with
-    ``collect_mse``, also MSE traces ``(trials, points, adaptive, pilots)``
-    and Wiener floors ``(trials, points)``. An adaptive run's buffers keep a
-    trial's layout, which one ``train_adaptive`` call takes: received
-    ``(trials, points, blocks, N)`` and, once per trial, the pilots and bits
-    all cells send. A trial decides its adaptive columns as one stack."""
+    in ``config.detectors`` order; with ``collect_mse``, also MSE traces
+    ``(trials, points, adaptive, pilots)`` and the Wiener floors ``(trials,
+    points)`` at the last pilot block.
+
+    Random stream (``STREAM_VERSION``), U the largest relay count on
+    ``points``: a loop draws each trial's variates from keyed substream q
+    of its seed (see ``_substream``): for 0, the bits of every block, a unit
+    white noise array ``(blocks, N)``, then the hops' Nakagami amplitudes;
+    for 1, their uniforms (see ``channel_variates``; the flat model draws
+    neither and keys no substream 1); for 2, if a cell drifts, the
+    innovations ``(2U, blocks - 1, 2, L)`` (see ``evolve_channel``). A cell
+    of u relays reads the first 2u rows.
+
+    Then, cell by cell, what does not scale with blocks x N runs once over
+    the group's trials: the taps, path gains and powers, and either one
+    ``evolve_channel`` call or the spectra, channels and linear weights
+    ``(points, trials, N)``; a drifting cell's spectra and channels follow
+    per trial (see ``_cascade``), and ``run_point_trial`` sends and decides
+    each trial's ``(blocks, N)`` data.
+    One allocation holds the symbol spectra ``(trials, blocks, N)``, whose
+    first rows are the pilots, and one the rows: a received row per
+    (trial, point), the white noise in the row written last, when a
+    detector is adaptive, else the white noise alone. One
+    ``train_adaptive`` call takes them, and each trial decides its adaptive
+    columns as one stack.
+    """
     adaptive = [d for d in ADAPTIVE_DETECTORS if d in config.detectors]
     scheme = ModulationScheme.from_name(config.scheme)
-    n, pilots, trials = config.block_size, config.pilot_frames, len(seeds)
-    data = 0 if collect_mse else config.data_frames
-    rows = (np.empty((trials, len(points), pilots + data, n), dtype=complex),
-            np.empty((trials, pilots, n), dtype=complex),
-            np.empty((trials, data, n * scheme.bits_per_symbol), dtype=bool),
-            np.empty((trials, len(points)))) if adaptive else ()
-    errors = np.stack([run_point_trial(config, points, seed, collect_mse,
-                                       [buffer[t] for buffer in rows])
-                       for t, seed in enumerate(seeds)])
+    n, trials = config.block_size, len(seeds)
+    width = n * scheme.bits_per_symbol
+    pilots = config.pilot_frames if adaptive else 0
+    blocks = pilots + (0 if collect_mse else config.data_frames)
+    cells: dict[tuple, list[int]] = {}
+    for i, p in enumerate(points):
+        cells.setdefault((p.fd_norm, p.delta, p.num_relays), []).append(i)
+    hops = 2 * max(p.num_relays for p in points)
+    rows = np.empty((trials, len(points) if adaptive else 1, blocks, n),
+                    dtype=complex)
+    x_f = np.empty((trials, blocks, n), dtype=complex)
+    white = list(cells.values())[-1][-1] if adaptive else 0
+    sent = np.empty((trials, blocks - pilots, width), dtype=bool)
+    variates, drift = [], []
+    for t, seed in enumerate(seeds):
+        rng = _substream(seed, 0)
+        bits = rng.integers(0, 2, size=(blocks, width))
+        x_f[t] = unitary_fft(modulate(bits, scheme))
+        sent[t] = bits[pilots:] == 1
+        rows[t, white] = complex_noise(rng, (blocks, n), 1.0)
+        if config.channel_model == "sv":
+            variates.append(channel_variates(
+                config.sv, (rng, _substream(seed, 1)), hops))
+        if any(p.fd_norm > 0 for p in points):
+            drift.append(_substream(seed, 2).standard_normal(
+                (hops, blocks - 1, 2, config.num_taps)))
+    taps = _build_links(config, [np.stack(v) for v in zip(*variates)],
+                        (trials, hops))
+    drift = np.stack(drift) if drift else None
+    errors = np.zeros((trials, len(points), len(config.detectors)), dtype=int)
+    floors = np.empty((trials, len(points))) if collect_mse else None
+    for members in cells.values():
+        point = points[members[0]]
+        powers = np.array([_cascade_powers(config, points[i]) for i in members])
+        hop = _cascade(config, taps, point, blocks, drift)
+        drifting = point.fd_norm > 0
+        if not drifting:
+            static = _channel_state(config, hop, powers, pilots, False)
+        for t in range(trials):
+            state = (_channel_state(config, freq_response(hop[:, t], n),
+                                    powers, pilots, True) if drifting else
+                     [a if a is None else a[:, t] for a in static])
+            errors[t, members] = run_point_trial(
+                config, members, state, x_f[t], rows[t, white], sent[t],
+                rows[t])
+            if collect_mse:
+                ch = state[0][:, -1] if drifting else state[0]
+                floors[t, members] = [mmse_error_floor(ch[m])
+                                      for m in range(len(members))]
+        # free the cell's arrays before the next cell's exist: what the
+        # group holds at once sets how much heap the allocator trims and
+        # the next group faults back in
+        del hop, state
     if adaptive:
-        received, sent, bits, floors = rows
         weights, traces = train_adaptive(
-            adaptive, received[:, :, :pilots], sent[:, None], config.mu,
+            adaptive, rows[:, :, :pilots], x_f[:, None, :pilots], config.mu,
             config.lambda_rls, collect_mse)
         if collect_mse:
             return errors, np.stack([traces[det] for det in adaptive], -2), floors
         w = np.stack([weights[det] for det in adaptive], axis=2)[..., None, :]
+        w[~np.isfinite(w)] = 0  # a diverged bin decides as a dead bin does
         columns = [config.detectors.index(det) for det in adaptive]
-        for t, trial in enumerate(received[:, :, None, pilots:]):
-            decided = unitary_ifft(equalize(w[t], trial))
+        for t, trial in enumerate(rows[:, :, None, pilots:]):
+            with np.errstate(over="ignore", invalid="ignore"):
+                decided = unitary_ifft(equalize(w[t], trial))
             errors[t][:, columns] = np.sum(
-                demodulate(decided, scheme) != bits[t], axis=(2, 3))
+                demodulate(decided, scheme) != sent[t], axis=(2, 3))
     return errors
 
 
@@ -465,21 +505,27 @@ def train_adaptive(detectors, r_f: np.ndarray, s_f: np.ndarray, mu: float,
             traces["rls"][:] = np.mean(np.abs(err) ** 2, axis=-1)
     if "lms" in detectors:
         weights["lms"] = np.zeros(n, dtype=complex)
-        for b in range(r_f.shape[-2]):
-            weights["lms"], err = lms_step(weights["lms"], r_f[..., b, :],
-                                           s_f[..., b, :], mu)
-            if collect_mse:
-                traces["lms"][..., b] = np.mean(np.abs(err) ** 2, axis=-1)
+        # a step too large for the received power diverges to non-finite
+        # weights and errors, a counted outcome, not a fault
+        with np.errstate(over="ignore", invalid="ignore"):
+            for b in range(r_f.shape[-2]):
+                weights["lms"], err = lms_step(
+                    weights["lms"], r_f[..., b, :], s_f[..., b, :], mu)
+                if collect_mse:
+                    traces["lms"][..., b] = np.mean(np.abs(err) ** 2, axis=-1)
     return weights, traces
 
 
 def _group_size(config: SimConfig, points: list[GridPoint]) -> int:
     """Trials per group: as many as fit ``GROUP_BYTES`` at an upper bound on
-    their complex adaptive buffers, at least one; one with no adaptive detector."""
-    if not set(ADAPTIVE_DETECTORS) & set(config.detectors):
-        return 1
-    return max(1, GROUP_BYTES // (len(points) * config.block_size * 16 * (
-        2 * config.pilot_frames + config.data_frames)))
+    their complex buffers, at least one. With an adaptive detector that is
+    a received row per point with pilots of its own; without, the symbol
+    spectra and white noise rows of the data blocks."""
+    if set(ADAPTIVE_DETECTORS) & set(config.detectors):
+        rows = len(points) * (2 * config.pilot_frames + config.data_frames)
+    else:
+        rows = 2 * config.data_frames
+    return max(1, GROUP_BYTES // (rows * config.block_size * 16))
 
 
 def _worker_count(config: SimConfig) -> int:
@@ -507,7 +553,7 @@ def run_points(config: SimConfig, points: list[GridPoint], experiment: str,
              for t in range(config.trials)]
     jobs = [seeds[start:start + size] for start in range(0, len(seeds), size)]
     group = partial(_run_group, config, points, collect_mse=collect_mse)
-    workers = _worker_count(config)
+    workers = min(_worker_count(config), len(jobs))
     if workers > 1:
         # imported here, so that a one-worker run never loads a pool
         from concurrent.futures import ProcessPoolExecutor

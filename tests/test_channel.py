@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from oracle import circulant_from_taps, ks_statistic, sv_realization_per_hop
-from uwfde.channel import (SvParams, complex_noise, evolve_channel,
-                           freq_response, generate_channel, path_gain,
-                           quantize_to_taps, sample_nakagami, sv_profile)
+from uwfde.channel import (SvParams, channel_variates, complex_noise,
+                           evolve_channel, freq_response, generate_channel,
+                           path_gain, quantize_to_taps, sample_nakagami,
+                           sv_profile)
 
 # Cluster/ray timing constants quoted in nanoseconds by the channel
 # measurement literature this model follows.
@@ -185,6 +186,23 @@ class TestGenerateChannel:
         many, few = draw(params, 7, seed=40), draw(params, 3, seed=40)
         for a, b in zip(many, few):
             assert np.array_equal(a[:3], b)
+
+    @pytest.mark.parametrize("params", [sv_profile(15), sv_profile(4),
+                                        sv_profile(1)])
+    def test_given_draws_match_the_generators(self, params):
+        # the draws passed as arrays give the generators' realizations, and
+        # a stack of draws, as a group of trials holds them, stacks them
+        rngs = [(np.random.default_rng(s), np.random.default_rng(s + 1))
+                for s in (60, 62, 64)]
+        alone = [draw(params, 5, seed=s) for s in (60, 62, 64)]
+        variates = [channel_variates(params, pair, 5) for pair in rngs]
+        for (gains, delays), drawn in zip(alone, variates):
+            got = generate_channel(params, drawn)
+            assert np.array_equal(got[0], gains)
+            assert np.array_equal(got[1], delays)
+        stacked = generate_channel(params, [np.stack(v) for v in zip(*variates)])
+        for got, parts in zip(stacked, zip(*alone)):
+            assert np.array_equal(got, np.stack(parts))
 
     def test_tiny_cluster_decay_kills_later_clusters(self):
         params = SvParams(cluster_rate=1.0, ray_rate=1.0, cluster_decay=1e-6,

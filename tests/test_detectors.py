@@ -497,6 +497,16 @@ class TestTrainAdaptive:
         assert np.array_equal(weights["lms"], np.zeros(4))
         assert np.allclose(traces["lms"], np.mean(np.abs(s) ** 2, axis=1))
 
+    def test_diverging_lms_runs_on_without_a_warning(self):
+        # mu |r|^2 = 5e4, far above the stable bound of 2: the weights grow
+        # past overflow within the pilots, which the suite's RuntimeWarning
+        # filter turned into an error
+        r = np.full((200, 4), 1e3 + 0j)
+        weights, traces = train_adaptive(("lms",), r, np.ones((200, 4)), 0.05,
+                                         0.995, collect_mse=True)
+        assert not np.isfinite(weights["lms"]).any()
+        assert not np.isfinite(traces["lms"][-1])
+
     def test_rls_reaches_wiener_on_clean_flat_channel(self):
         # noiseless unit channel: one step lands halfway (initial ridge),
         # and the ridge washes out within tens of pilots

@@ -15,7 +15,7 @@ from uwfde.channel import (complex_noise, evolve_channel, freq_response,
 from uwfde.detectors import effective_channel, equalize, mmse_weights
 from uwfde.harness import (DETECTOR_NAMES, GridPoint, SimConfig,
                            run_ber_sweep, run_convergence, run_multirelay,
-                           run_placement_sweep, run_point_trial, run_points,
+                           run_placement_sweep, run_points,
                            transmit_block, trial_seed, wilson_half_width,
                            _build_links, _cascade, _cascade_powers,
                            _group_size, _run_group, _substream,
@@ -213,6 +213,8 @@ class TestNoisePowers:
     @example(eta=110.0, delta=0.999, factor=1.0, snr=400.0)
     # a subnormal destination noise, whose inverse overflowed in ml
     @example(eta=2.0, delta=0.5, factor=1.0, snr=3100.0)
+    # a noise power that drives lms past overflow within its pilot blocks
+    @example(eta=2.0, delta=0.5, factor=1.0, snr=-80.0)
     def test_config_rejects_or_a_trial_counts(self, eta, delta, factor, snr):
         # any float at all, NaN and infinities included: either the config
         # refuses it or a trial gives counts a CSV can carry
@@ -351,9 +353,53 @@ class TestGroupSize:
         assert _group_size(cfg, [GridPoint(s) for s in cfg.snr_grid]) == 1
 
     @pytest.mark.parametrize("detectors", [("mmse",), ("mrc", "ml")])
-    def test_no_adaptive_detector_runs_one_trial_per_group(self, detectors):
+    def test_no_adaptive_detector_charges_its_data_rows(self, detectors):
+        # the symbol spectra and white noise of the data blocks, 2 * 4 * 16
+        # complex bins a trial however many points share them
         cfg = small_config(detectors=detectors)
-        assert _group_size(cfg, [GridPoint(8.0)]) == 1
+        for size in (1, 16):
+            points = [GridPoint(float(s)) for s in range(size)]
+            assert _group_size(cfg, points) == (3 << 19) // (2 * 4 * 16 * 16)
+        # the README's ber command, 20 data blocks at N = 64
+        cfg = small_config(detectors=("mmse", "mrc"), block_size=64,
+                           data_frames=20)
+        assert _group_size(cfg, [GridPoint(8.0)]) == 38
+
+
+class TestRunGroup:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_a_group_is_its_trials_run_alone(self, data):
+        # every quantity the group computes once for its trials gives each
+        # trial the numbers it gets alone, counts, traces and floors alike
+        n = data.draw(st.sampled_from([4, 8, 16]), label="N")
+        flat = data.draw(st.booleans(), label="flat")
+        taps = 1 if flat else data.draw(st.integers(1, 4), label="L")
+        collect_mse = data.draw(st.booleans(), label="collect_mse")
+        names = [d for d in DETECTOR_NAMES if n <= 8 or d != "ml"]
+        detectors = ("lms", "rls") if collect_mse else tuple(data.draw(
+            st.lists(st.sampled_from(names), min_size=1, unique=True),
+            label="detectors"))
+        cfg = small_config(
+            block_size=n, num_taps=taps, sv=sv_profile(taps),
+            channel_model="flat" if flat else "sv", detectors=detectors,
+            scheme=data.draw(st.sampled_from(["bpsk", "qpsk"]), label="scheme"),
+            pilot_frames=data.draw(st.integers(1, 4), label="pilots"),
+            data_frames=data.draw(st.integers(1, 3), label="data"))
+        cells = data.draw(st.lists(
+            st.tuples(st.integers(-10, 40), st.sampled_from([0.0, 0.01]),
+                      st.sampled_from([0.3, 0.5]), st.integers(1, 3)),
+            min_size=1, max_size=4, unique=True), label="points")
+        points = [GridPoint(float(s), fd, delta, u) for s, fd, delta, u in cells]
+        seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
+        seeds = [trial_seed(seed, "group", t)
+                 for t in range(data.draw(st.integers(2, 4), label="trials"))]
+        group = _run_group(cfg, points, seeds, collect_mse)
+        alone = [_run_group(cfg, points, [s], collect_mse) for s in seeds]
+        if not collect_mse:
+            group, alone = (group,), [(a,) for a in alone]
+        for got, parts in zip(group, zip(*alone)):
+            assert np.array_equal(got, np.concatenate(parts))
 
 
 class TestWorkerCount:
@@ -381,6 +427,40 @@ class TestWorkerCount:
         monkeypatch.setenv("UWFDE_WORKERS", env)
         with pytest.raises(ValueError, match="UWFDE_WORKERS"):
             _worker_count(small_config())
+
+    @pytest.mark.parametrize("detectors,cap,pools", [
+        # ber --trials 20 at N = 64 is one group: it runs in-process
+        (("mmse", "mrc"), 3 << 19, []),
+        # adaptive groups of two: three groups for five trials, so three
+        # of the four workers a pool could have
+        (("mmse", "rls"), 2 * 64 * 16 * (2 * 3 + 20), [3]),
+    ])
+    def test_pool_starts_at_most_one_worker_per_group(
+            self, monkeypatch, detectors, cap, pools):
+        started = []
+
+        class StubPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs, chunksize):
+                return map(fn, jobs)
+
+        monkeypatch.setattr("os.cpu_count", lambda: 4)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", StubPool)
+        monkeypatch.setattr(harness, "GROUP_BYTES", cap)
+        cfg = small_config(block_size=64, data_frames=20, pilot_frames=3,
+                           detectors=detectors, trials=20 if not pools else 5)
+        expected = counts(run_points(cfg, [GridPoint(8.0)], "pool"))
+        assert counts(run_points(replace(cfg, workers=4), [GridPoint(8.0)],
+                                 "pool")) == expected
+        assert started == pools
 
 
 def counts(result):
@@ -716,8 +796,8 @@ class TestTransmitBlock:
         cfg = small_config(data_frames=2000, detectors=("mmse", "mrc"))
         points = [GridPoint(s, fd, delta, u) for fd in (0.0, 0.02)
                   for delta in (0.3, 0.5) for u in (2, 1) for s in (0.0, 12.0)]
-        run_point_trial(cfg, points, 1)
-        run_point_trial(cfg, [GridPoint(12.0, 0.02, 0.3, 1)], 1)
+        _run_group(cfg, points, [1], False)
+        _run_group(cfg, [GridPoint(12.0, 0.02, 0.3, 1)], [1], False)
         assert len(sent) == len(points) + 1
         x_f, white = sent[0]
         for other_x, other_white in sent[1:]:
@@ -739,18 +819,37 @@ class TestTransmitBlock:
         drawn = []
 
         def capture(taps, fd_norm, blocks, draws):
-            drawn.append((taps, draws))
+            drawn.append((taps[0], draws[0]))  # a group of one trial
             return evolve_channel(taps, fd_norm, blocks, draws)
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(harness, "evolve_channel", capture)
             for u in (relays, fewer):
-                run_point_trial(cfg, [GridPoint(10.0, 0.02, 0.5, u)],
-                                trial_seed(seed, "prefix", 0))
+                _run_group(cfg, [GridPoint(10.0, 0.02, 0.5, u)],
+                           [trial_seed(seed, "prefix", 0)], False)
         (taps, draws), (few_taps, few_draws) = drawn
         assert taps.shape == (2 * relays, 3) and draws.shape[0] >= 2 * relays
         assert np.array_equal(taps[:2 * fewer], few_taps)
         assert np.array_equal(draws[:2 * fewer], few_draws)
+
+    def test_flat_model_keys_only_substream_zero(self, monkeypatch):
+        # the flat model draws no hop quantity, so a static group keys no
+        # uniforms' substream 1; the counts are those of the engine that
+        # keyed it and never drew from it
+        keys, substream = [], harness._substream
+
+        def recording(seed, q):
+            keys.append(q)
+            return substream(seed, q)
+
+        monkeypatch.setattr(harness, "_substream", recording)
+        cfg = small_config(channel_model="flat", num_taps=1, sv=sv_profile(1),
+                           detectors=("mmse", "mrc", "rls"), pilot_frames=3)
+        points = [GridPoint(0.0), GridPoint(4.0, 0.0, 0.5, 2)]
+        seeds = [trial_seed(cfg.master_seed, "flat", t) for t in range(3)]
+        errors = _run_group(cfg, points, seeds, False)
+        assert keys == [0, 0, 0]
+        assert errors.sum(axis=0).tolist() == [[39, 39, 62], [5, 5, 7]]
 
     def test_substreams_are_keyed_on_the_trial_seed(self):
         # the trial seed is the key itself; the pinned draws are those of
