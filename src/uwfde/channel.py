@@ -20,6 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
+# blocks of Gauss-Markov drift summed in one closed-form pass
+DRIFT_TILE = 64
 
 
 def _whole_number(value, name: str) -> int:
@@ -178,23 +180,42 @@ def evolve_channel(taps: np.ndarray, fd_norm: float, blocks: int, rng,
     ``taps``). ``rng`` is a generator, or the standard normals it would
     draw, ``taps.shape[:-1] + (blocks - 1, 2, L)``: each vector's steps in
     turn, real then imaginary; so a stack's first vectors drift the same
-    whatever follows them."""
+    whatever follows them.
+
+    The recursion ``track[b] = rho * track[b-1] + step[b-1]`` is summed in
+    closed form, ``DRIFT_TILE`` blocks at a time: from a tile's start state
+    ``s``, ``track[j] = rho**j * (s + sum_{k<j} rho**-(k+1) * step[k])``,
+    one cumulative sum over the tile. Within a tile the scale grows by at
+    most ``rho**-DRIFT_TILE < exp(DRIFT_TILE * pi)``."""
     if not 0.0 <= fd_norm < 0.5:
         raise ValueError("fd_norm must be in [0, 0.5)")
     if blocks < 1:
         raise ValueError("blocks must be >= 1")
     track = np.repeat(np.asarray(taps, dtype=complex)[None], blocks, axis=0)
-    if fd_norm == 0.0:
+    if fd_norm == 0.0 or blocks == 1:
         return track
     shape = track.shape[1:]
     power = np.abs(taps) ** 2 if stationary_power is None else stationary_power
     rho = np.exp(-TWO_PI * fd_norm)
     draws = (rng.standard_normal(shape[:-1] + (blocks - 1, 2, shape[-1]))
              if isinstance(rng, np.random.Generator) else rng)
-    scale = np.sqrt((1.0 - rho * rho) * np.asarray(power, dtype=float) / 2.0)
-    step = scale[..., None, :] * (draws[..., 0, :] + 1j * draws[..., 1, :])
-    for b in range(1, blocks):
-        track[b] = rho * track[b - 1] + step[..., b - 1, :]
+    # row 1 + k of the track first holds step k times rho**-(j+1), where
+    # j = k % DRIFT_TILE is its place in its tile
+    decay = (rho ** np.arange(1.0, min(blocks, DRIFT_TILE + 1))).reshape(
+        (-1,) + (1,) * len(shape))
+    scale = (np.sqrt((1.0 - rho * rho) * np.asarray(power, dtype=float) / 2.0)
+             / np.resize(decay, (blocks - 1,) + decay.shape[1:]))
+    draws = np.moveaxis(draws, -3, 0)
+    np.multiply(scale, draws[..., 0, :], out=track[1:].real)
+    np.multiply(scale, draws[..., 1, :], out=track[1:].imag)
+    pairs = track.view(float)  # real arithmetic, no complex-by-real casts
+    for start in range(0, blocks - 1, DRIFT_TILE):
+        stop = min(start + DRIFT_TILE, blocks - 1)
+        rows = track[start + 1:stop + 1]
+        np.cumsum(rows, axis=0, out=rows)
+        tile = pairs[start + 1:stop + 1]
+        tile += pairs[start]
+        tile *= decay[:stop - start]
     return track
 
 

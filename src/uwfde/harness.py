@@ -517,10 +517,13 @@ def train_adaptive(detectors, r_f: np.ndarray, s_f: np.ndarray, mu: float,
 
 
 def _group_size(config: SimConfig, points: list[GridPoint]) -> int:
-    """Trials per group: as many as fit ``GROUP_BYTES`` at an upper bound on
-    their complex buffers, at least one. With an adaptive detector that is
-    a received row per point with pilots of its own; without, the symbol
-    spectra and white noise rows of the data blocks."""
+    """Trials per group: as many as fit ``GROUP_BYTES`` at the complex rows
+    charged to a trial, at least one. Without an adaptive detector that is
+    the symbol spectra and white noise rows of the data blocks, exactly
+    what ``_run_group`` holds. With one it is ``2 * pilots + data`` rows a
+    point, an estimate: a trial holds ``(points + 1) * (pilots + data)``
+    rows (its received rows and its symbol spectra), more than the charge
+    when ``data > (points - 1) * pilots``, as at a single point."""
     if set(ADAPTIVE_DETECTORS) & set(config.detectors):
         rows = len(points) * (2 * config.pilot_frames + config.data_frames)
     else:

@@ -62,3 +62,14 @@ def rls_recursion(w, inv_corr, lambda_rls, r_f, s_f):
         inv_corr = scaled * (1.0 - (gain * np.conj(r)).real)
         errors.append(err)
     return w, inv_corr, np.stack(errors, axis=-2)
+
+
+def gauss_markov_recursion(taps, rho, step):
+    """The per-block Gauss-Markov recursion ``track[b] = rho * track[b-1] +
+    step[..., b-1, :]`` from row 0 ``taps``, over steps ``step`` ``(...,
+    blocks - 1, L)``: the ``(blocks,) + taps.shape`` track."""
+    track = np.repeat(np.asarray(taps, dtype=complex)[None],
+                      step.shape[-2] + 1, axis=0)
+    for b in range(1, len(track)):
+        track[b] = rho * track[b - 1] + step[..., b - 1, :]
+    return track

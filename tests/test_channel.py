@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from oracle import circulant_from_taps, ks_statistic, sv_realization_per_hop
+from oracle import (circulant_from_taps, gauss_markov_recursion, ks_statistic,
+                    sv_realization_per_hop)
 from uwfde.channel import (SvParams, channel_variates, complex_noise,
                            evolve_channel, freq_response, generate_channel,
                            path_gain, quantize_to_taps, sample_nakagami,
@@ -309,7 +312,9 @@ class TestEvolve:
     ])
     def test_track_matches_stepwise_recurrence(self, shape, blocks, given_power):
         # oracle: one Gauss-Markov step per block, drawn tap vector by tap
-        # vector, each vector's steps in turn, real then imaginary parts
+        # vector, each vector's steps in turn, real then imaginary parts;
+        # the closed form sums the same steps in another order, so the
+        # track agrees to rounding and row 0 is the taps exactly
         fd = 0.01
         taps = complex_noise(np.random.default_rng(1), shape, 1.0)
         power = np.linspace(0.5, 2.0, shape[-1]) if given_power else None
@@ -317,20 +322,53 @@ class TestEvolve:
         track = evolve_channel(taps, fd, blocks, rng, power)
 
         ref = np.random.default_rng(2)
-        drive = np.empty((blocks - 1,) + shape, dtype=complex)
+        drive = np.empty(shape[:-1] + (blocks - 1, shape[-1]), dtype=complex)
         for vector in np.ndindex(shape[:-1]):
             for b in range(blocks - 1):
-                drive[(b,) + vector] = (ref.standard_normal(shape[-1])
+                drive[vector + (b,)] = (ref.standard_normal(shape[-1])
                                         + 1j * ref.standard_normal(shape[-1]))
         rho = np.exp(-2 * np.pi * fd)
         var = np.abs(taps) ** 2 if power is None else power
-        cur = taps
+        step = np.sqrt((1.0 - rho * rho) * var / 2.0)[..., None, :] * drive
         assert track.shape == (blocks,) + shape
         assert np.array_equal(track[0], taps)
-        for b in range(1, blocks):
-            cur = rho * cur + np.sqrt((1.0 - rho * rho) * var / 2.0) * drive[b - 1]
-            assert np.array_equal(track[b], cur)
+        np.testing.assert_allclose(track, gauss_markov_recursion(taps, rho, step),
+                                   rtol=1e-12)
         assert rng.random() == ref.random()  # the same stream consumed
+
+    @settings(max_examples=100, deadline=None)
+    @given(blocks=st.integers(1, 300),
+           fd=st.floats(0.0, 0.5, exclude_max=True),
+           lead=st.lists(st.integers(1, 3), max_size=2),
+           num_taps=st.integers(1, 5),
+           magnitude=st.one_of(st.just(0.0), st.floats(1e-50, 1e50)),
+           given_power=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    @example(blocks=300, fd=0.4999, lead=[2], num_taps=3, magnitude=1e50,
+             given_power=False, seed=0)
+    def test_closed_form_matches_recursion(self, blocks, fd, lead, num_taps,
+                                           magnitude, given_power, seed):
+        # across tile edges (track rows 65, 129 and 193 start tiles), up to
+        # the largest per-tile scale rho**-64 at fd near 0.5, and taps up
+        # to 1e50: the track agrees with the recursion to rounding of each
+        # tap's largest value, and overflows nowhere
+        rng = np.random.default_rng(seed)
+        shape = tuple(lead) + (num_taps,)
+        taps = complex_noise(rng, shape, magnitude ** 2)
+        power = (rng.uniform(0.5, 2.0, num_taps) * magnitude ** 2
+                 if given_power else None)
+        track = evolve_channel(taps, fd, blocks, np.random.default_rng(seed),
+                               power)
+
+        rho = np.exp(-2 * np.pi * fd)
+        var = np.abs(taps) ** 2 if power is None else power
+        draws = np.random.default_rng(seed).standard_normal(
+            shape[:-1] + (blocks - 1, 2, num_taps))
+        step = (np.sqrt((1.0 - rho * rho) * var / 2.0)[..., None, :]
+                * (draws[..., 0, :] + 1j * draws[..., 1, :]))
+        ref = gauss_markov_recursion(taps, rho, step)
+        assert track.shape == (blocks,) + shape
+        assert np.array_equal(track[0], taps)
+        assert np.all(np.abs(track - ref) <= 1e-12 * np.max(np.abs(ref), axis=0))
 
     def test_given_innovations_match_the_generator(self):
         # the draws passed as an array drive the same track; a stack's first
