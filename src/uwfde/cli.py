@@ -1,8 +1,10 @@
 """Command-line front end: parse a run, dispatch it, write CSV + manifest.
 
 Exit codes: 0 success, 2 usage error, 1 runtime error. Output files are
-written atomically (temp file in the target directory, then rename). Worker
-count can be forced through the ``UWFDE_WORKERS`` environment variable.
+written atomically (temp file in the target directory, then rename); the
+CSV's temp file is created before the run, so a directory that takes no
+new file is a usage error. Worker count can be forced through the
+``UWFDE_WORKERS`` environment variable.
 
 Every command runs through ``_run``, and every value of a run follows one
 rule: its flag when given, else the config file (a manifest's extras for
@@ -40,24 +42,33 @@ DUMP_COLUMNS = ["realization_id", "tap_index", "re", "im", "power"]
 GRID_LIMIT = 10_000
 
 
-def _atomic_write(path: str, text: str) -> None:
+def _temp_file(path: str) -> tuple:
+    """An open text temp file in the directory of ``path``, and its name."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".uwfde-")
+    return os.fdopen(fd, "w", newline=""), tmp
+
+
+def _atomic_write(path: str, text, temp: tuple | None = None) -> None:
+    """Write ``text``, or what ``text()`` returns, to the temp file
+    ``temp`` (a new one if None) and rename it onto ``path``; on any
+    failure the temp file goes."""
+    handle, tmp = _temp_file(path) if temp is None else temp
     try:
-        with os.fdopen(fd, "w", newline="") as handle:
-            handle.write(text)
+        with handle:
+            handle.write(text() if callable(text) else text)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise
 
 
-def _write_csv(path: str, columns: list[str], rows) -> None:
+def _csv_text(columns: list[str], rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
     writer.writerows(rows)
-    _atomic_write(path, buf.getvalue())
+    return buf.getvalue()
 
 
 def _write_manifest(out: str, experiment: str, config: SimConfig,
@@ -213,8 +224,14 @@ def _run(parser: argparse.ArgumentParser, args: argparse.Namespace,
         parser.error(f"--out {args.out!r} is a directory, not a CSV path")
     if not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
         parser.error(f"the directory of --out {args.out} does not exist")
+    try:  # the CSV's temp file, opened before the run
+        temp = _temp_file(args.out)
+    except OSError as exc:
+        parser.error(f"cannot write in the directory of --out {args.out}: "
+                     f"{exc.strerror}")
     started = time.monotonic()
-    _write_csv(args.out, columns, table(config, *arguments))
+    _atomic_write(args.out, lambda: _csv_text(columns,
+                                              table(config, *arguments)), temp)
     _write_manifest(args.out, args.command, config, started, saved)
     return 0
 

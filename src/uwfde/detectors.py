@@ -38,9 +38,11 @@ ML_SLICE_ROWS = 32
 ML_NOISE_FLOOR = 1e-100
 
 
-def equalize(w: np.ndarray, r_f: np.ndarray) -> np.ndarray:
-    """Per-bin symbol estimates ``conj(w) * r_f`` of received spectra."""
-    return np.conj(w) * r_f
+def equalize(w: np.ndarray, r_f: np.ndarray,
+             out: np.ndarray | None = None) -> np.ndarray:
+    """Per-bin symbol estimates ``conj(w) * r_f`` of received spectra,
+    written into ``out`` when given."""
+    return np.multiply(np.conj(w), r_f, out=out)
 
 
 @dataclass
@@ -258,9 +260,16 @@ def rls_step(state: RlsState, r_f: np.ndarray, s_f: np.ndarray,
     ends = np.arange(blocks + 1) if errors else np.array([blocks])
     ages = ends[:, None] - np.arange(blocks) - 1
     decay = np.where(ages >= 0, lam ** np.abs(ages), 0.0)
+
+    def prefix_sums(a, b):
+        # a complex product goes through real BLAS as (re, im) pairs, which
+        # is faster than numpy's real-times-complex matrix product
+        ab = a * b
+        return (decay @ ab.view(float)).view(ab.dtype)
+
     # every prefix goes through BLAS on the products; the final sums alone
     # contract without (..., blocks, N) temporaries
-    sums = ((lambda a, b: decay @ (a * b)) if errors else
+    sums = (prefix_sums if errors else
             partial(np.einsum, "kj,...jn,...jn->...kn", decay))
     prior = (lam ** ends)[:, None] / p0[..., None, :]
     p = 1.0 / np.maximum(prior + sums(r_f.real, r_f.real)

@@ -9,9 +9,12 @@ Taps hold still within a block and, under nonzero Doppler, take one
 Gauss-Markov step between consecutive blocks. Trials are independent. They
 run in consecutive groups of at most ``GROUP_BYTES`` of buffers through one
 engine, ``_run_group``: it draws each trial's variates, computes the
-channels once for the group, sends and decides each trial's blocks, and
-trains the adaptive filters in one call. A group's bit errors form one
-``(trials, points, detectors)`` array; ``run_points`` sums over trials.
+channels once for the group, and trains the adaptive filters in one call.
+``run_point_trial`` sends and decides a trial's blocks cell by cell, its
+points in slices of at most ``SLICE_BYTES`` of rows, each slice one numpy
+call per step, in place in arrays the group allocates once. A
+group's bit errors form one ``(trials, points, detectors)`` array;
+``run_points`` sums over trials.
 
 A trial's random stream derives purely from (master seed, experiment tag,
 trial index), so results are bit-identical for any worker count. A trial
@@ -31,6 +34,7 @@ import os
 import zlib
 from dataclasses import asdict, dataclass, replace
 from functools import partial
+from itertools import groupby
 
 import numpy as np
 
@@ -56,9 +60,14 @@ STREAM_VERSION = 4
 DETECTOR_NAMES = ("mrc", "mmse", "ml", "lms", "rls")
 ADAPTIVE_DETECTORS = ("lms", "rls")
 WORKERS_ENV_VAR = "UWFDE_WORKERS"
-# Group cap, in bytes as _group_size charges a trial's buffers (an upper
-# bound); picked by measurement: bigger groups train faster, cost memory.
+# Group cap, in bytes as _group_size charges a trial's buffers (an exact
+# count without an adaptive detector, an estimate with one); picked by
+# measurement: bigger groups train faster, cost memory.
 GROUP_BYTES = 3 << 19
+# Slice cap, in bytes as _slice_size charges a point's rows; picked by
+# measurement: a slice decides its points with one numpy call per step, and
+# its rows and work arrays, allocated once per group, stay in cache.
+SLICE_BYTES = 3 << 17
 # Path gains of a grid point lie within this factor of one (1000 dB) and its
 # noise powers at most this, so no product of them in the model overflows.
 POWER_LIMIT = 1e100
@@ -312,10 +321,11 @@ def _cascade_powers(config: SimConfig,
     return af_gain(gain_sr, sigma_relay), sigma_relay, sigma_dest
 
 
-def transmit_block(x_f: np.ndarray, ch: EffectiveChannel,
-                   noise: np.ndarray) -> np.ndarray:
+def transmit_block(x_f: np.ndarray, ch: EffectiveChannel, noise: np.ndarray,
+                   out: np.ndarray | None = None) -> np.ndarray:
     """Frequency-domain observation ``(..., N)`` of symbol blocks sent
-    through every relay slot of ``ch``, from their unitary DFTs ``x_f``.
+    through every relay slot of ``ch``, from their unitary DFTs ``x_f``,
+    written into ``out`` when given.
 
     A prefix at least as long as the channel memory makes every hop
     circulant within a block, so per bin the destination sees
@@ -323,57 +333,82 @@ def transmit_block(x_f: np.ndarray, ch: EffectiveChannel,
     DFT of the block. Given the taps, the noise terms are independent
     circular Gaussians, so their sum is one circular Gaussian per bin, of
     variance ``ch.noise_var``, independent across bins and blocks (the
-    unitary DFT of white noise is white). ``noise`` is a draw of that sum.
+    unitary DFT of white noise is white). ``noise`` is a draw of that sum;
+    it may be ``out`` itself.
     """
-    return ch.response * x_f + noise
+    return np.add(ch.response * x_f, noise, out=out)
 
 
 def _channel_state(config: SimConfig, hops: np.ndarray, powers: np.ndarray,
                    pilots: int, drifting: bool) -> tuple:
-    """Effective channels ``(points, ..., N)`` of a cell's hop spectra at its
-    points' powers ``(points, 3)``, the roots of their noise variances, and
-    the linear weights ``(points, ..., detectors, blocks, N)``: one per data
-    block when ``drifting``, else one for all (None without linear ones)."""
+    """Effective channels ``(points, ..., blocks, N)`` of a cell's hop
+    spectra ``(..., blocks, 2u, N)`` at its points' powers ``(points, 3)``,
+    the roots of their noise variances, and the linear weights ``(points,
+    ..., detectors, blocks, N)`` (None without linear detectors): one per
+    data block when ``drifting``, else one for all, of a block axis of 1."""
     ch = effective_channel(hops, *powers.T.reshape(3, -1, *[1] * hops.ndim))
-    data = ch[:, pilots:] if drifting else ch[..., None, :]
+    data = ch[..., pilots:, :] if drifting else ch
     w = [(mrc_weights if d == "mrc" else mmse_weights)(data)
          for d in config.detectors if d in ("mrc", "mmse")]
     return ch, np.sqrt(ch.noise_var), np.stack(w, axis=-3) if w else None
 
 
-def run_point_trial(config: SimConfig, members: list[int], state: tuple,
-                    x_f: np.ndarray, noise: np.ndarray, sent: np.ndarray,
-                    rows: np.ndarray) -> np.ndarray:
-    """Bit errors ``(points, detectors)`` of one trial at the grid points
-    ``members`` of one cell, in ``config.detectors`` order; the adaptive
-    columns stay 0, for ``_run_group`` to count. ``state`` is the cell's
-    ``_channel_state`` in the trial, of channels ``(points, N)``, or
-    ``(points, blocks, N)`` when it drifts. Each point sends ``x_f`` plus
-    ``sqrt(noise_var)`` times the unit white ``noise`` and decides ``ml``
-    and, as one ``(detectors, blocks, N)`` stack, its linear detectors
-    against ``sent``; with an adaptive detector, point i's received blocks
-    go to ``rows[i]``."""
+def _slice_size(config: SimConfig, blocks: int, data: int) -> int:
+    """Points per slice of ``run_point_trial``: as many as fit
+    ``SLICE_BYTES`` at the complex rows charged to a point, at least one:
+    its received rows and the signal ``transmit_block`` adds to them,
+    ``(blocks, N)`` each, and its linear detectors' decisions
+    ``(detectors, data, N)``."""
+    linear = sum(d in ("mrc", "mmse") for d in config.detectors)
+    rows = 2 * blocks + linear * data
+    return max(1, SLICE_BYTES // (rows * config.block_size * 16))
+
+
+def run_point_trial(config: SimConfig, state: tuple, x_f: np.ndarray,
+                    white: np.ndarray, sent: np.ndarray,
+                    rows: np.ndarray | None, work: tuple) -> np.ndarray:
+    """Bit errors ``(points, detectors)`` of one trial at the grid points of
+    one cell, in ``config.detectors`` order; the adaptive columns stay 0,
+    for ``_run_group`` to count. ``state`` is the cell's ``_channel_state``
+    in the trial, of channels ``(points, blocks, N)``, one block for all
+    when it holds still. The points go in slices of at most
+    ``len(decided)``, through the work arrays ``work``, ``(received,
+    decided)``: a slice scales the unit white ``white`` by the roots of its
+    noise variances into its ``rows`` with an adaptive detector, else into
+    ``received``, adds ``x_f`` sent through its channels in place, and
+    decides ``ml`` point by point and its linear detectors (of which there
+    may be none) as one ``(points, detectors, data, N)`` stack, equalized
+    and inverse transformed in place in ``decided``, against ``sent``. The
+    white noise may be the cell's last row, which its last slice then
+    overwrites: ``np.multiply`` reads an input that overlaps its output
+    before it writes."""
     scheme = ModulationScheme.from_name(config.scheme)
-    adaptive = any(d in ADAPTIVE_DETECTORS for d in config.detectors)
-    pilots = config.pilot_frames if adaptive else 0
+    pilots = len(x_f) - len(sent)
     linear_columns = [k for k, d in enumerate(config.detectors)
                       if d in ("mrc", "mmse")]
     ch, scale, w = state
-    drifting = ch.response.ndim > 2
-    errors = np.zeros((len(members), len(config.detectors)), dtype=int)
-    for m, i in enumerate(members):
-        r_f = transmit_block(x_f, ch[m], scale[m] * noise)
-        if adaptive:
-            rows[i] = r_f
+    received, decided = work
+    errors = np.zeros((len(scale), len(config.detectors)), dtype=int)
+    for start in range(0, len(scale), len(decided)):
+        part = slice(start, start + len(decided))
+        size = len(scale[part])
+        out = received[:size] if rows is None else rows[part]
+        np.multiply(scale[part], white, out=out)
+        r_f = transmit_block(x_f, ch[part], out, out=out)[:, pilots:]
         if "ml" in config.detectors:
-            decided = MlDetector(ch[m, pilots:] if drifting else ch[m], scheme,
-                                 config.block_size).detect(r_f[pilots:])
-            errors[m, config.detectors.index("ml")] = np.sum(
-                demodulate(decided, scheme) != sent)
+            for m in range(start, start + size):
+                # a channel that holds still builds one detector for all
+                # blocks, a drifting one a detector per block
+                decided_ml = MlDetector(
+                    ch[m, 0] if ch.response.shape[1] == 1 else ch[m, pilots:],
+                    scheme, config.block_size).detect(r_f[m - start])
+                errors[m, config.detectors.index("ml")] = np.sum(
+                    demodulate(decided_ml, scheme) != sent)
         if w is not None:
-            decided = unitary_ifft(equalize(w[m], r_f[pilots:]))
-            errors[m, linear_columns] = np.sum(
-                demodulate(decided, scheme) != sent, axis=(1, 2))
+            stack = equalize(w[part], r_f[:, None], out=decided[:size])
+            unitary_ifft(stack, out=stack)
+            errors[part, linear_columns] = np.sum(
+                demodulate(stack, scheme) != sent, axis=(2, 3))
     return errors
 
 
@@ -393,18 +428,20 @@ def _run_group(config: SimConfig, points: list[GridPoint], seeds,
     innovations ``(2U, blocks - 1, 2, L)`` (see ``evolve_channel``). A cell
     of u relays reads the first 2u rows.
 
-    Then, cell by cell, what does not scale with blocks x N runs once over
-    the group's trials: the taps, path gains and powers, and either one
-    ``evolve_channel`` call or the spectra, channels and linear weights
-    ``(points, trials, N)``; a drifting cell's spectra and channels follow
-    per trial (see ``_cascade``), and ``run_point_trial`` sends and decides
-    each trial's ``(blocks, N)`` data.
+    Then, cell by cell (a run of consecutive points at one Doppler,
+    position and relay count), what does not scale with blocks x N runs
+    once over the group's trials: the taps, path gains and powers, and
+    either one ``evolve_channel`` call or the spectra, channels and linear
+    weights ``(points, trials, 1, N)``; a drifting cell's spectra and
+    channels follow per trial (see ``_cascade``), and ``run_point_trial``
+    sends and decides each trial's ``(blocks, N)`` data, in slices of
+    points through work arrays the group allocates once.
     One allocation holds the symbol spectra ``(trials, blocks, N)``, whose
     first rows are the pilots, and one the rows: a received row per
-    (trial, point), the white noise in the row written last, when a
-    detector is adaptive, else the white noise alone. One
+    (trial, point), the white noise in the last, which is written last,
+    when a detector is adaptive, else the white noise alone. One
     ``train_adaptive`` call takes them, and each trial decides its adaptive
-    columns as one stack.
+    columns as one stack, in one array the group reuses.
     """
     adaptive = [d for d in ADAPTIVE_DETECTORS if d in config.detectors]
     scheme = ModulationScheme.from_name(config.scheme)
@@ -412,14 +449,13 @@ def _run_group(config: SimConfig, points: list[GridPoint], seeds,
     width = n * scheme.bits_per_symbol
     pilots = config.pilot_frames if adaptive else 0
     blocks = pilots + (0 if collect_mse else config.data_frames)
-    cells: dict[tuple, list[int]] = {}
-    for i, p in enumerate(points):
-        cells.setdefault((p.fd_norm, p.delta, p.num_relays), []).append(i)
+    keys = [(p.fd_norm, p.delta, p.num_relays) for p in points]
+    cells = [list(run) for _, run in groupby(range(len(points)),
+                                             keys.__getitem__)]
     hops = 2 * max(p.num_relays for p in points)
     rows = np.empty((trials, len(points) if adaptive else 1, blocks, n),
                     dtype=complex)
     x_f = np.empty((trials, blocks, n), dtype=complex)
-    white = list(cells.values())[-1][-1] if adaptive else 0
     sent = np.empty((trials, blocks - pilots, width), dtype=bool)
     variates, drift = [], []
     for t, seed in enumerate(seeds):
@@ -427,7 +463,7 @@ def _run_group(config: SimConfig, points: list[GridPoint], seeds,
         bits = rng.integers(0, 2, size=(blocks, width))
         x_f[t] = unitary_fft(modulate(bits, scheme))
         sent[t] = bits[pilots:] == 1
-        rows[t, white] = complex_noise(rng, (blocks, n), 1.0)
+        rows[t, -1] = complex_noise(rng, (blocks, n), 1.0)
         if config.channel_model == "sv":
             variates.append(channel_variates(
                 config.sv, (rng, _substream(seed, 1)), hops))
@@ -439,24 +475,30 @@ def _run_group(config: SimConfig, points: list[GridPoint], seeds,
     drift = np.stack(drift) if drift else None
     errors = np.zeros((trials, len(points), len(config.detectors)), dtype=int)
     floors = np.empty((trials, len(points))) if collect_mse else None
-    for members in cells.values():
+    size = min(_slice_size(config, blocks, blocks - pilots),
+               max(map(len, cells)))
+    linear = sum(d in ("mrc", "mmse") for d in config.detectors)
+    work = (None if adaptive else np.empty((size, blocks, n), dtype=complex),
+            np.empty((size, linear, blocks - pilots, n), dtype=complex))
+    for members in cells:
         point = points[members[0]]
         powers = np.array([_cascade_powers(config, points[i]) for i in members])
         hop = _cascade(config, taps, point, blocks, drift)
         drifting = point.fd_norm > 0
         if not drifting:
-            static = _channel_state(config, hop, powers, pilots, False)
+            static = _channel_state(config, hop[:, None], powers, pilots, False)
+        cell = slice(members[0], members[-1] + 1)
         for t in range(trials):
             state = (_channel_state(config, freq_response(hop[:, t], n),
                                     powers, pilots, True) if drifting else
                      [a if a is None else a[:, t] for a in static])
-            errors[t, members] = run_point_trial(
-                config, members, state, x_f[t], rows[t, white], sent[t],
-                rows[t])
+            errors[t, cell] = run_point_trial(
+                config, state, x_f[t], rows[t, -1], sent[t],
+                rows[t, cell] if adaptive else None, work)
             if collect_mse:
-                ch = state[0][:, -1] if drifting else state[0]
-                floors[t, members] = [mmse_error_floor(ch[m])
-                                      for m in range(len(members))]
+                ch = state[0][:, -1]
+                floors[t, cell] = [mmse_error_floor(ch[m])
+                                   for m in range(len(members))]
         # free the cell's arrays before the next cell's exist: what the
         # group holds at once sets how much heap the allocator trims and
         # the next group faults back in
@@ -470,9 +512,12 @@ def _run_group(config: SimConfig, points: list[GridPoint], seeds,
         w = np.stack([weights[det] for det in adaptive], axis=2)[..., None, :]
         w[~np.isfinite(w)] = 0  # a diverged bin decides as a dead bin does
         columns = [config.detectors.index(det) for det in adaptive]
+        decided = np.empty((len(points), len(adaptive), blocks - pilots, n),
+                           dtype=complex)
         for t, trial in enumerate(rows[:, :, None, pilots:]):
             with np.errstate(over="ignore", invalid="ignore"):
-                decided = unitary_ifft(equalize(w[t], trial))
+                equalize(w[t], trial, out=decided)
+                unitary_ifft(decided, out=decided)
             errors[t][:, columns] = np.sum(
                 demodulate(decided, scheme) != sent[t], axis=(2, 3))
     return errors

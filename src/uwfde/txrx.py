@@ -107,5 +107,7 @@ def unitary_fft(x: np.ndarray) -> np.ndarray:
     return np.fft.fft(x, norm="ortho")
 
 
-def unitary_ifft(x: np.ndarray) -> np.ndarray:
-    return np.fft.ifft(x, norm="ortho")
+def unitary_ifft(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Unitary inverse DFT along the last axis, into ``out`` when given,
+    which may be ``x`` itself."""
+    return np.fft.ifft(x, norm="ortho", out=out)

@@ -336,6 +336,25 @@ class TestConfigHandling:
             assert "is a directory" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_unwritable_out_directory_is_usage_error(self, tmp_path, capsys,
+                                                     monkeypatch):
+        # refused before the run starts: the CSV's temp file is created
+        # first, so a directory that takes no new file is found up front
+        # (mkstemp fails here because permission bits do not bind root)
+        def refuse(*args, **kwargs):
+            raise PermissionError(13, "Permission denied")
+
+        def never(*args):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr("tempfile.mkstemp", refuse)
+        monkeypatch.setattr("uwfde.cli.run_ber_sweep", never)
+        with pytest.raises(SystemExit) as err:
+            run_cli(["ber", "--out", str(tmp_path / "o.csv"), *FAST])
+        assert err.value.code == 2
+        assert "Permission denied" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_empty_detector_list_is_usage_error(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"detectors": []}))
@@ -716,3 +735,13 @@ class TestOutputAtomicity:
         run_cli(["ber", "--snr", "5", "--out", str(out), "--seed", "1", *FAST])
         leftovers = [f for f in os.listdir(tmp_path) if f.startswith(".uwfde-")]
         assert leftovers == []
+
+    def test_a_failed_run_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        # the CSV's temp file exists before the run; a run that fails
+        # removes it and writes nothing
+        def fail(*args):
+            raise RuntimeError("the run failed")
+
+        monkeypatch.setattr("uwfde.cli.run_ber_sweep", fail)
+        assert run_cli(["ber", "--out", str(tmp_path / "o.csv"), *FAST]) == 1
+        assert list(tmp_path.iterdir()) == []

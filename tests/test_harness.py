@@ -402,6 +402,55 @@ class TestRunGroup:
             assert np.array_equal(got, np.concatenate(parts))
 
 
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_slices_of_points_change_no_number(self, data):
+        # run_point_trial decides one point a slice or a whole cell a slice
+        # to the same received rows, counts, traces and floors: static and
+        # drifting cells, an adaptive run whose white noise row, the last,
+        # is written last, and ml's per-point detectors alike
+        n = data.draw(st.sampled_from([4, 8, 16]), label="N")
+        collect_mse = data.draw(st.booleans(), label="collect_mse")
+        names = [d for d in DETECTOR_NAMES if n <= 8 or d != "ml"]
+        detectors = ("lms", "rls") if collect_mse else tuple(data.draw(
+            st.lists(st.sampled_from(names), min_size=1, unique=True),
+            label="detectors"))
+        cfg = small_config(
+            block_size=n, num_taps=2, sv=sv_profile(2), detectors=detectors,
+            scheme=data.draw(st.sampled_from(["bpsk", "qpsk"]), label="scheme"),
+            pilot_frames=data.draw(st.integers(1, 3), label="pilots"),
+            data_frames=data.draw(st.integers(1, 3), label="data"))
+        cells = data.draw(st.lists(
+            st.tuples(st.sampled_from([0.0, 0.01]), st.sampled_from([0.3, 0.5]),
+                      st.integers(1, 2)),
+            min_size=1, max_size=3, unique=True), label="cells")
+        snrs = st.lists(st.integers(-10, 40), min_size=1, max_size=4,
+                        unique=True)
+        points = [GridPoint(float(s), fd, delta, u) for fd, delta, u in cells
+                  for s in data.draw(snrs, label="snrs")]
+        seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
+        seeds = [trial_seed(seed, "slices", t) for t in range(2)]
+        runs = []
+        for cap in (1, 1 << 40):  # one point, a whole cell
+            received = []
+
+            def capture(x_f, ch, noise, out=None):
+                r_f = transmit_block(x_f, ch, noise, out)
+                received.extend(row.copy() for row in r_f)
+                return r_f
+
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(harness, "SLICE_BYTES", cap)
+                patch.setattr(harness, "transmit_block", capture)
+                got = _run_group(cfg, points, seeds, collect_mse)
+            runs.append((received, got if collect_mse else (got,)))
+        (one, one_got), (whole, whole_got) = runs
+        assert len(one) == len(whole) == len(points) * len(seeds)
+        assert all(np.array_equal(a, b) for a, b in zip(one, whole))
+        for a, b in zip(one_got, whole_got):
+            assert np.array_equal(a, b)
+
+
 class TestWorkerCount:
     @pytest.fixture(autouse=True)
     def two_cpus(self, monkeypatch):
@@ -785,19 +834,24 @@ class TestTransmitBlock:
     def test_every_cell_shares_the_bits_and_white_noise(self, monkeypatch):
         # every (Doppler, position, relay count) cell of a trial, and a
         # separate run of any one point, sends the same symbol spectra and
-        # scales the same unit white draw by the root of its noise_var
-        sent = []
+        # scales the same unit white draw by the root of its noise_var; a
+        # call sends one slice of a cell's points, unstacked here
+        sent, calls = [], []
 
-        def capture(x_f, ch, noise):
-            sent.append((x_f, noise / np.sqrt(ch.noise_var)))
-            return transmit_block(x_f, ch, noise)
+        def capture(x_f, ch, noise, out=None):
+            calls.append(len(noise))
+            sent.extend((x_f, noise[k] / np.sqrt(ch.noise_var[k]))
+                        for k in range(len(noise)))
+            return transmit_block(x_f, ch, noise, out)
 
         monkeypatch.setattr(harness, "transmit_block", capture)
+        monkeypatch.setattr(harness, "SLICE_BYTES", 1 << 30)  # whole cells
         cfg = small_config(data_frames=2000, detectors=("mmse", "mrc"))
         points = [GridPoint(s, fd, delta, u) for fd in (0.0, 0.02)
                   for delta in (0.3, 0.5) for u in (2, 1) for s in (0.0, 12.0)]
         _run_group(cfg, points, [1], False)
         _run_group(cfg, [GridPoint(12.0, 0.02, 0.3, 1)], [1], False)
+        assert calls == [2] * 8 + [1]
         assert len(sent) == len(points) + 1
         x_f, white = sent[0]
         for other_x, other_white in sent[1:]:
