@@ -7,9 +7,10 @@ cluster, amplitudes are Nakagami-m and phases uniform. Realizations are
 quantized to symbol-spaced taps (unit total power) and can drift
 block-to-block through a first-order Gauss-Markov recursion.
 
-All operations are pure given explicit ``numpy.random.Generator``s; each
-quantity of many hops is one row-major array, whose rows do not depend on
-how many hops are drawn.
+``channel_variates`` draws a realization's variates from explicit
+``numpy.random.Generator``s, and the model arithmetic is pure in the drawn
+arrays; each quantity of many hops is one row-major array, whose rows do
+not depend on how many hops are drawn.
 """
 
 from __future__ import annotations
@@ -105,8 +106,6 @@ def _arrival_times(u: np.ndarray, rate: float) -> np.ndarray:
 def sample_nakagami(m: float, rng: np.random.Generator, size=None):
     """Unit-power Nakagami-m amplitude draw(s): sqrt of Gamma(shape=m,
     scale=1/m)."""
-    if m < 0.5:
-        raise ValueError("Nakagami shape must be >= 0.5")
     return np.sqrt(rng.gamma(shape=m, scale=1.0 / m, size=size))
 
 
@@ -126,16 +125,13 @@ def channel_variates(params: SvParams, rngs,
             uniforms)
 
 
-def generate_channel(params: SvParams, rngs,
-                     hops: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenray ``(gains, delays)`` of ``hops`` realizations, each
-    ``(hops, C*R)`` cluster by cluster, every row at unit power. ``rngs`` is
-    the generator pair of ``channel_variates``, or the (amplitudes,
-    uniforms) it draws, with any leading axes, which carry through to the
-    result."""
-    if isinstance(rngs[0], np.random.Generator):
-        rngs = channel_variates(params, rngs, hops)
-    amplitudes, u = rngs
+def generate_channel(params: SvParams,
+                     variates) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenray ``(gains, delays)`` of the (amplitudes, uniforms) that
+    ``channel_variates`` draws, with any leading axes, which carry through
+    to the result: each ``(..., C*R)`` cluster by cluster, every row at
+    unit power."""
+    amplitudes, u = variates
     c, r = params.num_clusters, params.rays_per_cluster
     lead = u.shape[:-1]
     starts = _arrival_times(u[..., :c - 1], params.cluster_rate)[..., None]
@@ -156,8 +152,6 @@ def quantize_to_taps(gains: np.ndarray, delays: np.ndarray,
     ``(..., max_taps)``, one per row: each ray adds coherently into its
     nearest bin, rays beyond the last bin drop, the survivors renormalize.
     """
-    if sample_period <= 0:
-        raise ValueError("sample_period must be positive")
     bins = np.rint(delays / sample_period)
     keep = bins < max_taps
     if not keep.any(axis=-1).all():
@@ -171,16 +165,17 @@ def quantize_to_taps(gains: np.ndarray, delays: np.ndarray,
     return taps / np.sqrt(power)
 
 
-def evolve_channel(taps: np.ndarray, fd_norm: float, blocks: int, rng,
+def evolve_channel(taps: np.ndarray, fd_norm: float, blocks: int,
+                   draws: np.ndarray,
                    stationary_power: np.ndarray | None = None) -> np.ndarray:
     """Gauss-Markov drift of a tap vector, or a stack along the last axis,
     over ``blocks`` blocks: the ``(blocks,) + taps.shape`` track from row
     0 ``taps``, one step of ``rho = exp(-2*pi*fd_norm)`` per block, whose
     innovation keeps each tap's stationary power (by default the powers of
-    ``taps``). ``rng`` is a generator, or the standard normals it would
-    draw, ``taps.shape[:-1] + (blocks - 1, 2, L)``: each vector's steps in
-    turn, real then imaginary; so a stack's first vectors drift the same
-    whatever follows them.
+    ``taps``). ``draws`` are the innovations, standard normals
+    ``taps.shape[:-1] + (blocks - 1, 2, L)``: each vector's steps in turn,
+    real then imaginary; so a stack's first vectors drift the same whatever
+    follows them.
 
     The recursion ``track[b] = rho * track[b-1] + step[b-1]`` is summed in
     closed form, ``DRIFT_TILE`` blocks at a time: from a tile's start state
@@ -189,16 +184,12 @@ def evolve_channel(taps: np.ndarray, fd_norm: float, blocks: int, rng,
     most ``rho**-DRIFT_TILE < exp(DRIFT_TILE * pi)``."""
     if not 0.0 <= fd_norm < 0.5:
         raise ValueError("fd_norm must be in [0, 0.5)")
-    if blocks < 1:
-        raise ValueError("blocks must be >= 1")
     track = np.repeat(np.asarray(taps, dtype=complex)[None], blocks, axis=0)
     if fd_norm == 0.0 or blocks == 1:
         return track
     shape = track.shape[1:]
     power = np.abs(taps) ** 2 if stationary_power is None else stationary_power
     rho = np.exp(-TWO_PI * fd_norm)
-    draws = (rng.standard_normal(shape[:-1] + (blocks - 1, 2, shape[-1]))
-             if isinstance(rng, np.random.Generator) else rng)
     # row 1 + k of the track first holds step k times rho**-(j+1), where
     # j = k % DRIFT_TILE is its place in its tile
     decay = (rho ** np.arange(1.0, min(blocks, DRIFT_TILE + 1))).reshape(
@@ -222,10 +213,7 @@ def evolve_channel(taps: np.ndarray, fd_norm: float, blocks: int, rng,
 def freq_response(taps: np.ndarray, block_size: int) -> np.ndarray:
     """Per-bin response of the circulant channel: DFT of the padded taps,
     along the last axis of a tap vector or stack."""
-    taps = np.asarray(taps, dtype=complex)
-    if taps.shape[-1] > block_size:
-        raise ValueError("more taps than the block size")
-    return np.fft.fft(taps, n=block_size)
+    return np.fft.fft(np.asarray(taps, dtype=complex), n=block_size)
 
 
 def path_gain(delta: float, eta: float) -> tuple[float, float]:

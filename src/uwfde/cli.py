@@ -27,7 +27,7 @@ from functools import partial
 import numpy as np
 
 from . import __version__
-from .channel import _whole_number
+from .channel import _whole_number, channel_variates
 from .harness import (DETECTOR_NAMES, STREAM_VERSION, SimConfig, _build_links,
                       _convergence_point, _relay_counts, _relay_positions,
                       _substream, _worker_count, run_ber_sweep,
@@ -104,9 +104,12 @@ def _converge_rows(config: SimConfig):
 
 
 def _dump_rows(config: SimConfig, count: int):
-    seed = trial_seed(config.master_seed, "channel-dump", 0)
-    taps = _build_links(config, (_substream(seed, 0), _substream(seed, 1)),
-                        count)
+    variates = None
+    if config.channel_model == "sv":  # the flat model draws nothing
+        seed = trial_seed(config.master_seed, "channel-dump", 0)
+        variates = channel_variates(
+            config.sv, (_substream(seed, 0), _substream(seed, 1)), count)
+    taps = _build_links(config, variates, (count,))
     for (rid, idx), tap in np.ndenumerate(taps):
         yield [rid, idx, float(tap.real), float(tap.imag), float(abs(tap) ** 2)]
 

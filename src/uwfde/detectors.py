@@ -26,8 +26,6 @@ import numpy as np
 
 from .txrx import ModulationScheme
 
-# Exhaustive search cap: constellation_order ** block_size candidates.
-ML_SEARCH_LIMIT = 2 ** 16
 # Received blocks searched per matrix product; with 8-byte costs this keeps
 # each (rows, candidates / 2) buffer, linear terms, pair costs and a drifting
 # channel's energies, at 8 MB or less, whatever the number of blocks.
@@ -69,8 +67,6 @@ class RlsState:
 
     @classmethod
     def initial(cls, block_size: int, lambda_rls: float = 0.995) -> "RlsState":
-        if not 0.0 < lambda_rls <= 1.0:
-            raise ValueError("forgetting factor must be in (0, 1]")
         return cls(np.zeros(block_size, dtype=complex), np.ones(block_size),
                    lambda_rls)
 
@@ -162,8 +158,6 @@ class MlDetector:
 
     def __init__(self, ch: EffectiveChannel, scheme: ModulationScheme,
                  block_size: int):
-        if scheme.order ** block_size > ML_SEARCH_LIMIT:
-            raise ValueError("exhaustive search space exceeds the limit")
         self._scheme = scheme
         self._block_size = block_size
         self._real_form, self._power = _ml_tables(scheme.name, block_size)
@@ -174,11 +168,10 @@ class MlDetector:
         self._half_energy = (0.5 * (self._energy_weights @ self._power)
                              if ch.response.ndim == 1 else None)
 
-    def detect(self, r_f: np.ndarray) -> np.ndarray:
-        """Decided time-domain block for one received spectrum ``(N,)``,
-        or one per row of a ``(rows, N)`` stack; a drifting detector takes
-        one row per block of its channel."""
-        rows = np.atleast_2d(r_f)
+    def detect(self, rows: np.ndarray) -> np.ndarray:
+        """Decided time-domain blocks, one per row of the received spectra
+        ``rows`` ``(rows, N)``; a drifting detector takes one row per block
+        of its channel."""
         if self._half_energy is None and rows.shape != self._weighted.shape:
             raise ValueError("a drifting channel needs one received block "
                              "per channel block")
@@ -208,9 +201,8 @@ class MlDetector:
                              axis=1)
             best[part] = np.where(linear[np.arange(size), pair] < 0,
                                   2 * pairs - 1 - pair, pair)
-        decided = self._scheme.points[_ml_digits(self._scheme,
-                                                 self._block_size, best)]
-        return decided if np.ndim(r_f) > 1 else decided[0]
+        return self._scheme.points[_ml_digits(self._scheme, self._block_size,
+                                              best)]
 
 
 def _inverse_noise(noise_var: np.ndarray) -> np.ndarray:

@@ -42,8 +42,8 @@ from .channel import (SvParams, _whole_number, af_gain, channel_variates,
                       complex_noise, evolve_channel, freq_response,
                       generate_channel, path_gain, quantize_to_taps,
                       sv_profile)
-from .detectors import (ML_SEARCH_LIMIT, EffectiveChannel, MlDetector,
-                        RlsState, effective_channel, equalize, lms_step,
+from .detectors import (EffectiveChannel, MlDetector, RlsState,
+                        effective_channel, equalize, lms_step,
                         mmse_error_floor, mmse_weights, mrc_weights, rls_step)
 # relay_receive and relay_forward no longer run here, but bench/spans.py
 # traces them by their names in this module, so the names stay.
@@ -60,6 +60,8 @@ STREAM_VERSION = 4
 DETECTOR_NAMES = ("mrc", "mmse", "ml", "lms", "rls")
 ADAPTIVE_DETECTORS = ("lms", "rls")
 WORKERS_ENV_VAR = "UWFDE_WORKERS"
+# Exhaustive ml search cap: constellation_order ** block_size candidates.
+ML_SEARCH_LIMIT = 2 ** 16
 # Group cap, in bytes as _group_size charges a trial's buffers (an exact
 # count without an adaptive detector, an estimate with one); picked by
 # measurement: bigger groups train faster, cost memory.
@@ -244,10 +246,12 @@ class ExperimentResult:
         return hits[0]
 
 
-def wilson_half_width(errors: int, bits: int, z: float = 1.96) -> float:
-    """Half-width of the Wilson score interval for a binomial proportion."""
+def wilson_half_width(errors: int, bits: int) -> float:
+    """Half-width of the 95% Wilson score interval for a binomial
+    proportion."""
     if bits == 0:
         return 0.0
+    z = 1.96
     p = errors / bits
     denom = 1.0 + z * z / bits
     return z * math.sqrt(p * (1.0 - p) / bits + z * z / (4.0 * bits * bits)) / denom
@@ -267,18 +271,17 @@ def _substream(seed, q: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(q,)))
 
 
-def _build_links(config: SimConfig, rngs, hops) -> np.ndarray:
-    """Unit-power taps ``(hops, L)`` of the channel model from the gamma and
-    uniform generators ``rngs``, or ``(trials, hops, L)`` from their draws
-    stacked over a group's trials, ``hops`` then being that shape (see
-    ``generate_channel``); the flat model draws nothing and gives unit
-    first taps. A trial draws the hops of its largest relay count U, relay
-    u's source and destination hops in rows 2u and 2u + 1, so the first
-    rows are those of every smaller count."""
+def _build_links(config: SimConfig, variates, shape) -> np.ndarray:
+    """Unit-power taps ``shape + (L,)`` of the channel model from the
+    (amplitudes, uniforms) ``variates`` of ``channel_variates``, of leading
+    axes ``shape`` (see ``generate_channel``); the flat model reads no
+    variates and gives unit first taps. A trial draws the hops of its
+    largest relay count U, relay u's source and destination hops in rows
+    2u and 2u + 1, so the first rows are those of every smaller count."""
     if config.channel_model == "flat":
         return np.tile(np.eye(1, config.num_taps, dtype=complex),
-                       np.append(hops, 1))
-    gains, delays = generate_channel(config.sv, rngs, hops)
+                       np.append(shape, 1))
+    gains, delays = generate_channel(config.sv, variates)
     return quantize_to_taps(gains, delays, config.sv.sample_period,
                             config.num_taps)
 
@@ -526,18 +529,13 @@ def _run_group(config: SimConfig, points: list[GridPoint], seeds,
 def train_adaptive(detectors, r_f: np.ndarray, s_f: np.ndarray, mu: float,
                    lambda_rls: float, collect_mse: bool = False
                    ) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
-    """Train the adaptive filters named in ``detectors`` on pilot blocks,
-    ``lms`` one step per block and ``rls`` in one closed-form ``rls_step``,
-    from received spectra ``r_f`` ``(..., pilots, N)`` sent as ``s_f``,
-    which broadcasts against it; every row of the leading axes trains
-    filters of its own. Returns each filter's final weights ``(..., N)``
-    and, with ``collect_mse``, its mean squared a priori error per pilot
-    block ``(..., pilots)``."""
-    unknown = set(detectors) - set(ADAPTIVE_DETECTORS)
-    if unknown:
-        raise ValueError(f"unknown adaptive detectors: {sorted(unknown)}")
-    if r_f.shape[-2] == 0:
-        raise ValueError("need at least one pilot block")
+    """Train the adaptive filters named in ``detectors``, some of ``lms``
+    and ``rls``, on one or more pilot blocks, ``lms`` one step per block
+    and ``rls`` in one closed-form ``rls_step``, from received spectra
+    ``r_f`` ``(..., pilots, N)`` sent as ``s_f``, which broadcasts against
+    it; every row of the leading axes trains filters of its own. Returns
+    each filter's final weights ``(..., N)`` and, with ``collect_mse``, its
+    mean squared a priori error per pilot block ``(..., pilots)``."""
     n = r_f.shape[-1]
     traces = ({det: np.empty(r_f.shape[:-1]) for det in detectors}
               if collect_mse else {})

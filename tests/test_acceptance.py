@@ -14,8 +14,8 @@ import pytest
 
 from oracle import circulant_from_taps
 from uwfde import harness
-from uwfde.channel import (complex_noise, evolve_channel, generate_channel,
-                           quantize_to_taps, sample_nakagami, sv_profile,
+from uwfde.channel import (channel_variates, complex_noise, evolve_channel,
+                           generate_channel, sample_nakagami, sv_profile,
                            SvParams)
 from uwfde.cli import main as cli_main
 from uwfde.detectors import EffectiveChannel, effective_channel, mmse_weights
@@ -172,7 +172,8 @@ def test_criterion_05_wiener_convergence():
     ref_power = np.zeros(n)
     point = GridPoint(snr)
     for _ in range(channels):
-        hops = _cascade(cfg, _build_links(cfg, (rng, rng), 2), point, 1, None)
+        taps = _build_links(cfg, channel_variates(cfg.sv, (rng, rng), 2), (2,))
+        hops = _cascade(cfg, taps, point, 1, None)
         ch = effective_channel(hops, *_cascade_powers(cfg, point))
         w_opt = mmse_weights(ch)
         pilots_list = []
@@ -280,19 +281,21 @@ def test_criterion_09_statistical_generators():
                      omega=1.0, sample_period=0.1)
     clusters = SvParams(cluster_rate=1.0 / 14.99, ray_rate=1.0 / 0.476,
                         num_clusters=101, rays_per_cluster=2, **ns_params)
-    gaps = np.diff(generate_channel(clusters, (rng, rng), 10_000)[1]
+    drawn = channel_variates(clusters, (rng, rng), 10_000)
+    gaps = np.diff(generate_channel(clusters, drawn)[1]
                    .reshape(10_000, 101, 2)[:, :, 0])
     assert abs(gaps.mean() - 14.99) / 14.99 < 0.01
     rays = SvParams(cluster_rate=1.0 / 14.99, ray_rate=1.0 / 0.476,
                     num_clusters=2, rays_per_cluster=101, **ns_params)
-    gaps = np.diff(generate_channel(rays, (rng, rng), 5_000)[1]
-                   .reshape(5_000, 2, 101))
+    drawn = channel_variates(rays, (rng, rng), 5_000)
+    gaps = np.diff(generate_channel(rays, drawn)[1].reshape(5_000, 2, 101))
     assert abs(gaps.mean() - 0.476) / 0.476 < 0.01
 
     fd = 0.05
     rho = math.exp(-2.0 * math.pi * fd)
     power = np.array([1.0])
-    q = evolve_channel(np.array([1.0 + 0j]), fd, 100_001, rng, power)[:, 0]
+    q = evolve_channel(np.array([1.0 + 0j]), fd, 100_001,
+                       rng.standard_normal((100_000, 2, 1)), power)[:, 0]
     est = np.mean(q[1:] * np.conj(q[:-1])).real / np.mean(np.abs(q) ** 2)
     assert abs(est - rho) / rho < 0.02
     print("PASS criterion 9: generator moments and drift autocorrelation")

@@ -9,8 +9,7 @@ from oracle import (circulant_from_taps, gauss_markov_recursion, ks_statistic,
                     sv_realization_per_hop)
 from uwfde.channel import (SvParams, channel_variates, complex_noise,
                            evolve_channel, freq_response, generate_channel,
-                           path_gain, quantize_to_taps, sample_nakagami,
-                           sv_profile)
+                           path_gain, quantize_to_taps, sv_profile)
 
 # Cluster/ray timing constants quoted in nanoseconds by the channel
 # measurement literature this model follows.
@@ -75,10 +74,15 @@ class TestSvParams:
         assert params.num_clusters * params.rays_per_cluster == 7
 
 
+def variates(params, hops, seed=0):
+    """``channel_variates`` of ``hops`` rows from two seeded generators."""
+    return channel_variates(params, (np.random.default_rng(seed),
+                                     np.random.default_rng(seed + 1)), hops)
+
+
 def draw(params, hops, seed=0):
     """``generate_channel`` over ``hops`` rows from two seeded generators."""
-    return generate_channel(params, (np.random.default_rng(seed),
-                                     np.random.default_rng(seed + 1)), hops)
+    return generate_channel(params, variates(params, hops, seed))
 
 
 def starts_of(params, delays):
@@ -143,10 +147,6 @@ class TestArrivals:
 
 
 class TestNakagami:
-    def test_rejects_small_shape(self):
-        with pytest.raises(ValueError):
-            sample_nakagami(0.4, np.random.default_rng(0))
-
     @staticmethod
     def first_share(m, seed):
         # two rays of one mean power: the first's share of the row's power
@@ -193,17 +193,12 @@ class TestGenerateChannel:
     @pytest.mark.parametrize("params", [sv_profile(15), sv_profile(4),
                                         sv_profile(1)])
     def test_given_draws_match_the_generators(self, params):
-        # the draws passed as arrays give the generators' realizations, and
-        # a stack of draws, as a group of trials holds them, stacks them
-        rngs = [(np.random.default_rng(s), np.random.default_rng(s + 1))
-                for s in (60, 62, 64)]
-        alone = [draw(params, 5, seed=s) for s in (60, 62, 64)]
-        variates = [channel_variates(params, pair, 5) for pair in rngs]
-        for (gains, delays), drawn in zip(alone, variates):
-            got = generate_channel(params, drawn)
-            assert np.array_equal(got[0], gains)
-            assert np.array_equal(got[1], delays)
-        stacked = generate_channel(params, [np.stack(v) for v in zip(*variates)])
+        # a stack of the draws of several generator pairs, as a group of
+        # trials holds them, stacks the realizations of each pair's draws
+        seeds = (60, 62, 64)
+        alone = [draw(params, 5, seed=s) for s in seeds]
+        drawn = [variates(params, 5, seed=s) for s in seeds]
+        stacked = generate_channel(params, [np.stack(v) for v in zip(*drawn)])
         for got, parts in zip(stacked, zip(*alone)):
             assert np.array_equal(got, np.stack(parts))
 
@@ -295,17 +290,14 @@ class TestQuantize:
 class TestEvolve:
     def test_zero_doppler_identity(self):
         taps = np.array([0.6, 0.8j])
-        rng = np.random.default_rng(0)
-        out = evolve_channel(taps, 0.0, 5, rng)
+        draws = np.random.default_rng(0).standard_normal((4, 2, 2))
+        out = evolve_channel(taps, 0.0, 5, draws)
         assert out.shape == (5, 2)
         assert all(np.array_equal(row, taps) for row in out)
-        assert rng.random() == np.random.default_rng(0).random()  # no draws
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
-            evolve_channel(np.array([1.0 + 0j]), 0.5, 2, np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            evolve_channel(np.array([1.0 + 0j]), 0.01, 0, np.random.default_rng(0))
+            evolve_channel(np.array([1.0 + 0j]), 0.5, 2, np.ones((1, 2, 1)))
 
     @pytest.mark.parametrize("shape,blocks,given_power", [
         ((2, 15), 70, False), ((6, 4), 9, True), ((3,), 1, False), ((1,), 2, True),
@@ -319,7 +311,8 @@ class TestEvolve:
         taps = complex_noise(np.random.default_rng(1), shape, 1.0)
         power = np.linspace(0.5, 2.0, shape[-1]) if given_power else None
         rng = np.random.default_rng(2)
-        track = evolve_channel(taps, fd, blocks, rng, power)
+        draws = rng.standard_normal(shape[:-1] + (blocks - 1, 2, shape[-1]))
+        track = evolve_channel(taps, fd, blocks, draws, power)
 
         ref = np.random.default_rng(2)
         drive = np.empty(shape[:-1] + (blocks - 1, shape[-1]), dtype=complex)
@@ -334,7 +327,7 @@ class TestEvolve:
         assert np.array_equal(track[0], taps)
         np.testing.assert_allclose(track, gauss_markov_recursion(taps, rho, step),
                                    rtol=1e-12)
-        assert rng.random() == ref.random()  # the same stream consumed
+        assert rng.random() == ref.random()  # the same count of draws
 
     @settings(max_examples=100, deadline=None)
     @given(blocks=st.integers(1, 300),
@@ -356,13 +349,12 @@ class TestEvolve:
         taps = complex_noise(rng, shape, magnitude ** 2)
         power = (rng.uniform(0.5, 2.0, num_taps) * magnitude ** 2
                  if given_power else None)
-        track = evolve_channel(taps, fd, blocks, np.random.default_rng(seed),
-                               power)
+        draws = np.random.default_rng(seed).standard_normal(
+            shape[:-1] + (blocks - 1, 2, num_taps))
+        track = evolve_channel(taps, fd, blocks, draws, power)
 
         rho = np.exp(-2 * np.pi * fd)
         var = np.abs(taps) ** 2 if power is None else power
-        draws = np.random.default_rng(seed).standard_normal(
-            shape[:-1] + (blocks - 1, 2, num_taps))
         step = (np.sqrt((1.0 - rho * rho) * var / 2.0)[..., None, :]
                 * (draws[..., 0, :] + 1j * draws[..., 1, :]))
         ref = gauss_markov_recursion(taps, rho, step)
@@ -371,12 +363,11 @@ class TestEvolve:
         assert np.all(np.abs(track - ref) <= 1e-12 * np.max(np.abs(ref), axis=0))
 
     def test_given_innovations_match_the_generator(self):
-        # the draws passed as an array drive the same track; a stack's first
-        # rows drift by the first rows of the innovations alone
+        # a stack's first rows drift by the first rows of the innovations
+        # alone, so a cell of fewer relays reads its rows of a larger draw
         taps = complex_noise(np.random.default_rng(1), (6, 4), 1.0)
-        track = evolve_channel(taps, 0.02, 9, np.random.default_rng(3))
         draws = np.random.default_rng(3).standard_normal((6, 8, 2, 4))
-        assert np.array_equal(evolve_channel(taps, 0.02, 9, draws), track)
+        track = evolve_channel(taps, 0.02, 9, draws)
         assert np.array_equal(evolve_channel(taps[:2], 0.02, 9, draws[:2]),
                               track[:, :2])
 
@@ -387,7 +378,8 @@ class TestEvolve:
         rng = np.random.default_rng(42)
         n = 100_000
         power = np.array([1.0])
-        q = evolve_channel(np.array([1.0 + 0j]), fd, n + 1, rng, power)[:, 0]
+        q = evolve_channel(np.array([1.0 + 0j]), fd, n + 1,
+                           rng.standard_normal((n, 2, 1)), power)[:, 0]
         est = np.mean(q[1:] * np.conj(q[:-1])).real / np.mean(np.abs(q) ** 2)
         assert abs(est - rho) / rho < 0.02
 
@@ -398,7 +390,8 @@ class TestEvolve:
         state = np.full(m, 1.0 + 0j)
         power = np.ones(m)
         for step in range(100, 1001, 100):  # tracks of 100 steps bound memory
-            state = evolve_channel(state, 0.01, 101, rng, power)[-1]
+            state = evolve_channel(state, 0.01, 101,
+                                   rng.standard_normal((100, 2, m)), power)[-1]
             if step in (100, 500, 1000):
                 assert abs(np.mean(np.abs(state) ** 2) - 1.0) < 0.02
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uwfde.cli import _parse_grid, main
+from uwfde.cli import _parse_grid, _substream, main
 from uwfde.harness import STREAM_VERSION
 
 
@@ -697,6 +697,22 @@ class TestChannelDumpCommand:
             expected = 1.0 if idx == "0" else 0.0
             assert (float(re_part), float(im_part), float(power)) == (
                 expected, 0.0, expected)
+
+    @pytest.mark.parametrize("model,keys", [("sv", [0, 1]), ("flat", [])])
+    def test_only_the_sv_model_keys_substreams(self, tmp_path, monkeypatch,
+                                               model, keys):
+        # the flat model draws nothing, so it keys no substream either
+        keyed = []
+
+        def recording(seed, q):
+            keyed.append(q)
+            return _substream(seed, q)
+
+        monkeypatch.setattr("uwfde.cli._substream", recording)
+        assert run_cli(["channel-dump", "--channel", model, "--realizations",
+                        "3", "--L", "4", "--out",
+                        str(tmp_path / "taps.csv")]) == 0
+        assert keyed == keys
 
     def test_nonpositive_count_rejected(self, tmp_path):
         with pytest.raises(SystemExit) as err:

@@ -10,8 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uwfde import harness
-from uwfde.channel import (complex_noise, evolve_channel, freq_response,
-                           sv_profile)
+from uwfde.channel import (channel_variates, complex_noise, evolve_channel,
+                           freq_response, sv_profile)
 from uwfde.detectors import effective_channel, equalize, mmse_weights
 from uwfde.harness import (DETECTOR_NAMES, GridPoint, SimConfig,
                            run_ber_sweep, run_convergence, run_multirelay,
@@ -105,6 +105,7 @@ class TestSimConfig:
         dict(scheme=3),                     # no lower(): an AttributeError
         dict(sv=5),                         # accepted, then failed mid-run
         dict(sv="x"),
+        dict(lambda_rls=1.2),               # more weight on older blocks
     ])
     def test_invalid_configs_rejected(self, bad):
         with pytest.raises(ValueError):
@@ -779,7 +780,7 @@ class TestTransmitBlock:
                            relay_noise_factor=0.0, snr_grid=(200.0,))
         rng = np.random.default_rng(0)
         point = GridPoint(200.0)
-        hops = _cascade(cfg, _build_links(cfg, (rng, rng), 2), point, 1, None)
+        hops = _cascade(cfg, _build_links(cfg, None, (2,)), point, 1, None)
         x = np.exp(2j * np.pi * rng.uniform(size=16))
         ch = effective_channel(hops, *_cascade_powers(cfg, point))
         r_f = transmit_block(unitary_fft(x), ch, np.zeros(16))
@@ -796,8 +797,10 @@ class TestTransmitBlock:
         n, num_taps, cp_len = 16, 4, 5
         zeta, sigma2_relay, sigma2_dest = 0.8, 0.3, 0.2
         rng = np.random.default_rng(10 * relays + blocks)
-        track = evolve_channel(complex_noise(rng, (2 * relays, num_taps), 1.0),
-                               0.05 if drift else 0.0, blocks, rng,
+        taps = complex_noise(rng, (2 * relays, num_taps), 1.0)
+        track = evolve_channel(taps, 0.05 if drift else 0.0, blocks,
+                               rng.standard_normal((2 * relays, blocks - 1, 2,
+                                                    num_taps)),
                                np.ones(num_taps))
         x = complex_noise(rng, (blocks, n), 1.0)
         expected = time_domain_chain(x, track, zeta, sigma2_relay, sigma2_dest,
@@ -819,8 +822,10 @@ class TestTransmitBlock:
         rng = np.random.default_rng(3)
         blocks, reps = 4, 4000
         for drift in (0.0, 0.05):
-            track = evolve_channel(complex_noise(rng, (4, 3), 0.5), drift,
-                                   blocks, rng)
+            taps = complex_noise(rng, (4, 3), 0.5)
+            # a track that holds still reads no innovations
+            steps = rng.standard_normal((4, blocks - 1, 2, 3)) if drift else None
+            track = evolve_channel(taps, drift, blocks, steps)
             hops = freq_response(track, 16)
             relay = complex_noise(rng, (reps, blocks, 2, 16), 0.4)
             dest = complex_noise(rng, (reps, blocks, 2, 16), 0.1)
@@ -939,7 +944,8 @@ class TestPerRelayChainBer:
         chain = []
         for t in range(cfg.trials):
             rng = np.random.default_rng(trial_seed(cfg.master_seed, "oracle", t))
-            drawn = _build_links(cfg, (rng, rng), 4)
+            drawn = _build_links(cfg, channel_variates(cfg.sv, (rng, rng), 4),
+                                 (4,))
             hops = _cascade(cfg, drawn, point, 1, None)
             bits = rng.integers(0, 2, size=(cfg.data_frames, cfg.block_size))
             x = modulate(bits, scheme)
