@@ -4,12 +4,11 @@ Because the cascade of prefix-protected circulant channels is itself
 circulant, the combined response, the noise covariance and every linear
 equalizer here are diagonal in the DFT basis. All detectors therefore
 reduce to per-bin scalars: closed-form matched-filter (MRC) and Wiener
-(MMSE) weights, an exhaustive small-block maximum-likelihood search,
+(MMSE) weights, an exact small-block maximum-likelihood search,
 stochastic-gradient (LMS) recursions, and recursive least squares (RLS) in
-its closed form, one weighted sum over the pilot blocks. The search expands
-its per-bin distance so that every block received under one channel state
-is scored against the M/2 antipodal pairs (s, -s) of candidates by one real
-matrix product.
+its closed form, one weighted sum over the pilot blocks. The search works on
+the triangular (QR) factor of the noise-whitened real model, where it drops
+every partial block that already costs more than the MMSE decision.
 
 Weights are plain ``(..., N)`` arrays, one complex weight per bin, and
 ``equalize`` holds the one application convention: the symbol estimate
@@ -26,10 +25,14 @@ import numpy as np
 
 from .txrx import ModulationScheme
 
-# Received blocks searched per matrix product; with 8-byte costs this keeps
-# each (rows, candidates / 2) buffer, linear terms, pair costs and a drifting
-# channel's energies, at 8 MB or less, whatever the number of blocks.
-ML_SLICE_ROWS = 32
+# The search keeps a partial block whose cost is within its radius plus this
+# share of the magnitude of its terms, and counts two costs within it of each
+# other as equal: far above the rounding of a cost (a few ulps of that
+# magnitude per term), far below the gap between two costs that differ.
+ML_MARGIN = 2.0 ** -40
+# Bytes of pair costs that one product of a static channel's search writes
+# at most; a drifting channel's search scores one block at a time.
+ML_SCORE_BYTES = 2 ** 22
 # The search inverts a block's noise variances as they are while its
 # smallest is at least this (an SNR of 1000 dB), and rescales them first
 # otherwise, so that no inverse overflows.
@@ -107,28 +110,38 @@ def mmse_weights(ch: EffectiveChannel) -> np.ndarray:
                      where=denom > 0)
 
 
+@lru_cache(maxsize=32)
+def _sign_table(dims: int, a: float) -> np.ndarray:
+    """The ``2 ** dims`` patterns ``±a`` of ``dims`` real dimensions, one
+    column each, numbered in binary with the first dimension most
+    significant and a bit set where the sign is negative."""
+    bits = (np.arange(2 ** dims) >> np.arange(dims - 1, -1, -1)[:, None]) & 1
+    table = a * (1.0 - 2.0 * bits)
+    table.flags.writeable = False  # shared by every detector
+    return table
+
+
 @lru_cache(maxsize=8)
-def _ml_tables(scheme_name: str, block_size: int):
-    """Search tables over the first ``count / 2`` of the ``order **
-    block_size`` candidate blocks, one column per candidate: the real form
-    of the time-domain blocks, ``Re s`` stacked over ``-Im s`` (``2N`` rows;
-    ``Re s`` alone, ``N`` rows, for a real constellation), and the energy
-    ``|S|^2`` of their unitary spectra (``N`` rows). The constellation must
-    be antipodal, so that candidate ``count - 1 - j`` is ``-s_j``."""
-    scheme = ModulationScheme.from_name(scheme_name)
-    if scheme.order % 2 or np.any(scheme.points[::-1] != -scheme.points):
-        raise ValueError(f"{scheme_name} constellation is not antipodal")
-    blocks = scheme.points[_ml_digits(
-        scheme, block_size, np.arange(scheme.order ** block_size // 2))]
-    power = np.abs(np.fft.fft(blocks, axis=1, norm="ortho").T) ** 2
-    if np.any(scheme.points.imag):
-        real_form = np.concatenate([blocks.real.T, -blocks.imag.T])
-    else:
-        real_form = blocks.real.T
-    tables = np.ascontiguousarray(real_form), np.ascontiguousarray(power)
-    for table in tables:
-        table.flags.writeable = False  # shared by every detector
-    return tables
+def _dft(block_size: int) -> np.ndarray:
+    """The unitary DFT matrix, column ``i`` the spectrum of symbol ``i``."""
+    matrix = np.fft.fft(np.eye(block_size), axis=0, norm="ortho")
+    matrix.flags.writeable = False
+    return matrix
+
+
+def _grid_half_width(scheme: ModulationScheme) -> float:
+    """The ``a`` of a constellation whose points are every sign pattern
+    ``±a`` of its real dimensions (``Re``, then ``Im`` if complex), each
+    labelled as ``_sign_table`` numbers it; any other is refused."""
+    dims = scheme.bits_per_symbol
+    a = abs(scheme.points[0].real)
+    if dims in (1, 2) and a > 0:
+        signs = _sign_table(dims, a)
+        grid = signs[0] + 1j * signs[1] if dims == 2 else signs[0]
+        if np.array_equal(scheme.points, grid):
+            return a
+    raise ValueError(f"{scheme.name} constellation is not a ±a grid of its "
+                     "real dimensions")
 
 
 def _ml_digits(scheme: ModulationScheme, block_size: int,
@@ -139,70 +152,149 @@ def _ml_digits(scheme: ModulationScheme, block_size: int,
     return (index[..., None] // powers) % scheme.order
 
 
-class MlDetector:
-    """Exhaustive block detector for one channel state, or one per block
-    when ``ch`` carries a block axis (a drifting channel).
+def _per_state(a: np.ndarray, matrices: np.ndarray) -> np.ndarray:
+    """Row ``k`` of ``a`` times ``matrices[k]``, or every row times the one
+    matrix of a channel that holds still."""
+    if len(matrices) == 1:
+        return a @ matrices[0]
+    return np.matmul(a[:, None], matrices)[:, 0]
 
-    The noise-whitened distance of candidate block ``s_j`` with spectrum
-    ``S_j`` from the received spectrum ``r`` expands as
-    ``sum_k v_k |r_k - g_k S_jk|^2 = sum_k v_k |r_k|^2
-    + sum_k v_k |g_k|^2 |S_jk|^2 - 2 Re(s_j . F(v g conj(r)))``, with ``F``
-    the unitary DFT and ``v`` the inverse noise variance. The first term is
-    the same for every candidate, the second is one energy per candidate
-    and channel state, and the third is one real matrix product with the
-    cached time-domain candidates, so ``detect`` minimises
-    ``energy / 2 - linear``. ``-s_j`` has the same energy and the negated
-    linear term, so one column scores the pair, ``energy / 2 - |linear|``,
-    and decides ``s_j`` if ``linear >= 0``, else ``-s_j``.
+
+class MlDetector:
+    """Exact block detector for one channel state, or one per block when
+    ``ch`` carries a block axis (a drifting channel).
+
+    With ``v`` the inverse noise variance and ``F`` the unitary DFT, the
+    noise-whitened distance ``sum_k v_k |r_k - g_k S_k|^2`` of a candidate
+    block with spectrum ``S = F s`` is ``|y - B x|^2`` in real form:
+    ``y`` stacks ``Re`` over ``Im`` of ``sqrt(v) r``, ``B`` does the same
+    for ``sqrt(v) g F``, and ``x`` holds the ``D`` real dimensions of
+    ``s`` (``Re s_i``, then ``Im s_i`` for a complex constellation), each
+    ``±a``. With ``B = QR`` the distance is ``|z - R x|^2`` plus a constant,
+    ``z = Q^T y``; ``R`` is upper triangular, so its last rows give the
+    cost of the last (bottom) dimensions alone.
+
+    ``detect`` searches that lattice for the closest point (Fincke and
+    Pohst; Agrell, Eriksson, Vardy and Zeger, "Closest point search in
+    lattices", 2002), taking the cost of the MMSE hard decision, a
+    feasible block, as the radius. One product scores every bottom half,
+    and only those whose partial cost is within the radius plus
+    ``ML_MARGIN`` times the magnitude of the terms, ``|z|^2 + D a^2
+    |R|_F^2``, go on, so rounding never drops the best block. Each is
+    completed against a table of every top half, one column per antipodal
+    pair ``(t, -t)``, which share their energy and negate their cross term.
+    Costs within that margin of the least count as equal and go to the
+    lowest candidate number, as ``_ml_digits`` reads it. The worst case
+    scores every candidate once.
     """
 
     def __init__(self, ch: EffectiveChannel, scheme: ModulationScheme,
                  block_size: int):
-        self._scheme = scheme
-        self._block_size = block_size
-        self._real_form, self._power = _ml_tables(scheme.name, block_size)
-        inv_noise = _inverse_noise(ch.noise_var)
-        self._weighted = inv_noise * ch.response
-        self._energy_weights = inv_noise * np.abs(ch.response) ** 2
-        # A fixed channel has one energy per candidate for every block.
-        self._half_energy = (0.5 * (self._energy_weights @ self._power)
-                             if ch.response.ndim == 1 else None)
+        self._scheme, self._block_size = scheme, block_size
+        self._a = _grid_half_width(scheme)
+        self._drifting = ch.response.ndim > 1
+        self._root = np.sqrt(_inverse_noise(ch.noise_var))
+        columns = (self._root * ch.response).reshape(-1, block_size, 1) * _dft(
+            block_size)
+        if scheme.bits_per_symbol == 2:
+            columns = np.stack([columns, 1j * columns], axis=-1).reshape(
+                len(columns), block_size, -1)
+        # B, one (2N, D) model per channel state
+        self._model = np.concatenate([columns.real, columns.imag], axis=1)
+        # D a^2 |R|_F^2, as |R|_F = |B|_F
+        self._size = (self._model.shape[-1] * self._a ** 2
+                      * np.sum(self._model ** 2, axis=(1, 2)))
+        # received spectra times this are the MMSE estimates of the symbols
+        self._mmse = (np.conj(mmse_weights(ch)).reshape(-1, block_size, 1)
+                      * np.conj(_dft(block_size)))
 
     def detect(self, rows: np.ndarray) -> np.ndarray:
         """Decided time-domain blocks, one per row of the received spectra
         ``rows`` ``(rows, N)``; a drifting detector takes one row per block
         of its channel."""
-        if self._half_energy is None and rows.shape != self._weighted.shape:
+        if self._drifting and rows.shape != self._root.shape:
             raise ValueError("a drifting channel needs one received block "
                              "per channel block")
-        z = np.fft.fft(self._weighted * np.conj(rows), axis=-1, norm="ortho")
-        if len(self._real_form) > self._block_size:
-            z = np.concatenate([z.real, z.imag], axis=-1)
+        y = self._root * rows
+        y = np.concatenate([y.real, y.imag], axis=-1)
+        dims = self._model.shape[-1]
+        # the received blocks as extra columns of B: the first D rows of
+        # its triangular factor are R and z = Q^T y
+        if self._drifting:
+            r = np.linalg.qr(np.concatenate([self._model, y[..., None]], 2),
+                             mode="r")
+            z = r[:, :dims, dims]
         else:
-            z = z.real
-        pairs = self._real_form.shape[1]
-        shape = (min(len(rows), ML_SLICE_ROWS), pairs)
-        # one allocation, which the C allocator can keep between searches
-        linear_rows, cost, *energy = np.empty(
-            (2 + (self._half_energy is None),) + shape)
-        best = np.empty(len(rows), dtype=np.intp)
-        for start in range(0, len(rows), ML_SLICE_ROWS):
-            part = slice(start, start + ML_SLICE_ROWS)
-            size = len(best[part])
-            linear = np.matmul(z[part], self._real_form, out=linear_rows[:size])
-            if not energy:
-                half_energy = self._half_energy
-            else:
-                half_energy = np.matmul(self._energy_weights[part],
-                                        self._power, out=energy[0][:size])
-                half_energy *= 0.5
-            pair_cost = np.abs(linear, out=cost[:size])
-            pair = np.argmin(np.subtract(half_energy, pair_cost, out=pair_cost),
-                             axis=1)
-            best[part] = np.where(linear[np.arange(size), pair] < 0,
-                                  2 * pairs - 1 - pair, pair)
+            r = np.linalg.qr(np.concatenate([self._model[0], y.T], 1),
+                             mode="r")[None]
+            z = r[0, :dims, dims:].T
+        estimate = _per_state(rows, self._mmse)
+        if self._scheme.bits_per_symbol == 2:
+            estimate = np.stack([estimate.real, estimate.imag], axis=-1)
+        start = np.copysign(self._a, estimate.real).reshape(z.shape)
+        best = self._search(r[:, :dims, :dims], z, start)
         return self._scheme.points[_ml_digits(self._scheme, self._block_size,
                                               best)]
+
+    def _search(self, r: np.ndarray, z: np.ndarray,
+                start: np.ndarray) -> np.ndarray:
+        """The number of the closest candidate to each row of ``z`` under
+        ``R`` (one per row, or one for all), no costlier than ``start``."""
+        dims = z.shape[1]
+        top = max(1, dims // 2)
+        low = dims - top
+        radius = np.sum(np.square(z - _per_state(start, r.mT)), axis=1)
+        margin = ML_MARGIN * (np.sum(z * z, axis=1) + self._size)
+        # each bottom half's share of the top rows, then of its own
+        tail = r[:, :, top:] @ _sign_table(low, self._a)
+        cross, lows = tail[:, :top], tail[:, top:]
+        tops = _sign_table(top, self._a)[:, :2 ** (top - 1)]  # t, not -t
+        pairs = r[:, :top, :top] @ tops
+        pair_energy = 0.5 * np.sum(pairs * pairs, axis=1)
+
+        # half a bottom half's cost, less half |z_bottom|^2
+        z_top, z_low = z[:, :top], z[:, top:]
+        low_norm = np.sum(z_low * z_low, axis=1)
+        score = 0.5 * np.sum(lows * lows, axis=1) - _per_state(z_low, lows)
+        kept = np.flatnonzero(
+            score <= (0.5 * (radius + margin - low_norm))[:, None])
+        row, half = kept >> low, kept & (2 ** low - 1)
+        u = z_top[row] - cross[row if self._drifting else 0, :, half]
+        # half the cost of each survivor's bottom and its top's remainder
+        base = score.ravel()[kept] + 0.5 * (low_norm[row] + np.sum(u * u, 1))
+        starts = np.searchsorted(row, np.arange(len(z) + 1))
+        least = np.empty(len(row))
+        if self._drifting:  # each row's survivors under its own state
+            runs = zip(starts[:-1], starts[1:], range(len(z)))
+        else:  # up to ML_SCORE_BYTES of pair costs a product
+            step = max(1, ML_SCORE_BYTES // (8 * pairs.shape[-1]))
+            runs = ((first, first + step, 0)
+                    for first in range(0, len(row), step))
+        for first, end, k in runs:
+            # pairs by survivors, so that the minimum runs along whole rows,
+            # faster than along each survivor's short row of pairs
+            cost = np.matmul(pairs[k].T, u[first:end].T)
+            np.subtract(pair_energy[k][:, None], np.abs(cost, out=cost),
+                        out=cost)
+            np.min(cost, axis=0, out=least[first:end])
+        least += base
+        bound = np.minimum.reduceat(least, starts[:-1]) + 0.5 * margin
+
+        # the survivors within the margin of their row's least, with signs:
+        # top half t costs base + energy - signed and -t base + energy +
+        # signed, and t has the lower number
+        near = np.flatnonzero(least <= bound[row])
+        state = row[near] if self._drifting else 0
+        signed = np.matmul(u[near][:, None], pairs[state])[:, 0]
+        need = (base[near] - bound[row[near]])[:, None] + pair_energy[state]
+        hit = np.flatnonzero(np.abs(signed) >= need)
+        which, pair = hit >> (top - 1), hit & (2 ** (top - 1) - 1)
+        head = np.where(signed.ravel()[hit] >= need.ravel()[hit], pair,
+                        2 ** top - 1 - pair)
+        best = np.full(len(z), 2 ** dims)
+        np.minimum.at(best, row[near][which],
+                      (head << low) + half[near][which])
+        return best
 
 
 def _inverse_noise(noise_var: np.ndarray) -> np.ndarray:

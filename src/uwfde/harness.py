@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 import os
 import zlib
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from functools import partial
 from itertools import groupby
 
@@ -60,7 +60,8 @@ STREAM_VERSION = 4
 DETECTOR_NAMES = ("mrc", "mmse", "ml", "lms", "rls")
 ADAPTIVE_DETECTORS = ("lms", "rls")
 WORKERS_ENV_VAR = "UWFDE_WORKERS"
-# Exhaustive ml search cap: constellation_order ** block_size candidates.
+# Cap on ml's search space, constellation_order ** block_size candidate
+# blocks: the pruned search scores at most that many, at low SNR.
 ML_SEARCH_LIMIT = 2 ** 16
 # Group cap, in bytes as _group_size charges a trial's buffers (an exact
 # count without an adaptive detector, an estimate with one); picked by
@@ -87,7 +88,8 @@ class SimConfig:
     ``snr_grid`` entries are destination energy-per-bit to noise-density
     ratios in dB for unit-energy constellations; relay noise is that times
     ``relay_noise_factor``. ``cp_len`` defaults to ``num_taps - 1``, and
-    ``sv`` to the arrival profile of ``num_taps`` paths (``sv_profile``).
+    ``sv`` to the arrival profile of ``num_taps`` paths (``sv_profile``);
+    a dict of some ``SvParams`` fields overrides just those of the profile.
     """
 
     block_size: int = 64
@@ -122,7 +124,13 @@ class SimConfig:
         if self.sv is None:
             self.sv = sv_profile(self.num_taps)
         if isinstance(self.sv, dict):
-            self.sv = SvParams(**self.sv)
+            names = [f.name for f in fields(SvParams)]
+            unknown = [key for key in self.sv if key not in names]
+            if unknown:
+                raise ValueError(f"unknown config key sv.{unknown[0]}; sv "
+                                 f"takes {', '.join(names)}")
+            # a partial object overrides the num_taps profile field by field
+            self.sv = replace(sv_profile(self.num_taps), **self.sv)
         if not isinstance(self.sv, SvParams):
             raise ValueError(f"sv must be a dict or SvParams, got {self.sv!r}")
         if not 0 <= self.effective_cp_len <= self.block_size:

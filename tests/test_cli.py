@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uwfde.channel import sv_profile
 from uwfde.cli import _parse_grid, _substream, main
 from uwfde.harness import STREAM_VERSION
 
@@ -297,6 +298,37 @@ class TestConfigHandling:
         assert run_cli([*args, "--config", str(cfg_path), "--out", str(a)]) == 0
         assert run_cli([*args, "--L", "4", "--out", str(b)]) == 0
         assert file_hash(a) == file_hash(b)
+
+    def test_partial_sv_overrides_the_profile_field_by_field(self, tmp_path):
+        # {"sv": {"nakagami_m": 0.8}} exited 2, asking for all six required
+        # SvParams fields; the manifest records the resolved profile
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"sv": {"nakagami_m": 0.8}}))
+        out = tmp_path / "o.csv"
+        assert run_cli(["ber", "--config", str(cfg_path), "--snr", "10",
+                        "--out", str(out), *FAST]) == 0
+        manifest = json.loads((tmp_path / "o.csv.manifest.json").read_text())
+        want = dict(vars(sv_profile(4)), nakagami_m=0.8)
+        assert manifest["config"]["sv"] == want
+        # the manifest runs again to the same bytes
+        again = tmp_path / "again.csv"
+        replay = str(tmp_path / "o.csv.manifest.json")
+        assert run_cli(["ber", "--config", replay, "--out", str(again)]) == 0
+        assert file_hash(again) == file_hash(out)
+
+    @pytest.mark.parametrize("sv,message", [
+        ({"nakagami_m": 0.8, "bogus": 1}, "unknown config key sv.bogus"),
+        ({"nakagami_m": 0.4}, "nakagami_m must be finite and >= 0.5")])
+    def test_partial_sv_errors_name_the_key(self, tmp_path, capsys, sv,
+                                            message):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"sv": sv}))
+        with pytest.raises(SystemExit) as err:
+            run_cli(["ber", "--config", str(cfg_path), "--snr", "10",
+                     "--out", str(tmp_path / "o.csv"), *FAST])
+        assert err.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
 
     def test_non_whole_config_num_taps_keeps_the_config_message(
             self, tmp_path, capsys):

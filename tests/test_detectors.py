@@ -1,17 +1,19 @@
-"""Detector bank tests: closed-form weights, exhaustive search, adaptive
-filters, and their independent oracles."""
+"""Detector bank tests: closed-form weights, maximum-likelihood search,
+adaptive filters, and their independent oracles."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracle import circulant_from_taps, rls_recursion
+from uwfde import detectors
 from uwfde.channel import freq_response
-from uwfde.detectors import (ML_SLICE_ROWS, EffectiveChannel, MlDetector,
-                             RlsState, _ml_tables, effective_channel, equalize,
-                             lms_step, mmse_error_floor, mmse_weights,
-                             mrc_weights, rls_step)
+from uwfde.detectors import (EffectiveChannel, MlDetector, RlsState,
+                             _grid_half_width, _ml_digits, _sign_table,
+                             effective_channel, equalize, lms_step,
+                             mmse_error_floor, mmse_weights, mrc_weights,
+                             rls_step)
 from uwfde.harness import train_adaptive
 from uwfde.txrx import (ModulationScheme, demodulate, modulate, unitary_fft,
                         unitary_ifft)
@@ -139,9 +141,9 @@ class TestMmseWeights:
         assert mmse_error_floor(ch) == pytest.approx((0.5 + 0.2) / 2)
 
 
-def direct_ml(r_f, response, noise_var, scheme):
-    """Oracle search in the direct form: the candidate block minimising
-    ``|r - g S|^2 @ v`` over every constellation block, with ``v`` the
+def direct_costs(r_f, response, noise_var, scheme):
+    """Every constellation block, numbered as the direct form numbers it,
+    and its cost ``|r - g S|^2 @ v`` in the direct form, with ``v`` the
     inverse noise variance (noiseless bins take the smallest positive
     variance; all-noiseless weighs every bin by one)."""
     n = len(r_f)
@@ -154,7 +156,14 @@ def direct_ml(r_f, response, noise_var, scheme):
         inv = 1.0 / np.where(positive, noise_var, noise_var[positive].min())
     else:
         inv = np.ones(n)
-    return blocks[np.argmin(np.abs(r_f - spectra * response) ** 2 @ inv)]
+    return blocks, np.abs(r_f - spectra * response) ** 2 @ inv
+
+
+def direct_ml(r_f, response, noise_var, scheme):
+    """Oracle search in the direct form: the candidate block minimising
+    ``direct_costs`` over every constellation block."""
+    blocks, costs = direct_costs(r_f, response, noise_var, scheme)
+    return blocks[np.argmin(costs)]
 
 
 def ml_case(rng, scheme, n, rows, drifting=False):
@@ -210,14 +219,14 @@ class TestMlExpandedSearch:
     def test_stack_longer_than_one_slice(self):
         rng = np.random.default_rng(43)
         scheme = ModulationScheme.bpsk()
-        g, v, r_f = ml_case(rng, scheme, 8, rows=2 * ML_SLICE_ROWS + 5)
+        g, v, r_f = ml_case(rng, scheme, 8, rows=69)
         self.check(r_f, g, v, scheme)
 
     @pytest.mark.parametrize("scheme", [ModulationScheme.bpsk(),
                                         ModulationScheme.qpsk()])
     def test_drifting_channel(self, scheme):
         rng = np.random.default_rng(44)
-        g, v, r_f = ml_case(rng, scheme, 6, rows=ML_SLICE_ROWS + 3,
+        g, v, r_f = ml_case(rng, scheme, 6, rows=35,
                             drifting=True)
         v[2, [0, 3]] = 0.0
         v[5] = 0.0
@@ -234,14 +243,14 @@ class TestMlExpandedSearch:
 
 
 class TestMlAntipodalPairs:
-    """The search scores each antipodal pair (s, -s) by one column and still
-    decides as the direct form over every candidate; a zero linear term
-    keeps the lower index ``s``. (Two different pairs of exactly equal cost
-    with opposite signs would go to the lower pair, not the lower index.)"""
+    """The search scores each antipodal pair of top halves (t, -t) by one
+    column and still decides as the direct form over every candidate; a
+    zero cross term keeps the lower number ``t``, and costs equal to
+    rounding go to the lowest number."""
 
     @settings(max_examples=60, deadline=None)
     @given(name=st.sampled_from(["bpsk", "qpsk"]), n=st.integers(1, 8),
-           rows=st.integers(1, 2 * ML_SLICE_ROWS + 2),
+           rows=st.integers(1, 66),
            drifting=st.booleans(), seed=st.integers(0, 2 ** 32 - 1),
            dead=st.lists(st.booleans(), min_size=8, max_size=8))
     def test_matches_direct_form(self, name, n, rows, drifting, seed, dead):
@@ -270,37 +279,107 @@ class TestMlAntipodalPairs:
             assert np.array_equal(got, np.full((3, n), scheme.points[0]))
             TestMlExpandedSearch.check(received, channel, v, scheme)
 
-    @pytest.mark.parametrize("name,n,form_rows", [
-        ("bpsk", 8, 8), ("qpsk", 4, 8), ("bpsk", 1, 1), ("qpsk", 1, 2)])
-    def test_tables_hold_one_column_per_pair_read_only(self, name, n,
-                                                       form_rows):
+    @pytest.mark.parametrize("name,n", [("bpsk", 8), ("qpsk", 4),
+                                        ("bpsk", 1), ("qpsk", 1)])
+    def test_sign_patterns_number_candidates_as_digits(self, name, n):
+        # the search numbers a block by the signs of its real dimensions,
+        # Re s_0 (then Im s_0) most significant, in the order the direct
+        # form numbers it by its symbols, and negating a block complements
+        # its number
         scheme = ModulationScheme.from_name(name)
-        real_form, power = _ml_tables(name, n)
-        assert real_form.shape == (form_rows, scheme.order ** n // 2)
-        assert power.shape == (n, scheme.order ** n // 2)
-        for table in (real_form, power):
-            assert not table.flags.writeable
-            with pytest.raises(ValueError):
-                table[0, 0] = 1.0
+        table = _sign_table(n * scheme.bits_per_symbol,
+                            _grid_half_width(scheme))
+        assert not table.flags.writeable
+        signs = table.T
+        blocks = (signs[:, 0::2] + 1j * signs[:, 1::2] if name == "qpsk"
+                  else signs + 0j)
+        count = scheme.order ** n
+        assert np.array_equal(
+            blocks, scheme.points[_ml_digits(scheme, n, np.arange(count))])
+        assert np.array_equal(blocks[::-1], -blocks)
 
-    def test_non_antipodal_constellation_refused(self, monkeypatch):
+    def test_constellation_not_a_sign_grid_refused(self):
+        ch = EffectiveChannel(np.ones(3, dtype=complex), np.ones(3))
         for name in ("bpsk", "qpsk"):
-            _ml_tables(name, 3)  # antipodal: accepted
-        skewed = {
-            "skew": ModulationScheme("skew", 2, np.array([1.0 + 0j, -0.5]), 1),
-            # antipodal as a set, but -s_j is not candidate count - 1 - j
-            "swapped": ModulationScheme(
+            MlDetector(ch, ModulationScheme.from_name(name), 3)  # accepted
+        refused = [
+            ModulationScheme("skew", 2, np.array([1.0 + 0j, -0.5]), 1),
+            # antipodal, but not labelled by the signs of its parts
+            ModulationScheme(
                 "swapped", 4, np.array([1 + 1j, -1 - 1j, 1 - 1j, -1 + 1j]),
                 2),
-            # odd order: the zero block would be its own pair
-            "ternary": ModulationScheme("ternary", 3,
-                                        np.array([1.0 + 0j, 0.0, -1.0]), 1),
-        }
-        monkeypatch.setattr(ModulationScheme, "from_name", skewed.__getitem__)
-        ch = EffectiveChannel(np.ones(3, dtype=complex), np.ones(3))
-        for scheme in skewed.values():
-            with pytest.raises(ValueError, match="antipodal"):
+            # odd order: the zero block would be its own negation
+            ModulationScheme("ternary", 3, np.array([1.0 + 0j, 0.0, -1.0]),
+                             1),
+            # a grid of four levels on one real dimension
+            ModulationScheme("pam4", 4, np.array([3.0 + 0j, 1.0, -1.0, -3.0]),
+                             2),
+            # antipodal, off the real axis
+            ModulationScheme("imaginary", 2, np.array([1j, -1j]), 1),
+            ModulationScheme("diamond", 4, np.array([1, 1j, -1j, -1]), 2),
+        ]
+        for scheme in refused:
+            with pytest.raises(ValueError, match="grid"):
                 MlDetector(ch, scheme, 3)
+
+
+class TestMlPrunedSearch:
+    """The pruned search decides as the direct form over every candidate at
+    any noise scale: from 30 dB below the signal, where the MMSE radius
+    leaves few partial blocks, to 60 dB above it, where it prunes least;
+    with live bins, noiseless ones, faded ones (no signal) and dead ones
+    (neither). Where costs are equal to rounding, as a faded bin makes
+    them, the lowest number of those wins."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(name=st.sampled_from(["bpsk", "qpsk"]), n=st.integers(1, 8),
+           rows=st.integers(1, 6), drifting=st.booleans(),
+           noise_db=st.floats(-30, 60), seed=st.integers(0, 2 ** 32 - 1),
+           bins=st.lists(st.sampled_from(["live", "noiseless", "faded",
+                                          "dead"]), min_size=8, max_size=8))
+    @example(name="bpsk", n=8, rows=6, drifting=False, noise_db=60.0, seed=1,
+             bins=["live"] * 8)
+    @example(name="qpsk", n=4, rows=6, drifting=True, noise_db=60.0, seed=2,
+             bins=["faded", "live", "noiseless", "live"] * 2)
+    @example(name="bpsk", n=8, rows=6, drifting=True, noise_db=-30.0, seed=3,
+             bins=["live"] * 8)
+    @example(name="qpsk", n=4, rows=6, drifting=False, noise_db=-30.0,
+             seed=4, bins=["dead", "live", "live", "faded"] * 2)
+    @example(name="qpsk", n=3, rows=2, drifting=False, noise_db=0.0, seed=5,
+             bins=["dead"] * 8)
+    def test_matches_direct_form_at_any_noise_scale(self, name, n, rows,
+                                                    drifting, noise_db, seed,
+                                                    bins):
+        scheme = ModulationScheme.from_name(name)
+        n = min(n, 4) if name == "qpsk" else n  # keeps the oracle quick
+        rng = np.random.default_rng(seed)
+        shape = (rows, n) if drifting else (n,)
+        kind = np.array(bins[:n])
+        g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        g[..., np.isin(kind, ["faded", "dead"])] = 0.0
+        v = rng.uniform(0.5, 1.5, size=shape) * 10 ** (noise_db / 10)
+        v[..., np.isin(kind, ["noiseless", "dead"])] = 0.0
+        x = scheme.points[rng.integers(0, scheme.order, size=(rows, n))]
+        noise = (rng.standard_normal((rows, n))
+                 + 1j * rng.standard_normal((rows, n)))
+        r_f = g * np.fft.fft(x, axis=1, norm="ortho") + np.sqrt(v / 2) * noise
+        got = MlDetector(EffectiveChannel(g, v), scheme, n).detect(r_f)
+        for k, (h, w) in enumerate(zip(np.broadcast_to(g, r_f.shape),
+                                       np.broadcast_to(v, r_f.shape))):
+            blocks, costs = direct_costs(r_f[k], h, w, scheme)
+            tied = np.flatnonzero(costs <= costs.min() + 1e-9 * costs.max())
+            assert np.array_equal(got[k], blocks[tied[0]])
+
+    @pytest.mark.parametrize("score_bytes", [8, 200, 2 ** 22])
+    def test_survivors_scored_in_runs(self, monkeypatch, score_bytes):
+        # a static channel scores its survivors up to ML_SCORE_BYTES of
+        # pair costs a product: here 1, 3 or all of the 40 rows' survivors
+        # a product (8 pair costs each), which decide alike
+        monkeypatch.setattr(detectors, "ML_SCORE_BYTES", score_bytes)
+        rng = np.random.default_rng(47)
+        scheme = ModulationScheme.bpsk()
+        g, v, r_f = ml_case(rng, scheme, 8, rows=40)
+        TestMlExpandedSearch.check(r_f, g, v, scheme)
 
 
 class TestMlDetect:

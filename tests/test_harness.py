@@ -599,10 +599,11 @@ class TestPairing:
 
 
 class TestMlCounts:
-    # Counts recorded on the version-4 stream, once from the direct-form
-    # search |r - g S|^2 @ (1/noise) over all M candidates and once from the
-    # expanded-form search, which scores the M/2 antipodal pairs (s, -s)
-    # one column each; the two agreed on every count.
+    # Counts recorded on the version-4 stream from the direct-form search
+    # |r - g S|^2 @ (1/noise) over all M candidates, from the expanded-form
+    # scan of the M/2 antipodal pairs (s, -s), one column each, and from
+    # the pruned search over the whitened QR lattice; all three agreed on
+    # every count.
     PINNED = [
         ("ml", 4.0, 0.0, 1, 15), ("mmse", 4.0, 0.0, 1, 16),
         ("ml", 8.0, 0.0, 1, 3), ("mmse", 8.0, 0.0, 1, 4),
