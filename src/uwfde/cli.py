@@ -77,6 +77,7 @@ def _write_manifest(out: str, experiment: str, config: SimConfig,
         "experiment": experiment,
         "version": __version__,
         "stream_version": STREAM_VERSION,
+        "numpy": np.__version__,
         "workers_effective": _worker_count(config),
         "master_seed": config.master_seed,
         "duration_s": round(time.monotonic() - started, 3),

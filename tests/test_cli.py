@@ -223,6 +223,7 @@ class TestBerCommand:
         assert manifest["outputs"] == [str(out)]
         assert manifest["duration_s"] >= 0
         assert manifest["stream_version"] == STREAM_VERSION
+        assert manifest["numpy"] == np.__version__
 
     def test_manifest_records_the_effective_worker_count(self, tmp_path,
                                                           monkeypatch):
