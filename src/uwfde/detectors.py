@@ -23,15 +23,15 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .txrx import ModulationScheme
+from .txrx import ModulationScheme, unitary_ifft
 
 # The search keeps a partial block whose cost is within its radius plus this
 # share of the magnitude of its terms, and counts two costs within it of each
 # other as equal: far above the rounding of a cost (a few ulps of that
 # magnitude per term), far below the gap between two costs that differ.
 ML_MARGIN = 2.0 ** -40
-# Bytes of pair costs that one product of a static channel's search writes
-# at most; a drifting channel's search scores one block at a time.
+# Bytes of pair costs that one product of the search writes at most; each
+# product scores the survivors of one channel state.
 ML_SCORE_BYTES = 2 ** 22
 # The search inverts a block's noise variances as they are while its
 # smallest is at least this (an SNR of 1000 dB), and rescales them first
@@ -152,17 +152,10 @@ def _ml_digits(scheme: ModulationScheme, block_size: int,
     return (index[..., None] // powers) % scheme.order
 
 
-def _per_state(a: np.ndarray, matrices: np.ndarray) -> np.ndarray:
-    """Row ``k`` of ``a`` times ``matrices[k]``, or every row times the one
-    matrix of a channel that holds still."""
-    if len(matrices) == 1:
-        return a @ matrices[0]
-    return np.matmul(a[:, None], matrices)[:, 0]
-
-
 class MlDetector:
-    """Exact block detector for one channel state, or one per block when
-    ``ch`` carries a block axis (a drifting channel).
+    """Exact block detector for a channel of S states, ``ch`` with its
+    leading axes flattened: a channel that holds still is one state for all
+    of its blocks, a drifting one a state per block.
 
     With ``v`` the inverse noise variance and ``F`` the unitary DFT, the
     noise-whitened distance ``sum_k v_k |r_k - g_k S_k|^2`` of a candidate
@@ -177,25 +170,25 @@ class MlDetector:
     ``detect`` searches that lattice for the closest point (Fincke and
     Pohst; Agrell, Eriksson, Vardy and Zeger, "Closest point search in
     lattices", 2002), taking the cost of the MMSE hard decision, a
-    feasible block, as the radius. One product scores every bottom half,
-    and only those whose partial cost is within the radius plus
-    ``ML_MARGIN`` times the magnitude of the terms, ``|z|^2 + D a^2
+    feasible block, as the radius. One product per state scores every
+    bottom half, and only those whose partial cost is within the radius
+    plus ``ML_MARGIN`` times the magnitude of the terms, ``|z|^2 + D a^2
     |R|_F^2``, go on, so rounding never drops the best block. Each is
-    completed against a table of every top half, one column per antipodal
-    pair ``(t, -t)``, which share their energy and negate their cross term.
-    Costs within that margin of the least count as equal and go to the
-    lowest candidate number, as ``_ml_digits`` reads it. The worst case
-    scores every candidate once.
+    completed against its state's table of every top half, one column per
+    antipodal pair ``(t, -t)``, which share their energy and negate their
+    cross term. Costs within that margin of the least count as equal and go
+    to the lowest candidate number, as ``_ml_digits`` reads it. The worst
+    case scores every candidate once.
     """
 
     def __init__(self, ch: EffectiveChannel, scheme: ModulationScheme,
                  block_size: int):
         self._scheme, self._block_size = scheme, block_size
         self._a = _grid_half_width(scheme)
-        self._drifting = ch.response.ndim > 1
-        self._root = np.sqrt(_inverse_noise(ch.noise_var))
-        columns = (self._root * ch.response).reshape(-1, block_size, 1) * _dft(
-            block_size)
+        self._root = np.sqrt(_inverse_noise(ch.noise_var)).reshape(
+            -1, block_size)
+        columns = (self._root * ch.response.reshape(-1, block_size))[
+            ..., None] * _dft(block_size)
         if scheme.bits_per_symbol == 2:
             columns = np.stack([columns, 1j * columns], axis=-1).reshape(
                 len(columns), block_size, -1)
@@ -204,31 +197,27 @@ class MlDetector:
         # D a^2 |R|_F^2, as |R|_F = |B|_F
         self._size = (self._model.shape[-1] * self._a ** 2
                       * np.sum(self._model ** 2, axis=(1, 2)))
-        # received spectra times this are the MMSE estimates of the symbols
-        self._mmse = (np.conj(mmse_weights(ch)).reshape(-1, block_size, 1)
-                      * np.conj(_dft(block_size)))
+        self._weights = mmse_weights(ch).reshape(-1, 1, block_size)
 
     def detect(self, rows: np.ndarray) -> np.ndarray:
         """Decided time-domain blocks, one per row of the received spectra
-        ``rows`` ``(rows, N)``; a drifting detector takes one row per block
-        of its channel."""
-        if self._drifting and rows.shape != self._root.shape:
-            raise ValueError("a drifting channel needs one received block "
-                             "per channel block")
-        y = self._root * rows
+        ``rows`` ``(rows, N)``, which split evenly over the channel's states
+        in order: with ``P`` rows a state, state ``k`` takes rows ``kP`` to
+        ``kP + P - 1``."""
+        states = len(self._root)
+        if len(rows) % states:
+            raise ValueError(f"{len(rows)} received blocks do not split "
+                             f"evenly over {states} channel states")
+        rows = rows.reshape(states, len(rows) // states, self._block_size)
+        y = self._root[:, None] * rows
         y = np.concatenate([y.real, y.imag], axis=-1)
         dims = self._model.shape[-1]
-        # the received blocks as extra columns of B: the first D rows of
-        # its triangular factor are R and z = Q^T y
-        if self._drifting:
-            r = np.linalg.qr(np.concatenate([self._model, y[..., None]], 2),
-                             mode="r")
-            z = r[:, :dims, dims]
-        else:
-            r = np.linalg.qr(np.concatenate([self._model[0], y.T], 1),
-                             mode="r")[None]
-            z = r[0, :dims, dims:].T
-        estimate = _per_state(rows, self._mmse)
+        # each state's received blocks as extra columns of its B: the first
+        # D rows of the triangular factor are R and z = Q^T y
+        r = np.linalg.qr(np.concatenate([self._model, y.mT], axis=2),
+                         mode="r")
+        z = r[:, :dims, dims:].mT
+        estimate = unitary_ifft(equalize(self._weights, rows))
         if self._scheme.bits_per_symbol == 2:
             estimate = np.stack([estimate.real, estimate.imag], axis=-1)
         start = np.copysign(self._a, estimate.real).reshape(z.shape)
@@ -238,13 +227,14 @@ class MlDetector:
 
     def _search(self, r: np.ndarray, z: np.ndarray,
                 start: np.ndarray) -> np.ndarray:
-        """The number of the closest candidate to each row of ``z`` under
-        ``R`` (one per row, or one for all), no costlier than ``start``."""
-        dims = z.shape[1]
+        """The number of the closest candidate to each row of ``z`` ``(S,
+        P, D)`` under its state's ``R``, no costlier than ``start``, state
+        by state."""
+        per, dims = z.shape[1:]
         top = max(1, dims // 2)
         low = dims - top
-        radius = np.sum(np.square(z - _per_state(start, r.mT)), axis=1)
-        margin = ML_MARGIN * (np.sum(z * z, axis=1) + self._size)
+        radius = np.sum(np.square(z - start @ r.mT), axis=-1)
+        margin = ML_MARGIN * (np.sum(z * z, axis=-1) + self._size[:, None])
         # each bottom half's share of the top rows, then of its own
         tail = r[:, :, top:] @ _sign_table(low, self._a)
         cross, lows = tail[:, :top], tail[:, top:]
@@ -253,45 +243,46 @@ class MlDetector:
         pair_energy = 0.5 * np.sum(pairs * pairs, axis=1)
 
         # half a bottom half's cost, less half |z_bottom|^2
-        z_top, z_low = z[:, :top], z[:, top:]
-        low_norm = np.sum(z_low * z_low, axis=1)
-        score = 0.5 * np.sum(lows * lows, axis=1) - _per_state(z_low, lows)
+        z_top, z_low = z[..., :top].reshape(-1, top), z[..., top:]
+        low_norm = np.sum(z_low * z_low, axis=-1)
+        score = 0.5 * np.sum(lows * lows, axis=1)[:, None] - z_low @ lows
         kept = np.flatnonzero(
-            score <= (0.5 * (radius + margin - low_norm))[:, None])
+            score <= (0.5 * (radius + margin - low_norm))[..., None])
         row, half = kept >> low, kept & (2 ** low - 1)
-        u = z_top[row] - cross[row if self._drifting else 0, :, half]
+        state = row // per
+        u = z_top[row] - cross[state, :, half]
         # half the cost of each survivor's bottom and its top's remainder
-        base = score.ravel()[kept] + 0.5 * (low_norm[row] + np.sum(u * u, 1))
-        starts = np.searchsorted(row, np.arange(len(z) + 1))
+        base = score.ravel()[kept] + 0.5 * (low_norm.ravel()[row]
+                                            + np.sum(u * u, 1))
+        starts = np.searchsorted(row, np.arange(low_norm.size + 1))
         least = np.empty(len(row))
-        if self._drifting:  # each row's survivors under its own state
-            runs = zip(starts[:-1], starts[1:], range(len(z)))
-        else:  # up to ML_SCORE_BYTES of pair costs a product
-            step = max(1, ML_SCORE_BYTES // (8 * pairs.shape[-1]))
-            runs = ((first, first + step, 0)
-                    for first in range(0, len(row), step))
-        for first, end, k in runs:
-            # pairs by survivors, so that the minimum runs along whole rows,
-            # faster than along each survivor's short row of pairs
-            cost = np.matmul(pairs[k].T, u[first:end].T)
-            np.subtract(pair_energy[k][:, None], np.abs(cost, out=cost),
-                        out=cost)
-            np.min(cost, axis=0, out=least[first:end])
+        # each state's survivors, up to ML_SCORE_BYTES of pair costs a product
+        step = max(1, ML_SCORE_BYTES // (8 * pairs.shape[-1]))
+        ends = starts[::per]
+        for k, (first, end) in enumerate(zip(ends[:-1], ends[1:])):
+            for chunk in range(first, end, step):
+                run = slice(chunk, min(chunk + step, end))
+                # pairs by survivors, so that the minimum runs along whole
+                # rows, faster than along each survivor's short row of pairs
+                cost = np.matmul(pairs[k].T, u[run].T)
+                np.subtract(pair_energy[k][:, None], np.abs(cost, out=cost),
+                            out=cost)
+                np.min(cost, axis=0, out=least[run])
         least += base
-        bound = np.minimum.reduceat(least, starts[:-1]) + 0.5 * margin
+        bound = np.minimum.reduceat(least, starts[:-1]) + 0.5 * margin.ravel()
 
         # the survivors within the margin of their row's least, with signs:
         # top half t costs base + energy - signed and -t base + energy +
         # signed, and t has the lower number
         near = np.flatnonzero(least <= bound[row])
-        state = row[near] if self._drifting else 0
+        state = state[near]
         signed = np.matmul(u[near][:, None], pairs[state])[:, 0]
         need = (base[near] - bound[row[near]])[:, None] + pair_energy[state]
         hit = np.flatnonzero(np.abs(signed) >= need)
         which, pair = hit >> (top - 1), hit & (2 ** (top - 1) - 1)
         head = np.where(signed.ravel()[hit] >= need.ravel()[hit], pair,
                         2 ** top - 1 - pair)
-        best = np.full(len(z), 2 ** dims)
+        best = np.full(low_norm.size, 2 ** dims)
         np.minimum.at(best, row[near][which],
                       (head << low) + half[near][which])
         return best

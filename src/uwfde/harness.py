@@ -350,16 +350,23 @@ def transmit_block(x_f: np.ndarray, ch: EffectiveChannel, noise: np.ndarray,
     return np.add(ch.response * x_f, noise, out=out)
 
 
+def _data_states(ch: EffectiveChannel, data: int) -> EffectiveChannel:
+    """The states that the last ``data`` blocks of channels ``(..., blocks,
+    N)`` see: the one state of a channel that holds still (a block axis of
+    1), else one per data block."""
+    return ch[..., max(0, ch.response.shape[-2] - data):, :]
+
+
 def _channel_state(config: SimConfig, hops: np.ndarray, powers: np.ndarray,
-                   pilots: int, drifting: bool) -> tuple:
+                   data: int) -> tuple:
     """Effective channels ``(points, ..., blocks, N)`` of a cell's hop
     spectra ``(..., blocks, 2u, N)`` at its points' powers ``(points, 3)``,
     the roots of their noise variances, and the linear weights ``(points,
-    ..., detectors, blocks, N)`` (None without linear detectors): one per
-    data block when ``drifting``, else one for all, of a block axis of 1."""
+    ..., detectors, states, N)`` of the states of its ``data`` blocks (see
+    ``_data_states``; None without linear detectors)."""
     ch = effective_channel(hops, *powers.T.reshape(3, -1, *[1] * hops.ndim))
-    data = ch[..., pilots:, :] if drifting else ch
-    w = [(mrc_weights if d == "mrc" else mmse_weights)(data)
+    states = _data_states(ch, data)
+    w = [(mrc_weights if d == "mrc" else mmse_weights)(states)
          for d in config.detectors if d in ("mrc", "mmse")]
     return ch, np.sqrt(ch.noise_var), np.stack(w, axis=-3) if w else None
 
@@ -387,7 +394,8 @@ def run_point_trial(config: SimConfig, state: tuple, x_f: np.ndarray,
     decided)``: a slice scales the unit white ``white`` by the roots of its
     noise variances into its ``rows`` with an adaptive detector, else into
     ``received``, adds ``x_f`` sent through its channels in place, and
-    decides ``ml`` point by point and its linear detectors (of which there
+    decides ``ml`` point by point, one detector over the point's data-block
+    states (``_data_states``), and its linear detectors (of which there
     may be none) as one ``(points, detectors, data, N)`` stack, equalized
     and inverse transformed in place in ``decided``, against ``sent``. The
     white noise may be the cell's last row, which its last slice then
@@ -398,6 +406,7 @@ def run_point_trial(config: SimConfig, state: tuple, x_f: np.ndarray,
     linear_columns = [k for k, d in enumerate(config.detectors)
                       if d in ("mrc", "mmse")]
     ch, scale, w = state
+    states = _data_states(ch, len(sent))
     received, decided = work
     errors = np.zeros((len(scale), len(config.detectors)), dtype=int)
     for start in range(0, len(scale), len(decided)):
@@ -408,13 +417,9 @@ def run_point_trial(config: SimConfig, state: tuple, x_f: np.ndarray,
         r_f = transmit_block(x_f, ch[part], out, out=out)[:, pilots:]
         if "ml" in config.detectors:
             for m in range(start, start + size):
-                # a channel that holds still builds one detector for all
-                # blocks, a drifting one a detector per block
-                decided_ml = MlDetector(
-                    ch[m, 0] if ch.response.shape[1] == 1 else ch[m, pilots:],
-                    scheme, config.block_size).detect(r_f[m - start])
+                ml = MlDetector(states[m], scheme, config.block_size)
                 errors[m, config.detectors.index("ml")] = np.sum(
-                    demodulate(decided_ml, scheme) != sent)
+                    demodulate(ml.detect(r_f[m - start]), scheme) != sent)
         if w is not None:
             stack = equalize(w[part], r_f[:, None], out=decided[:size])
             unitary_ifft(stack, out=stack)
@@ -459,7 +464,8 @@ def _run_group(config: SimConfig, points: list[GridPoint], seeds,
     n, trials = config.block_size, len(seeds)
     width = n * scheme.bits_per_symbol
     pilots = config.pilot_frames if adaptive else 0
-    blocks = pilots + (0 if collect_mse else config.data_frames)
+    data = 0 if collect_mse else config.data_frames
+    blocks = pilots + data
     keys = [(p.fd_norm, p.delta, p.num_relays) for p in points]
     cells = [list(run) for _, run in groupby(range(len(points)),
                                              keys.__getitem__)]
@@ -467,7 +473,7 @@ def _run_group(config: SimConfig, points: list[GridPoint], seeds,
     rows = np.empty((trials, len(points) if adaptive else 1, blocks, n),
                     dtype=complex)
     x_f = np.empty((trials, blocks, n), dtype=complex)
-    sent = np.empty((trials, blocks - pilots, width), dtype=bool)
+    sent = np.empty((trials, data, width), dtype=bool)
     variates, drift = [], []
     for t, seed in enumerate(seeds):
         rng = _substream(seed, 0)
@@ -486,22 +492,21 @@ def _run_group(config: SimConfig, points: list[GridPoint], seeds,
     drift = np.stack(drift) if drift else None
     errors = np.zeros((trials, len(points), len(config.detectors)), dtype=int)
     floors = np.empty((trials, len(points))) if collect_mse else None
-    size = min(_slice_size(config, blocks, blocks - pilots),
-               max(map(len, cells)))
+    size = min(_slice_size(config, blocks, data), max(map(len, cells)))
     linear = sum(d in ("mrc", "mmse") for d in config.detectors)
     work = (None if adaptive else np.empty((size, blocks, n), dtype=complex),
-            np.empty((size, linear, blocks - pilots, n), dtype=complex))
+            np.empty((size, linear, data, n), dtype=complex))
     for members in cells:
         point = points[members[0]]
         powers = np.array([_cascade_powers(config, points[i]) for i in members])
         hop = _cascade(config, taps, point, blocks, drift)
         drifting = point.fd_norm > 0
         if not drifting:
-            static = _channel_state(config, hop[:, None], powers, pilots, False)
+            static = _channel_state(config, hop[:, None], powers, data)
         cell = slice(members[0], members[-1] + 1)
         for t in range(trials):
             state = (_channel_state(config, freq_response(hop[:, t], n),
-                                    powers, pilots, True) if drifting else
+                                    powers, data) if drifting else
                      [a if a is None else a[:, t] for a in static])
             errors[t, cell] = run_point_trial(
                 config, state, x_f[t], rows[t, -1], sent[t],
@@ -523,7 +528,7 @@ def _run_group(config: SimConfig, points: list[GridPoint], seeds,
         w = np.stack([weights[det] for det in adaptive], axis=2)[..., None, :]
         w[~np.isfinite(w)] = 0  # a diverged bin decides as a dead bin does
         columns = [config.detectors.index(det) for det in adaptive]
-        decided = np.empty((len(points), len(adaptive), blocks - pilots, n),
+        decided = np.empty((len(points), len(adaptive), data, n),
                            dtype=complex)
         for t, trial in enumerate(rows[:, :, None, pilots:]):
             with np.errstate(over="ignore", invalid="ignore"):

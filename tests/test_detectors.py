@@ -1,6 +1,8 @@
 """Detector bank tests: closed-form weights, maximum-likelihood search,
 adaptive filters, and their independent oracles."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -166,16 +168,24 @@ def direct_ml(r_f, response, noise_var, scheme):
     return blocks[np.argmin(costs)]
 
 
-def ml_case(rng, scheme, n, rows, drifting=False):
-    """Random channel(s), noise variances and received spectra of ``rows``
-    noisy blocks; the channel has one row per block when ``drifting``."""
-    shape = (rows, n) if drifting else (n,)
+def ml_case(rng, scheme, n, rows, states=1):
+    """Random channel states ``(states, n)``, noise variances and received
+    spectra of ``rows`` noisy blocks, which split evenly over the states in
+    order (``states`` divides ``rows``)."""
+    shape = (states, n)
     g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     v = rng.uniform(0.05, 0.5, size=shape)
     x = scheme.points[rng.integers(0, scheme.order, size=(rows, n))]
-    r_f = g * np.fft.fft(x, axis=1, norm="ortho") + 0.6 * (
+    r_f = per_row(g, rows) * np.fft.fft(x, axis=1, norm="ortho") + 0.6 * (
         rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n)))
     return g, v, r_f
+
+
+def per_row(a, rows):
+    """Each row's channel state of states ``a`` ``(..., n)`` (its leading
+    axes flattened), split evenly over ``rows`` received rows in order."""
+    a = a.reshape(-1, a.shape[-1])
+    return np.repeat(a, rows // len(a), axis=0)
 
 
 class TestMlExpandedSearch:
@@ -185,10 +195,8 @@ class TestMlExpandedSearch:
     def check(r_f, g, v, scheme):
         n = r_f.shape[-1]
         got = MlDetector(EffectiveChannel(g, v), scheme, n).detect(r_f)
-        gs = np.broadcast_to(g, r_f.shape)
-        vs = np.broadcast_to(v, r_f.shape)
-        want = np.array([direct_ml(r, h, w, scheme)
-                         for r, h, w in zip(r_f, gs, vs)])
+        want = np.array([direct_ml(r, h, w, scheme) for r, h, w in zip(
+            r_f, per_row(g, len(r_f)), per_row(v, len(r_f)))])
         assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("scheme,n", [(ModulationScheme.bpsk(), 8),
@@ -204,9 +212,9 @@ class TestMlExpandedSearch:
         rng = np.random.default_rng(41)
         scheme = ModulationScheme.qpsk()
         g, v, r_f = ml_case(rng, scheme, 6, rows=6)
-        v[[1, 4]] = 0.0
+        v[:, [1, 4]] = 0.0
         self.check(r_f, g, v, scheme)
-        self.check(r_f, g, np.zeros(6), scheme)
+        self.check(r_f, g, np.zeros_like(v), scheme)
 
     def test_single_block(self):
         rng = np.random.default_rng(42)
@@ -214,7 +222,7 @@ class TestMlExpandedSearch:
         g, v, r_f = ml_case(rng, scheme, 10, rows=1)
         got = MlDetector(EffectiveChannel(g, v), scheme, 10).detect(r_f)
         assert got.shape == (1, 10)
-        assert np.array_equal(got[0], direct_ml(r_f[0], g, v, scheme))
+        assert np.array_equal(got[0], direct_ml(r_f[0], g[0], v[0], scheme))
 
     def test_stack_longer_than_one_slice(self):
         rng = np.random.default_rng(43)
@@ -226,19 +234,32 @@ class TestMlExpandedSearch:
                                         ModulationScheme.qpsk()])
     def test_drifting_channel(self, scheme):
         rng = np.random.default_rng(44)
-        g, v, r_f = ml_case(rng, scheme, 6, rows=35,
-                            drifting=True)
+        g, v, r_f = ml_case(rng, scheme, 6, rows=35, states=35)
         v[2, [0, 3]] = 0.0
         v[5] = 0.0
         self.check(r_f, g, v, scheme)
 
+    @pytest.mark.parametrize("scheme,states", [
+        (ModulationScheme.bpsk(), 2), (ModulationScheme.bpsk(), 4),
+        (ModulationScheme.qpsk(), 3), (ModulationScheme.qpsk(), 6)])
+    def test_states_of_several_rows(self, scheme, states):
+        # 12 rows over 2 to 6 states: each state's rows search under its
+        # own R and margin
+        rng = np.random.default_rng(48)
+        g, v, r_f = ml_case(rng, scheme, 6, rows=12, states=states)
+        v[1, [2, 5]] = 0.0
+        self.check(r_f, g, v, scheme)
+
     def test_drifting_channel_needs_a_block_per_state(self):
+        # the rows split evenly over the states: 8 over 4, two a state, are
+        # accepted, and 1 or 3 refused
         rng = np.random.default_rng(45)
         scheme = ModulationScheme.bpsk()
-        g, v, r_f = ml_case(rng, scheme, 6, rows=4, drifting=True)
+        g, v, r_f = ml_case(rng, scheme, 6, rows=8, states=4)
         ml = MlDetector(EffectiveChannel(g, v), scheme, 6)
+        TestMlExpandedSearch.check(r_f, g, v, scheme)
         for wrong in (r_f[:1], r_f[:3]):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="split evenly"):
                 ml.detect(wrong)
 
 
@@ -250,14 +271,16 @@ class TestMlAntipodalPairs:
 
     @settings(max_examples=60, deadline=None)
     @given(name=st.sampled_from(["bpsk", "qpsk"]), n=st.integers(1, 8),
-           rows=st.integers(1, 66),
-           drifting=st.booleans(), seed=st.integers(0, 2 ** 32 - 1),
+           rows=st.integers(1, 66), states=st.integers(1, 66),
+           seed=st.integers(0, 2 ** 32 - 1),
            dead=st.lists(st.booleans(), min_size=8, max_size=8))
-    def test_matches_direct_form(self, name, n, rows, drifting, seed, dead):
+    def test_matches_direct_form(self, name, n, rows, states, seed, dead):
         scheme = ModulationScheme.from_name(name)
         n = min(n, 6) if name == "qpsk" else n  # keeps the oracle quick
+        # a divisor of the rows: one state, one a row or several rows a state
+        states = math.gcd(states, rows)
         g, v, r_f = ml_case(np.random.default_rng(seed), scheme, n, rows,
-                            drifting)
+                            states)
         v[..., np.array(dead[:n])] = 0.0
         TestMlExpandedSearch.check(r_f, g, v, scheme)
 
@@ -271,8 +294,8 @@ class TestMlAntipodalPairs:
         rng = np.random.default_rng(46)
         g, v, r_f = ml_case(rng, scheme, n, rows=3)
         zero_in_bin_0 = g.copy()
-        zero_in_bin_0[0] = 0.0
-        for channel, received in ((np.zeros(n, dtype=complex), r_f),
+        zero_in_bin_0[:, 0] = 0.0
+        for channel, received in ((np.zeros_like(g), r_f),
                                   (zero_in_bin_0, np.zeros_like(r_f))):
             got = MlDetector(EffectiveChannel(channel, v), scheme,
                              n).detect(received)
@@ -333,27 +356,33 @@ class TestMlPrunedSearch:
 
     @settings(max_examples=80, deadline=None)
     @given(name=st.sampled_from(["bpsk", "qpsk"]), n=st.integers(1, 8),
-           rows=st.integers(1, 6), drifting=st.booleans(),
+           rows=st.integers(1, 6), states=st.integers(1, 6),
            noise_db=st.floats(-30, 60), seed=st.integers(0, 2 ** 32 - 1),
            bins=st.lists(st.sampled_from(["live", "noiseless", "faded",
                                           "dead"]), min_size=8, max_size=8))
-    @example(name="bpsk", n=8, rows=6, drifting=False, noise_db=60.0, seed=1,
+    @example(name="bpsk", n=8, rows=6, states=1, noise_db=60.0, seed=1,
              bins=["live"] * 8)
-    @example(name="qpsk", n=4, rows=6, drifting=True, noise_db=60.0, seed=2,
+    @example(name="qpsk", n=4, rows=6, states=6, noise_db=60.0, seed=2,
              bins=["faded", "live", "noiseless", "live"] * 2)
-    @example(name="bpsk", n=8, rows=6, drifting=True, noise_db=-30.0, seed=3,
+    @example(name="bpsk", n=8, rows=6, states=6, noise_db=-30.0, seed=3,
              bins=["live"] * 8)
-    @example(name="qpsk", n=4, rows=6, drifting=False, noise_db=-30.0,
+    @example(name="qpsk", n=4, rows=6, states=1, noise_db=-30.0,
              seed=4, bins=["dead", "live", "live", "faded"] * 2)
-    @example(name="qpsk", n=3, rows=2, drifting=False, noise_db=0.0, seed=5,
+    @example(name="qpsk", n=3, rows=2, states=1, noise_db=0.0, seed=5,
              bins=["dead"] * 8)
+    @example(name="bpsk", n=8, rows=6, states=2, noise_db=60.0, seed=6,
+             bins=["live", "faded"] * 4)
+    @example(name="qpsk", n=4, rows=6, states=3, noise_db=-30.0, seed=7,
+             bins=["live", "noiseless"] * 4)
     def test_matches_direct_form_at_any_noise_scale(self, name, n, rows,
-                                                    drifting, noise_db, seed,
+                                                    states, noise_db, seed,
                                                     bins):
         scheme = ModulationScheme.from_name(name)
         n = min(n, 4) if name == "qpsk" else n  # keeps the oracle quick
+        # a divisor of the rows: one state, one a row or several rows a state
+        states = math.gcd(states, rows)
         rng = np.random.default_rng(seed)
-        shape = (rows, n) if drifting else (n,)
+        shape = (states, n)
         kind = np.array(bins[:n])
         g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         g[..., np.isin(kind, ["faded", "dead"])] = 0.0
@@ -362,24 +391,26 @@ class TestMlPrunedSearch:
         x = scheme.points[rng.integers(0, scheme.order, size=(rows, n))]
         noise = (rng.standard_normal((rows, n))
                  + 1j * rng.standard_normal((rows, n)))
-        r_f = g * np.fft.fft(x, axis=1, norm="ortho") + np.sqrt(v / 2) * noise
+        r_f = (per_row(g, rows) * np.fft.fft(x, axis=1, norm="ortho")
+               + np.sqrt(per_row(v, rows) / 2) * noise)
         got = MlDetector(EffectiveChannel(g, v), scheme, n).detect(r_f)
-        for k, (h, w) in enumerate(zip(np.broadcast_to(g, r_f.shape),
-                                       np.broadcast_to(v, r_f.shape))):
+        for k, (h, w) in enumerate(zip(per_row(g, rows), per_row(v, rows))):
             blocks, costs = direct_costs(r_f[k], h, w, scheme)
             tied = np.flatnonzero(costs <= costs.min() + 1e-9 * costs.max())
             assert np.array_equal(got[k], blocks[tied[0]])
 
     @pytest.mark.parametrize("score_bytes", [8, 200, 2 ** 22])
     def test_survivors_scored_in_runs(self, monkeypatch, score_bytes):
-        # a static channel scores its survivors up to ML_SCORE_BYTES of
-        # pair costs a product: here 1, 3 or all of the 40 rows' survivors
-        # a product (8 pair costs each), which decide alike
+        # the search scores each state's survivors up to ML_SCORE_BYTES of
+        # pair costs a product: here 1, 3 or all of a state's survivors a
+        # product (8 pair costs each), which decide alike, for 40 rows of
+        # one state or of four
         monkeypatch.setattr(detectors, "ML_SCORE_BYTES", score_bytes)
         rng = np.random.default_rng(47)
         scheme = ModulationScheme.bpsk()
-        g, v, r_f = ml_case(rng, scheme, 8, rows=40)
-        TestMlExpandedSearch.check(r_f, g, v, scheme)
+        for states in (1, 4):
+            g, v, r_f = ml_case(rng, scheme, 8, rows=40, states=states)
+            TestMlExpandedSearch.check(r_f, g, v, scheme)
 
 
 class TestMlDetect:
