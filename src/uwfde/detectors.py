@@ -185,10 +185,10 @@ class MlDetector:
                  block_size: int):
         self._scheme, self._block_size = scheme, block_size
         self._a = _grid_half_width(scheme)
-        self._root = np.sqrt(_inverse_noise(ch.noise_var)).reshape(
-            -1, block_size)
-        columns = (self._root * ch.response.reshape(-1, block_size))[
-            ..., None] * _dft(block_size)
+        root = np.sqrt(_inverse_noise(ch.noise_var))
+        self._root = root.reshape(-1, block_size)
+        columns = (root * ch.response).reshape(-1, block_size, 1) * _dft(
+            block_size)
         if scheme.bits_per_symbol == 2:
             columns = np.stack([columns, 1j * columns], axis=-1).reshape(
                 len(columns), block_size, -1)
@@ -197,6 +197,7 @@ class MlDetector:
         # D a^2 |R|_F^2, as |R|_F = |B|_F
         self._size = (self._model.shape[-1] * self._a ** 2
                       * np.sum(self._model ** 2, axis=(1, 2)))
+        # each state's Wiener weights, whose decisions set the radius
         self._weights = mmse_weights(ch).reshape(-1, 1, block_size)
 
     def detect(self, rows: np.ndarray) -> np.ndarray:

@@ -46,7 +46,7 @@ def csv_digest(args: str, configs: dict, directory: Path) -> str:
     return hashlib.sha256(out.read_bytes()).hexdigest()
 
 
-def main_rewrite() -> None:
+def rewrite() -> None:
     pins = json.loads(PINS.read_text())
     os.environ[WORKERS_ENV_VAR] = "1"
     with tempfile.TemporaryDirectory() as directory:
@@ -62,4 +62,4 @@ def main_rewrite() -> None:
 
 
 if __name__ == "__main__":
-    main_rewrite()
+    rewrite()

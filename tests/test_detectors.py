@@ -182,8 +182,9 @@ def ml_case(rng, scheme, n, rows, states=1):
 
 
 def per_row(a, rows):
-    """Each row's channel state of states ``a`` ``(..., n)`` (its leading
-    axes flattened), split evenly over ``rows`` received rows in order."""
+    """The state of each of ``rows`` received rows, from states ``a``
+    ``(..., n)`` (leading axes flattened) that split evenly over the rows
+    in order."""
     a = a.reshape(-1, a.shape[-1])
     return np.repeat(a, rows // len(a), axis=0)
 

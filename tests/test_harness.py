@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from uwfde import harness
 from uwfde.channel import (channel_variates, complex_noise, evolve_channel,
                            freq_response, sv_profile)
-from uwfde.detectors import effective_channel, equalize, mmse_weights
+from uwfde.detectors import (EffectiveChannel, effective_channel, equalize,
+                             mmse_weights)
 from uwfde.harness import (DETECTOR_NAMES, GridPoint, SimConfig,
                            run_ber_sweep, run_convergence, run_multirelay,
                            run_placement_sweep, run_points,
@@ -299,6 +300,20 @@ class TestRunTrial:
                                "order")
         assert sorted(counts(res)) == sorted(counts(canonical))
         assert len({r.errors for r in res.records}) > 5
+
+    @pytest.mark.parametrize("blocks,data,want", [
+        (1, 4, [0]), (7, 4, [3, 4, 5, 6]), (4, 4, [0, 1, 2, 3]), (1, 0, []),
+        (7, 0, [])])
+    def test_data_states_of_static_and_drifting_channels(self, blocks, data,
+                                                         want):
+        # one rule for both: a channel that holds still (one block) gives
+        # its one state to all data blocks, a drifting one the states of its
+        # last data blocks; no data block (converge) gives no state, not all
+        response = np.arange(2 * blocks * 3).reshape(2, blocks, 3) + 1j
+        states = harness._data_states(
+            EffectiveChannel(response, response.real), data)
+        assert np.array_equal(states.response, response[:, want])
+        assert np.array_equal(states.noise_var, response.real[:, want])
 
 
 class TestRunPoints:
