@@ -11,8 +11,9 @@ run in consecutive groups of at most ``GROUP_BYTES`` of buffers through one
 engine, ``_run_group``: it draws each trial's variates, computes the
 channels once for the group, and trains the adaptive filters in one call.
 ``run_point_trial`` sends and decides a trial's blocks cell by cell, its
-points in slices of at most ``SLICE_BYTES`` of rows, each slice one numpy
-call per step, in place in arrays the group allocates once. A
+points in slices of at most ``SLICE_BYTES`` (see ``_slice_size``), each
+slice one numpy call per step and one ``ml`` detector, in place in arrays
+the group allocates once. A
 group's bit errors form one ``(trials, points, detectors)`` array;
 ``run_points`` sums over trials.
 
@@ -67,9 +68,11 @@ ML_SEARCH_LIMIT = 2 ** 16
 # count without an adaptive detector, an estimate with one); picked by
 # measurement: bigger groups train faster, cost memory.
 GROUP_BYTES = 3 << 19
-# Slice cap, in bytes as _slice_size charges a point's rows; picked by
-# measurement: a slice decides its points with one numpy call per step, and
-# its rows and work arrays, allocated once per group, stay in cache.
+# Slice cap, in bytes as _slice_size charges a point: its received and sent
+# rows, its linear decisions and, with ml, the search's cost tables of its
+# channel states and data rows; picked by measurement: a slice decides its
+# points with one numpy call per step (ml one detector), and its rows and
+# work arrays, allocated once per group, stay in cache.
 SLICE_BYTES = 3 << 17
 # Path gains of a grid point lie within this factor of one (1000 dB) and its
 # noise powers at most this, so no product of them in the model overflows.
@@ -371,15 +374,24 @@ def _channel_state(config: SimConfig, hops: np.ndarray, powers: np.ndarray,
     return ch, np.sqrt(ch.noise_var), np.stack(w, axis=-3) if w else None
 
 
-def _slice_size(config: SimConfig, blocks: int, data: int) -> int:
+def _slice_size(config: SimConfig, blocks: int, data: int,
+                states: int) -> int:
     """Points per slice of ``run_point_trial``: as many as fit
-    ``SLICE_BYTES`` at the complex rows charged to a point, at least one:
-    its received rows and the signal ``transmit_block`` adds to them,
-    ``(blocks, N)`` each, and its linear detectors' decisions
-    ``(detectors, data, N)``."""
+    ``SLICE_BYTES`` at the bytes charged to a point, at least one: its
+    received rows and the signal ``transmit_block`` adds to them,
+    ``(blocks, N)`` complex each, its linear detectors' decisions
+    ``(detectors, data, N)``, and with ``ml`` the search's float cost tables
+    over the ``2^low`` bottom halves of a block's ``D`` real dimensions
+    (``low = D - max(1, D // 2)``, see ``MlDetector._search``): each of the
+    point's ``states`` channel states' shares ``(D, 2^low)`` and each data
+    row's partial costs ``(2^low,)``."""
     linear = sum(d in ("mrc", "mmse") for d in config.detectors)
-    rows = 2 * blocks + linear * data
-    return max(1, SLICE_BYTES // (rows * config.block_size * 16))
+    charge = (2 * blocks + linear * data) * config.block_size * 16
+    if "ml" in config.detectors:
+        dims = config.block_size * ModulationScheme.from_name(
+            config.scheme).bits_per_symbol
+        charge += 8 * 2 ** (dims - max(1, dims // 2)) * (states * dims + data)
+    return max(1, SLICE_BYTES // charge)
 
 
 def run_point_trial(config: SimConfig, state: tuple, x_f: np.ndarray,
@@ -394,10 +406,11 @@ def run_point_trial(config: SimConfig, state: tuple, x_f: np.ndarray,
     decided)``: a slice scales the unit white ``white`` by the roots of its
     noise variances into its ``rows`` with an adaptive detector, else into
     ``received``, adds ``x_f`` sent through its channels in place, and
-    decides ``ml`` point by point, one detector over the point's data-block
-    states (``_data_states``), and its linear detectors (of which there
-    may be none) as one ``(points, detectors, data, N)`` stack, equalized
-    and inverse transformed in place in ``decided``, against ``sent``. The
+    decides ``ml`` with one detector over the data-block states
+    (``_data_states``) of all of its points, each point's rows under its
+    own states, and its linear detectors (of which there may be none) as
+    one ``(points, detectors, data, N)`` stack, equalized and inverse
+    transformed in place in ``decided``, against ``sent``. The
     white noise may be the cell's last row, which its last slice then
     overwrites: ``np.multiply`` reads an input that overlaps its output
     before it writes."""
@@ -416,10 +429,11 @@ def run_point_trial(config: SimConfig, state: tuple, x_f: np.ndarray,
         np.multiply(scale[part], white, out=out)
         r_f = transmit_block(x_f, ch[part], out, out=out)[:, pilots:]
         if "ml" in config.detectors:
-            for m in range(start, start + size):
-                ml = MlDetector(states[m], scheme, config.block_size)
-                errors[m, config.detectors.index("ml")] = np.sum(
-                    demodulate(ml.detect(r_f[m - start]), scheme) != sent)
+            ml = MlDetector(states[part], scheme, config.block_size)
+            symbols = ml.detect(r_f.reshape(-1, config.block_size))
+            errors[part, config.detectors.index("ml")] = np.sum(
+                demodulate(symbols.reshape(r_f.shape), scheme) != sent,
+                axis=(1, 2))
         if w is not None:
             stack = equalize(w[part], r_f[:, None], out=decided[:size])
             unitary_ifft(stack, out=stack)
@@ -474,6 +488,7 @@ def _run_group(config: SimConfig, points: list[GridPoint], seeds,
                     dtype=complex)
     x_f = np.empty((trials, blocks, n), dtype=complex)
     sent = np.empty((trials, data, width), dtype=bool)
+    drifts = any(p.fd_norm > 0 for p in points)
     variates, drift = [], []
     for t, seed in enumerate(seeds):
         rng = _substream(seed, 0)
@@ -484,7 +499,7 @@ def _run_group(config: SimConfig, points: list[GridPoint], seeds,
         if config.channel_model == "sv":
             variates.append(channel_variates(
                 config.sv, (rng, _substream(seed, 1)), hops))
-        if any(p.fd_norm > 0 for p in points):
+        if drifts:
             drift.append(_substream(seed, 2).standard_normal(
                 (hops, blocks - 1, 2, config.num_taps)))
     taps = _build_links(config, [np.stack(v) for v in zip(*variates)],
@@ -492,7 +507,8 @@ def _run_group(config: SimConfig, points: list[GridPoint], seeds,
     drift = np.stack(drift) if drift else None
     errors = np.zeros((trials, len(points), len(config.detectors)), dtype=int)
     floors = np.empty((trials, len(points))) if collect_mse else None
-    size = min(_slice_size(config, blocks, data), max(map(len, cells)))
+    size = min(_slice_size(config, blocks, data, data if drifts else 1),
+               max(map(len, cells)))
     linear = sum(d in ("mrc", "mmse") for d in config.detectors)
     work = (None if adaptive else np.empty((size, blocks, n), dtype=complex),
             np.empty((size, linear, data, n), dtype=complex))

@@ -12,15 +12,15 @@ from hypothesis import strategies as st
 from uwfde import harness
 from uwfde.channel import (channel_variates, complex_noise, evolve_channel,
                            freq_response, sv_profile)
-from uwfde.detectors import (EffectiveChannel, effective_channel, equalize,
-                             mmse_weights)
+from uwfde.detectors import (EffectiveChannel, MlDetector, effective_channel,
+                             equalize, mmse_weights)
 from uwfde.harness import (DETECTOR_NAMES, GridPoint, SimConfig,
                            run_ber_sweep, run_convergence, run_multirelay,
                            run_placement_sweep, run_points,
                            transmit_block, trial_seed, wilson_half_width,
                            _build_links, _cascade, _cascade_powers,
-                           _group_size, _run_group, _substream,
-                           _worker_count)
+                           _group_size, _run_group, _slice_size,
+                           _substream, _worker_count)
 from uwfde.txrx import (ModulationScheme, append_cp, demodulate, modulate,
                         relay_forward, relay_receive, unitary_fft,
                         unitary_ifft)
@@ -382,6 +382,42 @@ class TestGroupSize:
         assert _group_size(cfg, [GridPoint(8.0)]) == 38
 
 
+class TestSliceSize:
+    @pytest.mark.parametrize("overrides,states,expected", [
+        # the ml-exhaustive benchmark's shape: N = 16, 25 static data
+        # blocks; its rows alone would fit 15 points a slice
+        (dict(detectors=("ml", "mmse", "mrc"), data_frames=25), 1, 3),
+        # drifting ml over 100 data blocks, one channel state a block
+        (dict(detectors=("ml",), data_frames=100), 100, 1),
+        # the README's ber command, no ml: N = 64, 20 data blocks
+        (dict(detectors=("mmse", "mrc"), block_size=64, data_frames=20), 1,
+         4),
+    ])
+    def test_points_a_slice(self, overrides, states, expected):
+        cfg = small_config(**overrides)
+        assert _slice_size(cfg, cfg.data_frames, cfg.data_frames,
+                           states) == expected
+
+    @pytest.mark.parametrize("fd,states", [(0.0, 1), (0.01, 25)])
+    def test_ml_decides_a_slice_with_one_detector(self, fd, states,
+                                                  monkeypatch):
+        # seven points of one cell: static, slices of 3, 3 and 1, each
+        # point one channel state; drifting, one point a slice, one state
+        # a data block
+        built = []
+
+        def build(ch, scheme, n):
+            built.append(ch.response.shape[:-1])
+            return MlDetector(ch, scheme, n)
+
+        monkeypatch.setattr(harness, "MlDetector", build)
+        cfg = small_config(detectors=("ml", "mmse", "mrc"), data_frames=25)
+        points = [GridPoint(float(s), fd) for s in range(0, 31, 5)]
+        _run_group(cfg, points, [trial_seed(0, "slices", 0)], False)
+        assert built == ([(3, 1), (3, 1), (1, 1)] if states == 1 else
+                         [(1, states)] * 7)
+
+
 class TestRunGroup:
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
@@ -424,7 +460,8 @@ class TestRunGroup:
         # run_point_trial decides one point a slice or a whole cell a slice
         # to the same received rows, counts, traces and floors: static and
         # drifting cells, an adaptive run whose white noise row, the last,
-        # is written last, and ml's per-point detectors alike
+        # is written last, and ml, whose one detector a slice then holds
+        # one point's channel states or those of the whole cell
         n = data.draw(st.sampled_from([4, 8, 16]), label="N")
         collect_mse = data.draw(st.booleans(), label="collect_mse")
         names = [d for d in DETECTOR_NAMES if n <= 8 or d != "ml"]
