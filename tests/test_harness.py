@@ -398,8 +398,9 @@ class TestSliceSize:
         assert _slice_size(cfg, cfg.data_frames, cfg.data_frames,
                            states) == expected
 
-    @pytest.mark.parametrize("fd,states", [(0.0, 1), (0.01, 25)])
-    def test_ml_decides_a_slice_with_one_detector(self, fd, states,
+    @pytest.mark.parametrize("fd,expected", [
+        (0.0, [(3, 1), (3, 1), (1, 1)]), (0.01, [(1, 25)] * 7)])
+    def test_ml_decides_a_slice_with_one_detector(self, fd, expected,
                                                   monkeypatch):
         # seven points of one cell: static, slices of 3, 3 and 1, each
         # point one channel state; drifting, one point a slice, one state
@@ -414,8 +415,7 @@ class TestSliceSize:
         cfg = small_config(detectors=("ml", "mmse", "mrc"), data_frames=25)
         points = [GridPoint(float(s), fd) for s in range(0, 31, 5)]
         _run_group(cfg, points, [trial_seed(0, "slices", 0)], False)
-        assert built == ([(3, 1), (3, 1), (1, 1)] if states == 1 else
-                         [(1, states)] * 7)
+        assert built == expected
 
 
 class TestRunGroup:
