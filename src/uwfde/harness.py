@@ -13,9 +13,8 @@ channels once for the group, and trains the adaptive filters in one call.
 ``run_point_trial`` sends and decides a trial's blocks cell by cell, its
 points in slices of at most ``SLICE_BYTES`` (see ``_slice_size``), each
 slice one numpy call per step and one ``ml`` detector, in place in arrays
-the group allocates once. A
-group's bit errors form one ``(trials, points, detectors)`` array;
-``run_points`` sums over trials.
+the group allocates once. A group's bit errors form one ``(trials, points,
+detectors)`` array; ``run_points`` sums over trials.
 
 A trial's random stream derives purely from (master seed, experiment tag,
 trial index), so results are bit-identical for any worker count. A trial
@@ -410,10 +409,10 @@ def run_point_trial(config: SimConfig, state: tuple, x_f: np.ndarray,
     (``_data_states``) of all of its points, each point's rows under its
     own states, and its linear detectors (of which there may be none) as
     one ``(points, detectors, data, N)`` stack, equalized and inverse
-    transformed in place in ``decided``, against ``sent``. The
-    white noise may be the cell's last row, which its last slice then
-    overwrites: ``np.multiply`` reads an input that overlaps its output
-    before it writes."""
+    transformed in place in ``decided``, against ``sent``. The white noise
+    may be the cell's last row, which its last slice then overwrites:
+    ``np.multiply`` reads an input that overlaps its output before it
+    writes."""
     scheme = ModulationScheme.from_name(config.scheme)
     pilots = len(x_f) - len(sent)
     linear_columns = [k for k, d in enumerate(config.detectors)
