@@ -229,9 +229,4 @@ def path_gain(delta: float, eta: float) -> tuple[float, float]:
 
 def af_gain(sigma2_hsr: float, sigma2_relay: float) -> float:
     """Fixed relay gain keeping the average retransmit power at one."""
-    if sigma2_hsr < 0 or sigma2_relay < 0:
-        raise ValueError("powers must be nonnegative")
-    total = sigma2_hsr + sigma2_relay
-    if total == 0:
-        raise ValueError("input and noise power cannot both be zero")
-    return 1.0 / np.sqrt(total)
+    return 1.0 / np.sqrt(sigma2_hsr + sigma2_relay)

@@ -87,8 +87,6 @@ def effective_channel(hops: np.ndarray, zeta: float, sigma2_relay: float,
     slot adds relay noise shaped by ``|G(f)|^2`` plus one destination-noise
     term.
     """
-    if hops.shape[-2] < 2:
-        raise ValueError("need at least one relay")
     h_f, g_f = hops[..., 0::2, :], hops[..., 1::2, :]
     response = np.sum(zeta * h_f * g_f, axis=-2)
     # zeta * zeta, not zeta ** 2: a scalar power goes through libm pow,
@@ -114,7 +112,8 @@ def mmse_weights(ch: EffectiveChannel) -> np.ndarray:
 def _sign_table(dims: int, a: float) -> np.ndarray:
     """The ``2 ** dims`` patterns ``±a`` of ``dims`` real dimensions, one
     column each, numbered in binary with the first dimension most
-    significant and a bit set where the sign is negative."""
+    significant and a bit set where the sign is negative: a block's number
+    is its bits as ``demodulate`` decides them."""
     bits = (np.arange(2 ** dims) >> np.arange(dims - 1, -1, -1)[:, None]) & 1
     table = a * (1.0 - 2.0 * bits)
     table.flags.writeable = False  # shared by every detector
@@ -129,29 +128,6 @@ def _dft(block_size: int) -> np.ndarray:
     return matrix
 
 
-def _grid_half_width(scheme: ModulationScheme) -> float:
-    """The ``a`` of a constellation whose points are every sign pattern
-    ``±a`` of its real dimensions (``Re``, then ``Im`` if complex), each
-    labelled as ``_sign_table`` numbers it; any other is refused."""
-    dims = scheme.bits_per_symbol
-    a = abs(scheme.points[0].real)
-    if dims in (1, 2) and a > 0:
-        signs = _sign_table(dims, a)
-        grid = signs[0] + 1j * signs[1] if dims == 2 else signs[0]
-        if np.array_equal(scheme.points, grid):
-            return a
-    raise ValueError(f"{scheme.name} constellation is not a ±a grid of its "
-                     "real dimensions")
-
-
-def _ml_digits(scheme: ModulationScheme, block_size: int,
-               index: np.ndarray) -> np.ndarray:
-    """Constellation indices, most significant symbol first, of the
-    candidate blocks numbered ``index``."""
-    powers = scheme.order ** np.arange(block_size - 1, -1, -1)
-    return (index[..., None] // powers) % scheme.order
-
-
 class MlDetector:
     """Exact block detector for a channel of S states, ``ch`` with its
     leading axes flattened: a channel that holds still is one state for all
@@ -162,8 +138,8 @@ class MlDetector:
     block with spectrum ``S = F s`` is ``|y - B x|^2`` in real form:
     ``y`` stacks ``Re`` over ``Im`` of ``sqrt(v) r``, ``B`` does the same
     for ``sqrt(v) g F``, and ``x`` holds the ``D`` real dimensions of
-    ``s`` (``Re s_i``, then ``Im s_i`` for a complex constellation), each
-    ``±a``. With ``B = QR`` the distance is ``|z - R x|^2`` plus a constant,
+    ``s`` (``Re s_i``, then ``Im s_i`` for QPSK), each ``±a`` (BPSK or
+    QPSK). With ``B = QR`` the distance is ``|z - R x|^2`` plus a constant,
     ``z = Q^T y``; ``R`` is upper triangular, so its last rows give the
     cost of the last (bottom) dimensions alone.
 
@@ -177,14 +153,14 @@ class MlDetector:
     completed against its state's table of every top half, one column per
     antipodal pair ``(t, -t)``, which share their energy and negate their
     cross term. Costs within that margin of the least count as equal and go
-    to the lowest candidate number, as ``_ml_digits`` reads it. The worst
-    case scores every candidate once.
+    to the lowest candidate number (see ``_sign_table``). The worst case
+    scores every candidate once.
     """
 
     def __init__(self, ch: EffectiveChannel, scheme: ModulationScheme,
                  block_size: int):
         self._scheme, self._block_size = scheme, block_size
-        self._a = _grid_half_width(scheme)
+        self._a = abs(scheme.points[0].real)
         root = np.sqrt(_inverse_noise(ch.noise_var))
         self._root = root.reshape(-1, block_size)
         columns = (root * ch.response).reshape(-1, block_size, 1) * _dft(
@@ -201,10 +177,12 @@ class MlDetector:
         self._weights = mmse_weights(ch).reshape(-1, 1, block_size)
 
     def detect(self, rows: np.ndarray) -> np.ndarray:
-        """Decided time-domain blocks, one per row of the received spectra
-        ``rows`` ``(rows, N)``, which split evenly over the channel's states
-        in order: with ``P`` rows a state, state ``k`` takes rows ``kP`` to
-        ``kP + P - 1``."""
+        """Decided bits ``(rows, D)``, one row per row of the received
+        spectra ``rows`` ``(rows, N)``: the winning candidate's number in
+        binary, most significant first, so bit ``i`` is set where real
+        dimension ``i`` is negative, as ``demodulate`` sets it. The rows
+        split evenly over the channel's states in order: with ``P`` rows a
+        state, state ``k`` takes rows ``kP`` to ``kP + P - 1``."""
         states = len(self._root)
         if len(rows) % states:
             raise ValueError(f"{len(rows)} received blocks do not split "
@@ -223,8 +201,7 @@ class MlDetector:
             estimate = np.stack([estimate.real, estimate.imag], axis=-1)
         start = np.copysign(self._a, estimate.real).reshape(z.shape)
         best = self._search(r[:, :dims, :dims], z, start)
-        return self._scheme.points[_ml_digits(self._scheme, self._block_size,
-                                              best)]
+        return (best[:, None] >> np.arange(dims - 1, -1, -1)) & 1 == 1
 
     def _search(self, r: np.ndarray, z: np.ndarray,
                 start: np.ndarray) -> np.ndarray:
@@ -357,10 +334,11 @@ def rls_step(state: RlsState, r_f: np.ndarray, s_f: np.ndarray,
     return out, (s_f - equalize(w[..., :-1, :], r_f)) if errors else None
 
 
-def mmse_error_floor(ch: EffectiveChannel) -> float:
-    """Mean per-bin residual MSE of the ideal Wiener equalizer."""
+def mmse_error_floor(ch: EffectiveChannel) -> np.ndarray:
+    """Mean per-bin residual MSE of the ideal Wiener equalizer, along the
+    last axis."""
     denom = np.abs(ch.response) ** 2 + ch.noise_var
     per_bin = np.divide(ch.noise_var, denom, out=np.ones_like(ch.noise_var),
                         where=denom > 0)
-    return float(np.mean(per_bin))
+    return np.mean(per_bin, axis=-1)
 

@@ -429,10 +429,9 @@ def run_point_trial(config: SimConfig, state: tuple, x_f: np.ndarray,
         r_f = transmit_block(x_f, ch[part], out, out=out)[:, pilots:]
         if "ml" in config.detectors:
             ml = MlDetector(states[part], scheme, config.block_size)
-            symbols = ml.detect(r_f.reshape(-1, config.block_size))
+            bits = ml.detect(r_f.reshape(-1, config.block_size))
             errors[part, config.detectors.index("ml")] = np.sum(
-                demodulate(symbols.reshape(r_f.shape), scheme) != sent,
-                axis=(1, 2))
+                bits.reshape(size, *sent.shape) != sent, axis=(1, 2))
         if w is not None:
             stack = equalize(w[part], r_f[:, None], out=decided[:size])
             unitary_ifft(stack, out=stack)
@@ -506,12 +505,15 @@ def _run_group(config: SimConfig, points: list[GridPoint], seeds,
     drift = np.stack(drift) if drift else None
     errors = np.zeros((trials, len(points), len(config.detectors)), dtype=int)
     floors = np.empty((trials, len(points))) if collect_mse else None
-    size = min(_slice_size(config, blocks, data, data if drifts else 1),
-               max(map(len, cells)))
+    # each cell's points a slice, sized by its own Doppler
+    steps = [min(len(m), _slice_size(config, blocks, data,
+                                     data if points[m[0]].fd_norm > 0 else 1))
+             for m in cells]
+    size = max(steps)
     linear = sum(d in ("mrc", "mmse") for d in config.detectors)
     work = (None if adaptive else np.empty((size, blocks, n), dtype=complex),
             np.empty((size, linear, data, n), dtype=complex))
-    for members in cells:
+    for members, step in zip(cells, steps):
         point = points[members[0]]
         powers = np.array([_cascade_powers(config, points[i]) for i in members])
         hop = _cascade(config, taps, point, blocks, drift)
@@ -525,11 +527,10 @@ def _run_group(config: SimConfig, points: list[GridPoint], seeds,
                      [a if a is None else a[:, t] for a in static])
             errors[t, cell] = run_point_trial(
                 config, state, x_f[t], rows[t, -1], sent[t],
-                rows[t, cell] if adaptive else None, work)
+                rows[t, cell] if adaptive else None,
+                [a if a is None else a[:step] for a in work])
             if collect_mse:
-                ch = state[0][:, -1]
-                floors[t, cell] = [mmse_error_floor(ch[m])
-                                   for m in range(len(members))]
+                floors[t, cell] = mmse_error_floor(state[0][:, -1])
         # free the cell's arrays before the next cell's exist: what the
         # group holds at once sets how much heap the allocator trims and
         # the next group faults back in

@@ -1,15 +1,17 @@
 """Rewrite the CSV digests in ``tests/pins.json``.
 
 Each pin is the arguments of one ``uwfde`` command; ``test_pins.py`` runs
-it at one worker and compares the sha256 of its CSV with the pin. A change
-that moves a pin reruns this script and names each moved pin, and why, in
-CHANGES.md:
+it at one worker and at two and compares the sha256 of its CSV with the
+pin. A change that moves a pin reruns this script and names each moved pin,
+and why, in CHANGES.md:
 
     PYTHONPATH=src python tests/make_pins.py
 
 The file also records the numpy version and random stream version the
 digests were taken under: a ``Generator`` may draw other numbers under
-another numpy (NEP 19).
+another numpy (NEP 19). Its ``why`` map, which this script keeps as it is,
+says what each command checks; a new pin adds its digest and its reason
+there.
 """
 
 import hashlib
@@ -29,8 +31,8 @@ PINS = Path(__file__).with_name("pins.json")
 
 
 def csv_digest(args: str, configs: dict, directory: Path) -> str:
-    """The sha256 of the CSV that ``uwfde args`` writes at one worker, run
-    in ``directory``, where each config file it may name is written first
+    """The sha256 of the CSV that ``uwfde args`` writes, run in
+    ``directory``, where each config file it may name is written first
     from ``configs``."""
     for name, config in configs.items():
         (directory / name).write_text(json.dumps(config))

@@ -12,10 +12,9 @@ from oracle import circulant_from_taps, rls_recursion
 from uwfde import detectors
 from uwfde.channel import freq_response
 from uwfde.detectors import (EffectiveChannel, MlDetector, RlsState,
-                             _grid_half_width, _ml_digits, _sign_table,
-                             effective_channel, equalize, lms_step,
-                             mmse_error_floor, mmse_weights, mrc_weights,
-                             rls_step)
+                             _sign_table, effective_channel, equalize,
+                             lms_step, mmse_error_floor, mmse_weights,
+                             mrc_weights, rls_step)
 from uwfde.harness import train_adaptive
 from uwfde.txrx import (ModulationScheme, demodulate, modulate, unitary_fft,
                         unitary_ifft)
@@ -69,10 +68,6 @@ class TestEffectiveChannel:
         zeta = np.float64(0.5355530427982086)
         ch = effective_channel(np.ones((2, 4), dtype=complex), zeta, 1.0, 0.0)
         assert np.array_equal(ch.noise_var, np.full(4, np.square(zeta)))
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            effective_channel(np.zeros((0, 8), dtype=complex), 1.0, 0.1, 0.1)
 
 
 class TestMrcWeights:
@@ -142,6 +137,15 @@ class TestMmseWeights:
                               np.array([1.0, 1.0]))
         assert mmse_error_floor(ch) == pytest.approx((0.5 + 0.2) / 2)
 
+    def test_error_floor_along_the_last_axis(self):
+        # one call for a stack of channels gives each row's floor to the bit
+        rng = np.random.default_rng(14)
+        g = rng.standard_normal((5, 16)) + 1j * rng.standard_normal((5, 16))
+        v = rng.uniform(0.01, 1.0, size=(5, 16))
+        got = mmse_error_floor(EffectiveChannel(g, v))
+        assert np.array_equal(got, [mmse_error_floor(EffectiveChannel(*row))
+                                    for row in zip(g, v)])
+
 
 def direct_costs(r_f, response, noise_var, scheme):
     """Every constellation block, numbered as the direct form numbers it,
@@ -190,7 +194,8 @@ def per_row(a, rows):
 
 
 class TestMlExpandedSearch:
-    """The expanded-form search decides exactly as the direct form."""
+    """The expanded-form search decides exactly the bits of the direct
+    form's block."""
 
     @staticmethod
     def check(r_f, g, v, scheme):
@@ -198,7 +203,7 @@ class TestMlExpandedSearch:
         got = MlDetector(EffectiveChannel(g, v), scheme, n).detect(r_f)
         want = np.array([direct_ml(r, h, w, scheme) for r, h, w in zip(
             r_f, per_row(g, len(r_f)), per_row(v, len(r_f)))])
-        assert np.array_equal(got, want)
+        assert np.array_equal(got, demodulate(want, scheme))
 
     @pytest.mark.parametrize("scheme,n", [(ModulationScheme.bpsk(), 8),
                                           (ModulationScheme.bpsk(), 16),
@@ -223,7 +228,8 @@ class TestMlExpandedSearch:
         g, v, r_f = ml_case(rng, scheme, 10, rows=1)
         got = MlDetector(EffectiveChannel(g, v), scheme, 10).detect(r_f)
         assert got.shape == (1, 10)
-        assert np.array_equal(got[0], direct_ml(r_f[0], g[0], v[0], scheme))
+        assert np.array_equal(got[0], demodulate(
+            direct_ml(r_f[0], g[0], v[0], scheme), scheme))
 
     def test_stack_longer_than_one_slice(self):
         rng = np.random.default_rng(43)
@@ -290,7 +296,8 @@ class TestMlAntipodalPairs:
         # A dead channel scores every candidate 0; a received block of
         # zeros under a channel dead in bin 0 gives the constant blocks
         # energy 0. Either way every linear term is 0, and the direct
-        # form's first index is candidate 0, not its negation.
+        # form's first index is candidate 0, all bits clear, not its
+        # negation.
         scheme = ModulationScheme.from_name(name)
         rng = np.random.default_rng(46)
         g, v, r_f = ml_case(rng, scheme, n, rows=3)
@@ -300,51 +307,29 @@ class TestMlAntipodalPairs:
                                   (zero_in_bin_0, np.zeros_like(r_f))):
             got = MlDetector(EffectiveChannel(channel, v), scheme,
                              n).detect(received)
-            assert np.array_equal(got, np.full((3, n), scheme.points[0]))
+            assert np.array_equal(
+                got, np.zeros((3, n * scheme.bits_per_symbol), dtype=bool))
             TestMlExpandedSearch.check(received, channel, v, scheme)
 
     @pytest.mark.parametrize("name,n", [("bpsk", 8), ("qpsk", 4),
                                         ("bpsk", 1), ("qpsk", 1)])
     def test_sign_patterns_number_candidates_as_digits(self, name, n):
         # the search numbers a block by the signs of its real dimensions,
-        # Re s_0 (then Im s_0) most significant, in the order the direct
-        # form numbers it by its symbols, and negating a block complements
-        # its number
+        # Re s_0 (then Im s_0) most significant: the binary digits of its
+        # number are the bits that modulate sends as it and demodulate
+        # decides from it, and negating a block complements its number
         scheme = ModulationScheme.from_name(name)
-        table = _sign_table(n * scheme.bits_per_symbol,
-                            _grid_half_width(scheme))
+        dims = n * scheme.bits_per_symbol
+        table = _sign_table(dims, abs(scheme.points[0].real))
         assert not table.flags.writeable
         signs = table.T
         blocks = (signs[:, 0::2] + 1j * signs[:, 1::2] if name == "qpsk"
                   else signs + 0j)
-        count = scheme.order ** n
-        assert np.array_equal(
-            blocks, scheme.points[_ml_digits(scheme, n, np.arange(count))])
+        bits = (np.arange(2 ** dims)[:, None]
+                >> np.arange(dims - 1, -1, -1)) & 1
+        assert np.array_equal(blocks, modulate(bits, scheme))
+        assert np.array_equal(demodulate(blocks, scheme), bits == 1)
         assert np.array_equal(blocks[::-1], -blocks)
-
-    def test_constellation_not_a_sign_grid_refused(self):
-        ch = EffectiveChannel(np.ones(3, dtype=complex), np.ones(3))
-        for name in ("bpsk", "qpsk"):
-            MlDetector(ch, ModulationScheme.from_name(name), 3)  # accepted
-        refused = [
-            ModulationScheme("skew", 2, np.array([1.0 + 0j, -0.5]), 1),
-            # antipodal, but not labelled by the signs of its parts
-            ModulationScheme(
-                "swapped", 4, np.array([1 + 1j, -1 - 1j, 1 - 1j, -1 + 1j]),
-                2),
-            # odd order: the zero block would be its own negation
-            ModulationScheme("ternary", 3, np.array([1.0 + 0j, 0.0, -1.0]),
-                             1),
-            # a grid of four levels on one real dimension
-            ModulationScheme("pam4", 4, np.array([3.0 + 0j, 1.0, -1.0, -3.0]),
-                             2),
-            # antipodal, off the real axis
-            ModulationScheme("imaginary", 2, np.array([1j, -1j]), 1),
-            ModulationScheme("diamond", 4, np.array([1, 1j, -1j, -1]), 2),
-        ]
-        for scheme in refused:
-            with pytest.raises(ValueError, match="grid"):
-                MlDetector(ch, scheme, 3)
 
 
 class TestMlPrunedSearch:
@@ -398,7 +383,7 @@ class TestMlPrunedSearch:
         for k, (h, w) in enumerate(zip(per_row(g, rows), per_row(v, rows))):
             blocks, costs = direct_costs(r_f[k], h, w, scheme)
             tied = np.flatnonzero(costs <= costs.min() + 1e-9 * costs.max())
-            assert np.array_equal(got[k], blocks[tied[0]])
+            assert np.array_equal(got[k], demodulate(blocks[tied[0]], scheme))
 
     @pytest.mark.parametrize("score_bytes", [8, 200, 2 ** 22])
     def test_survivors_scored_in_runs(self, monkeypatch, score_bytes):
@@ -425,8 +410,8 @@ class TestMlDetect:
             bits = np.array([(value >> k) & 1 for k in range(n)])
             x = modulate(bits, scheme)
             r_f = xi * np.fft.fft(x, norm="ortho")
-            assert np.allclose(MlDetector(ch, scheme, n).detect(r_f[None]),
-                               x[None])
+            assert np.array_equal(
+                MlDetector(ch, scheme, n).detect(r_f[None]), bits[None] == 1)
 
     def test_agrees_with_mmse_at_high_snr_flat(self):
         rng = np.random.default_rng(7)
@@ -439,9 +424,9 @@ class TestMlDetect:
             r_f = np.fft.fft(x, norm="ortho") + 0.005 * (
                 rng.standard_normal(n) + 1j * rng.standard_normal(n))
             a = ml.detect(r_f[None])[0]
-            b_soft = unitary_ifft(equalize(mmse_weights(ch), r_f))
-            b = modulate(demodulate(b_soft, scheme), scheme)
-            assert np.allclose(a, b)
+            b = demodulate(unitary_ifft(equalize(mmse_weights(ch), r_f)),
+                           scheme)
+            assert np.array_equal(a, b)
 
     def test_noise_scale_invariant_argmin(self):
         rng = np.random.default_rng(8)
@@ -454,7 +439,7 @@ class TestMlDetect:
                           n).detect(r_f[None])
         out2 = MlDetector(EffectiveChannel(xi, 7.3 * sigma), scheme,
                           n).detect(r_f[None])
-        assert np.allclose(out1, out2)
+        assert np.array_equal(out1, out2)
 
 
 class TestLms:
@@ -671,7 +656,7 @@ class TestScaleInvariance:
                 b = demodulate(unitary_ifft(equalize(
                     weigher(scaled), np.sqrt(c) * r_f)), scheme)
                 assert np.array_equal(a, b)
-            assert np.allclose(
+            assert np.array_equal(
                 MlDetector(ch, scheme, n).detect(r_f[None]),
                 MlDetector(scaled, scheme, n).detect(np.sqrt(c) * r_f[None]))
 

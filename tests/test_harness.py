@@ -399,12 +399,14 @@ class TestSliceSize:
                            states) == expected
 
     @pytest.mark.parametrize("fd,expected", [
-        (0.0, [(3, 1), (3, 1), (1, 1)]), (0.01, [(1, 25)] * 7)])
+        (0.0, [(3, 1), (3, 1), (1, 1)]), (0.01, [(1, 25)] * 7),
+        ({0.0: (0, 10, 20), 0.01: (10,)}, [(3, 1), (1, 25)])])
     def test_ml_decides_a_slice_with_one_detector(self, fd, expected,
                                                   monkeypatch):
         # seven points of one cell: static, slices of 3, 3 and 1, each
         # point one channel state; drifting, one point a slice, one state
-        # a data block
+        # a data block; and SNR points by Doppler, a static cell beside a
+        # drifting one, each cell sliced by its own Doppler
         built = []
 
         def build(ch, scheme, n):
@@ -413,7 +415,9 @@ class TestSliceSize:
 
         monkeypatch.setattr(harness, "MlDetector", build)
         cfg = small_config(detectors=("ml", "mmse", "mrc"), data_frames=25)
-        points = [GridPoint(float(s), fd) for s in range(0, 31, 5)]
+        grid = fd if isinstance(fd, dict) else {fd: range(0, 31, 5)}
+        points = [GridPoint(float(s), d) for d, snrs in grid.items()
+                  for s in snrs]
         _run_group(cfg, points, [trial_seed(0, "slices", 0)], False)
         assert built == expected
 

@@ -1,7 +1,8 @@
-"""Pinned CSV digests: each pinned command writes, at one worker, the bytes
-it wrote when ``make_pins.py`` last took its digest. A change that moves a
-pin declares it (see ``make_pins.py``); a pin is never dropped or loosened
-to let a change pass."""
+"""Pinned CSV digests: each pinned command writes, at one worker and at
+two, the bytes it wrote when ``make_pins.py`` last took its digest. A
+change that moves a pin declares it (see ``make_pins.py``); a pin is never
+dropped or loosened to let a change pass. ``pins.json`` says why each
+command is pinned."""
 
 import json
 
@@ -18,10 +19,16 @@ def test_pins_are_of_this_stream():
     assert PINNED["stream_version"] == STREAM_VERSION
 
 
+def test_every_pin_says_why():
+    assert PINNED["why"].keys() == PINNED["digests"].keys()
+
+
 @pytest.mark.parametrize("args", list(PINNED["digests"]))
 def test_csv_matches_its_pin(args, tmp_path, monkeypatch):
-    monkeypatch.setenv(WORKERS_ENV_VAR, "1")
-    got = csv_digest(args, PINNED["configs"], tmp_path)
-    assert got == PINNED["digests"][args], (
-        f"uwfde {args} wrote other bytes (pins taken under numpy "
-        f"{PINNED['numpy']}, running {np.__version__})")
+    # a run of several groups of trials hands them to a pool at two workers
+    for workers in ("1", "2"):
+        monkeypatch.setenv(WORKERS_ENV_VAR, workers)
+        got = csv_digest(args, PINNED["configs"], tmp_path)
+        assert got == PINNED["digests"][args], (
+            f"uwfde {args} wrote other bytes at {workers} workers (pins "
+            f"taken under numpy {PINNED['numpy']}, running {np.__version__})")
