@@ -405,14 +405,14 @@ def run_point_trial(config: SimConfig, state: tuple, x_f: np.ndarray,
     decided)``: a slice scales the unit white ``white`` by the roots of its
     noise variances into its ``rows`` with an adaptive detector, else into
     ``received``, adds ``x_f`` sent through its channels in place, and
-    decides ``ml`` with one detector over the data-block states
-    (``_data_states``) of all of its points, each point's rows under its
-    own states, and its linear detectors (of which there may be none) as
-    one ``(points, detectors, data, N)`` stack, equalized and inverse
-    transformed in place in ``decided``, against ``sent``. The white noise
-    may be the cell's last row, which its last slice then overwrites:
-    ``np.multiply`` reads an input that overlaps its output before it
-    writes."""
+    decides the bits of ``ml`` with one detector over the data-block
+    states (``_data_states``) of all of its points, each point's rows
+    under its own states, and its linear detectors (of which there may be
+    none) as one ``(points, detectors, data, N)`` stack, equalized and
+    inverse transformed in place in ``decided``, against ``sent``. The
+    white noise may be the cell's last row, which its last slice then
+    overwrites: ``np.multiply`` reads an input that overlaps its output
+    before it writes."""
     scheme = ModulationScheme.from_name(config.scheme)
     pilots = len(x_f) - len(sent)
     linear_columns = [k for k, d in enumerate(config.detectors)
@@ -463,7 +463,8 @@ def _run_group(config: SimConfig, points: list[GridPoint], seeds,
     weights ``(points, trials, 1, N)``; a drifting cell's spectra and
     channels follow per trial (see ``_cascade``), and ``run_point_trial``
     sends and decides each trial's ``(blocks, N)`` data, in slices of
-    points through work arrays the group allocates once.
+    points sized for the cell's own Doppler, through work arrays the group
+    allocates once, for the largest slice.
     One allocation holds the symbol spectra ``(trials, blocks, N)``, whose
     first rows are the pilots, and one the rows: a received row per
     (trial, point), the white noise in the last, which is written last,
@@ -505,7 +506,7 @@ def _run_group(config: SimConfig, points: list[GridPoint], seeds,
     drift = np.stack(drift) if drift else None
     errors = np.zeros((trials, len(points), len(config.detectors)), dtype=int)
     floors = np.empty((trials, len(points))) if collect_mse else None
-    # each cell's points a slice, sized by its own Doppler
+    # points a slice per cell: a drifting point holds a state a data block
     steps = [min(len(m), _slice_size(config, blocks, data,
                                      data if points[m[0]].fd_norm > 0 else 1))
              for m in cells]
