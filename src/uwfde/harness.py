@@ -39,9 +39,8 @@ from itertools import groupby
 import numpy as np
 
 from .channel import (SvParams, _whole_number, af_gain, channel_variates,
-                      complex_noise, evolve_channel, freq_response,
-                      generate_channel, path_gain, quantize_to_taps,
-                      sv_profile)
+                      evolve_channel, freq_response, generate_channel,
+                      path_gain, quantize_to_taps, sv_profile)
 from .detectors import (EffectiveChannel, MlDetector, RlsState,
                         effective_channel, equalize, lms_step,
                         mmse_error_floor, mmse_weights, mrc_weights, rls_step)
@@ -63,9 +62,9 @@ WORKERS_ENV_VAR = "UWFDE_WORKERS"
 # Cap on ml's search space, constellation_order ** block_size candidate
 # blocks: the pruned search scores at most that many, at low SNR.
 ML_SEARCH_LIMIT = 2 ** 16
-# Group cap, in bytes as _group_size charges a trial's buffers (an exact
-# count without an adaptive detector, an estimate with one); picked by
-# measurement: bigger groups train faster, cost memory.
+# Group cap, in bytes of the buffers a group's trials hold, which
+# _group_size charges exactly; picked by measurement: bigger groups train
+# faster, cost memory.
 GROUP_BYTES = 3 << 19
 # Slice cap, in bytes as _slice_size charges a point: its received and sent
 # rows, its linear decisions and, with ml, the search's cost tables of its
@@ -450,11 +449,14 @@ def _run_group(config: SimConfig, points: list[GridPoint], seeds,
     Random stream (``STREAM_VERSION``), U the largest relay count on
     ``points``: a loop draws each trial's variates from keyed substream q
     of its seed (see ``_substream``): for 0, the bits of every block, a unit
-    white noise array ``(blocks, N)``, then the hops' Nakagami amplitudes;
-    for 1, their uniforms (see ``channel_variates``; the flat model draws
-    neither and keys no substream 1); for 2, if a cell drifts, the
-    innovations ``(2U, blocks - 1, 2, L)`` (see ``evolve_channel``). A cell
-    of u relays reads the first 2u rows.
+    white noise array ``(blocks, N)`` (real parts, then imaginary), then
+    the hops' Nakagami amplitudes; for 1, their uniforms (see
+    ``channel_variates``; the flat model draws neither and keys no
+    substream 1); for 2, if a cell drifts, the innovations ``(2U, blocks -
+    1, 2, L)`` (see ``evolve_channel``). A cell of u relays reads the first
+    2u rows. The loop writes the symbols, the white noise and the
+    innovations straight into the group's arrays, and one in-place
+    ``unitary_fft`` then takes the symbols of every trial to spectra.
 
     Then, cell by cell (a run of consecutive points at one Doppler,
     position and relay count), what does not scale with blocks x N runs
@@ -468,7 +470,8 @@ def _run_group(config: SimConfig, points: list[GridPoint], seeds,
     One allocation holds the symbol spectra ``(trials, blocks, N)``, whose
     first rows are the pilots, and one the rows: a received row per
     (trial, point), the white noise in the last, which is written last,
-    when a detector is adaptive, else the white noise alone. One
+    when a detector is adaptive, else the white noise alone
+    (``_trial_rows``, whose count ``_group_size`` charges). One
     ``train_adaptive`` call takes them, and each trial decides its adaptive
     columns as one stack, in one array the group reuses.
     """
@@ -476,34 +479,35 @@ def _run_group(config: SimConfig, points: list[GridPoint], seeds,
     scheme = ModulationScheme.from_name(config.scheme)
     n, trials = config.block_size, len(seeds)
     width = n * scheme.bits_per_symbol
-    pilots = config.pilot_frames if adaptive else 0
-    data = 0 if collect_mse else config.data_frames
+    received, pilots, data = _trial_rows(config, points, collect_mse)
     blocks = pilots + data
     keys = [(p.fd_norm, p.delta, p.num_relays) for p in points]
     cells = [list(run) for _, run in groupby(range(len(points)),
                                              keys.__getitem__)]
     hops = 2 * max(p.num_relays for p in points)
-    rows = np.empty((trials, len(points) if adaptive else 1, blocks, n),
-                    dtype=complex)
+    rows = np.empty((trials, received, blocks, n), dtype=complex)
     x_f = np.empty((trials, blocks, n), dtype=complex)
     sent = np.empty((trials, data, width), dtype=bool)
-    drifts = any(p.fd_norm > 0 for p in points)
-    variates, drift = [], []
+    drift = (np.empty((trials, hops, blocks - 1, 2, config.num_taps))
+             if any(p.fd_norm > 0 for p in points) else None)
+    variates, scale = [], math.sqrt(0.5)
     for t, seed in enumerate(seeds):
         rng = _substream(seed, 0)
         bits = rng.integers(0, 2, size=(blocks, width))
-        x_f[t] = unitary_fft(modulate(bits, scheme))
+        x_f[t] = modulate(bits, scheme)
         sent[t] = bits[pilots:] == 1
-        rows[t, -1] = complex_noise(rng, (blocks, n), 1.0)
+        # complex_noise's unit draw, each part scaled straight into place
+        white = rows[t, -1]
+        np.multiply(rng.standard_normal((blocks, n)), scale, out=white.real)
+        np.multiply(rng.standard_normal((blocks, n)), scale, out=white.imag)
         if config.channel_model == "sv":
             variates.append(channel_variates(
                 config.sv, (rng, _substream(seed, 1)), hops))
-        if drifts:
-            drift.append(_substream(seed, 2).standard_normal(
-                (hops, blocks - 1, 2, config.num_taps)))
+        if drift is not None:
+            _substream(seed, 2).standard_normal(out=drift[t])
+    unitary_fft(x_f, out=x_f)
     taps = _build_links(config, [np.stack(v) for v in zip(*variates)],
                         (trials, hops))
-    drift = np.stack(drift) if drift else None
     errors = np.zeros((trials, len(points), len(config.detectors)), dtype=int)
     floors = np.empty((trials, len(points))) if collect_mse else None
     # points a slice per cell: a drifting point holds a state a data block
@@ -589,24 +593,42 @@ def train_adaptive(detectors, r_f: np.ndarray, s_f: np.ndarray, mu: float,
     return weights, traces
 
 
-def _group_size(config: SimConfig, points: list[GridPoint]) -> int:
-    """Trials per group: as many as fit ``GROUP_BYTES`` at the complex rows
-    charged to a trial, at least one. Without an adaptive detector that is
-    the symbol spectra and white noise rows of the data blocks, exactly
-    what ``_run_group`` holds. With one it is ``2 * pilots + data`` rows a
-    point, an estimate: a trial holds ``(points + 1) * (pilots + data)``
-    rows (its received rows and its symbol spectra), more than the charge
-    when ``data > (points - 1) * pilots``, as at a single point."""
-    if set(ADAPTIVE_DETECTORS) & set(config.detectors):
-        rows = len(points) * (2 * config.pilot_frames + config.data_frames)
-    else:
-        rows = 2 * config.data_frames
+def _trial_rows(config: SimConfig, points: list[GridPoint],
+                collect_mse: bool) -> tuple[int, int, int]:
+    """The rows of N complex bins a trial of ``_run_group`` holds besides
+    its symbol spectra, as (received rows, pilot blocks, data blocks): a
+    received row per point when a detector is adaptive, else one row, the
+    white noise, each over the pilot blocks (none without an adaptive
+    detector) and the data blocks (none in a learning-curve run)."""
+    adaptive = set(ADAPTIVE_DETECTORS) & set(config.detectors)
+    return (len(points) if adaptive else 1,
+            config.pilot_frames if adaptive else 0,
+            0 if collect_mse else config.data_frames)
+
+
+def _group_size(config: SimConfig, points: list[GridPoint],
+                collect_mse: bool = False) -> int:
+    """Trials per group: as many as fit ``GROUP_BYTES`` at the bytes of a
+    trial's buffers, at least one. ``_trial_rows`` gives both the buffers
+    ``_run_group`` allocates and this charge, so it is exact: ``(points +
+    1) * (pilots + data)`` complex rows of N with an adaptive detector,
+    ``2 * data`` without (the white noise and symbol spectra)."""
+    received, pilots, data = _trial_rows(config, points, collect_mse)
+    rows = (received + 1) * (pilots + data)
     return max(1, GROUP_BYTES // (rows * config.block_size * 16))
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one, which a ``taskset`` or cpuset narrows, else the CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _worker_count(config: SimConfig) -> int:
     """Worker processes for a run: ``UWFDE_WORKERS`` when set, else
-    ``config.workers``, capped at the CPU count and the trial count."""
+    ``config.workers``, capped at the usable CPUs and the trial count."""
     requested = config.workers
     env = os.environ.get(WORKERS_ENV_VAR)
     if env:
@@ -615,7 +637,7 @@ def _worker_count(config: SimConfig) -> int:
         except ValueError:
             raise ValueError(f"{WORKERS_ENV_VAR} must be an integer, "
                              f"got {env!r}") from None
-    return max(1, min(requested, os.cpu_count() or 1, config.trials))
+    return max(1, min(requested, _usable_cpus(), config.trials))
 
 
 def run_points(config: SimConfig, points: list[GridPoint], experiment: str,
@@ -624,7 +646,7 @@ def run_points(config: SimConfig, points: list[GridPoint], experiment: str,
     same groups for any worker count, and sum their bit errors over the
     trials; every record holds trials * data_frames * N * bits_per_symbol
     bits (0 for a learning-curve run)."""
-    size = _group_size(config, points)
+    size = _group_size(config, points, collect_mse)
     seeds = [trial_seed(config.master_seed, experiment, t)
              for t in range(config.trials)]
     jobs = [seeds[start:start + size] for start in range(0, len(seeds), size)]

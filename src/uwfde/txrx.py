@@ -51,10 +51,10 @@ def modulate(bits: np.ndarray, scheme: ModulationScheme) -> np.ndarray:
     bits = np.asarray(bits, dtype=int)
     if bits.shape[-1] % scheme.bits_per_symbol != 0:
         raise ValueError("bit count is not a multiple of bits per symbol")
-    groups = bits.reshape(*bits.shape[:-1], -1, scheme.bits_per_symbol)
-    weights = 1 << np.arange(scheme.bits_per_symbol - 1, -1, -1)
-    labels = groups @ weights
-    return scheme.points[labels]
+    if scheme.bits_per_symbol == 1:
+        return scheme.points[bits]
+    # the label b0b1 of each pair of bits
+    return scheme.points[2 * bits[..., 0::2] + bits[..., 1::2]]
 
 
 def demodulate(symbols: np.ndarray, scheme: ModulationScheme) -> np.ndarray:
@@ -103,8 +103,10 @@ def relay_forward(received: np.ndarray, zeta: float, cp_len: int) -> np.ndarray:
     return append_cp(zeta * received, cp_len)
 
 
-def unitary_fft(x: np.ndarray) -> np.ndarray:
-    return np.fft.fft(x, norm="ortho")
+def unitary_fft(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Unitary DFT along the last axis, into ``out`` when given, which
+    may be ``x`` itself."""
+    return np.fft.fft(x, norm="ortho", out=out)
 
 
 def unitary_ifft(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

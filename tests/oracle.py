@@ -1,6 +1,11 @@
-"""Dense-matrix and per-hop oracles for the channel model; test helpers only."""
+"""Dense-matrix and per-hop oracles for the channel model, and a trial's
+draws made one trial at a time; test helpers only."""
 
 import numpy as np
+
+from uwfde.channel import channel_variates, complex_noise
+from uwfde.harness import _substream
+from uwfde.txrx import ModulationScheme
 
 
 def circulant_from_taps(taps: np.ndarray, block_size: int) -> np.ndarray:
@@ -73,3 +78,26 @@ def gauss_markov_recursion(taps, rho, step):
     for b in range(1, len(track)):
         track[b] = rho * track[b - 1] + step[..., b - 1, :]
     return track
+
+
+def trial_draws(config, seed, pilots: int, blocks: int, hops: int,
+                drifts: bool):
+    """One trial's draws as the simulator made them a trial at a time,
+    before its group drew straight into shared arrays: the data bits as
+    booleans, the symbol spectra from a matrix product of bit weights, the
+    unit white noise through ``complex_noise``, the sv hops' (amplitudes,
+    uniforms) (None for the flat model) and the drift innovations (None
+    without a drifting cell)."""
+    scheme = ModulationScheme.from_name(config.scheme)
+    n = config.block_size
+    rng = _substream(seed, 0)
+    bits = rng.integers(0, 2, size=(blocks, n * scheme.bits_per_symbol))
+    groups = bits.reshape(blocks, n, scheme.bits_per_symbol)
+    weights = 1 << np.arange(scheme.bits_per_symbol - 1, -1, -1)
+    x_f = np.fft.fft(scheme.points[groups @ weights], norm="ortho")
+    white = complex_noise(rng, (blocks, n), 1.0)
+    variates = (channel_variates(config.sv, (rng, _substream(seed, 1)), hops)
+                if config.channel_model == "sv" else None)
+    drift = (_substream(seed, 2).standard_normal(
+        (hops, blocks - 1, 2, config.num_taps)) if drifts else None)
+    return bits[pilots:] == 1, x_f, white, variates, drift

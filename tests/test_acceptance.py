@@ -334,12 +334,12 @@ GROUPINGS = {1: [1] * 11, 2: [2] * 5 + [1], 3: [3, 3, 3, 2], 8: [8, 3]}
 @pytest.mark.parametrize("args,points,blocks", [
     (["multirelay", "--detectors", "mmse,lms,rls", "--relays", "1,3",
       "--snr", "0,20", "--N", "16", "--L", "4", "--data-frames", "4",
-      "--pilot-frames", "5"], 4, 2 * 5 + 4),
+      "--pilot-frames", "5"], 4, 5 + 4),
     (["ber", "--scheme", "qpsk", "--fd", "0.01", "--U", "2", "--detectors",
       "mmse,mrc,lms,rls", "--snr", "0:10:30", "--N", "16", "--L", "4",
-      "--data-frames", "4", "--pilot-frames", "5"], 4, 2 * 5 + 4),
+      "--data-frames", "4", "--pilot-frames", "5"], 4, 5 + 4),
     (["converge", "--N", "16", "--L", "4", "--pilot-frames", "20",
-      "--snr-db", "10"], 1, 2 * 20 + 20),
+      "--snr-db", "10"], 1, 20 + 0),  # converge holds no data blocks
 ], ids=["multirelay", "ber-qpsk-drift", "converge"])
 def test_criterion_10_determinism_across_group_sizes(tmp_path, monkeypatch,
                                                      args, points, blocks):
@@ -354,7 +354,8 @@ def test_criterion_10_determinism_across_group_sizes(tmp_path, monkeypatch,
         return run_group(config, grid, seeds, collect_mse)
 
     monkeypatch.setattr(harness, "_run_group", counted_group)
-    trial_bytes = points * 16 * 16 * blocks  # complex128 rows, N = 16
+    # a received row a point and the symbol spectra, complex128, N = 16
+    trial_bytes = (points + 1) * 16 * 16 * blocks
     hashes = set()
     # A cap of one byte is smaller than any trial, so every group holds one.
     for cap, grouping in [(1, GROUPINGS[1])] + [

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracle import trial_draws
 from uwfde import harness
 from uwfde.channel import (channel_variates, complex_noise, evolve_channel,
                            freq_response, sv_profile)
@@ -20,7 +21,7 @@ from uwfde.harness import (DETECTOR_NAMES, GridPoint, SimConfig,
                            transmit_block, trial_seed, wilson_half_width,
                            _build_links, _cascade, _cascade_powers,
                            _group_size, _run_group, _slice_size,
-                           _substream, _worker_count)
+                           _substream, _worker_count, run_point_trial)
 from uwfde.txrx import (ModulationScheme, append_cp, demodulate, modulate,
                         relay_forward, relay_receive, unitary_fft,
                         unitary_ifft)
@@ -354,7 +355,7 @@ class TestGroupSize:
         cfg = small_config(block_size=n, num_taps=1, sv=sv_profile(1),
                            detectors=("mmse", "rls"), pilot_frames=pilots,
                            data_frames=data)
-        trial_bytes = size * (2 * pilots + data) * n * 16
+        trial_bytes = (size + 1) * (pilots + data) * n * 16
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(harness, "GROUP_BYTES", cap)
             group = _group_size(cfg, [GridPoint(float(s)) for s in range(size)])
@@ -380,6 +381,33 @@ class TestGroupSize:
         cfg = small_config(detectors=("mmse", "mrc"), block_size=64,
                            data_frames=20)
         assert _group_size(cfg, [GridPoint(8.0)]) == 38
+
+    @pytest.mark.parametrize("detectors,collect_mse", [
+        (("mmse", "mrc"), False), (("mmse", "rls"), False),
+        (("lms", "rls"), True),
+    ])
+    def test_the_charge_is_the_buffers_a_group_holds(
+            self, monkeypatch, detectors, collect_mse):
+        # the rows and symbol spectra that a real group of three trials
+        # allocates, a third each: a cap of k trials' bytes fits k trials,
+        # a byte less k - 1 (a converge run holds no data blocks)
+        held = []
+
+        def capture(config, state, x_f, white, *rest):
+            held.append(white.base.nbytes + x_f.base.nbytes)
+            return run_point_trial(config, state, x_f, white, *rest)
+
+        monkeypatch.setattr(harness, "run_point_trial", capture)
+        cfg = small_config(detectors=detectors, pilot_frames=3)
+        points = [GridPoint(0.0), GridPoint(10.0)]
+        _run_group(cfg, points, [1, 2, 3], collect_mse)
+        per_trial, rest = divmod(held[0], 3)
+        assert rest == 0
+        for k in (2, 5):
+            monkeypatch.setattr(harness, "GROUP_BYTES", k * per_trial)
+            assert _group_size(cfg, points, collect_mse) == k
+            monkeypatch.setattr(harness, "GROUP_BYTES", k * per_trial - 1)
+            assert _group_size(cfg, points, collect_mse) == k - 1
 
 
 class TestSliceSize:
@@ -457,6 +485,61 @@ class TestRunGroup:
         for got, parts in zip(group, zip(*alone)):
             assert np.array_equal(got, np.concatenate(parts))
 
+    @pytest.mark.parametrize("model", ["sv", "flat"])
+    @pytest.mark.parametrize("fd", [0.0, 0.02])
+    @pytest.mark.parametrize("scheme", ["bpsk", "qpsk"])
+    @pytest.mark.parametrize("detectors", [("mmse",), ("mmse", "rls")])
+    def test_the_group_draws_what_each_trial_drew(
+            self, monkeypatch, detectors, scheme, fd, model):
+        # drawn straight into the group's arrays, the symbol spectra, data
+        # bits, white rows, hop variates and drift innovations are those of
+        # the trial-at-a-time draw (oracle.trial_draws), bit for bit
+        seeds = [trial_seed(9, "draws", t) for t in range(3)]
+        sent, variates, drift = [], [], []
+
+        def capture_trial(config, state, x_f, white, bits, *rest):
+            sent.append((x_f.copy(), white.copy(), bits.copy()))
+            return run_point_trial(config, state, x_f, white, bits, *rest)
+
+        def capture_links(config, draws, shape):
+            variates.extend(draws)
+            return _build_links(config, draws, shape)
+
+        def capture_cascade(config, taps, point, blocks, innovations):
+            drift.append(innovations)
+            return _cascade(config, taps, point, blocks, innovations)
+
+        monkeypatch.setattr(harness, "run_point_trial", capture_trial)
+        monkeypatch.setattr(harness, "_build_links", capture_links)
+        monkeypatch.setattr(harness, "_cascade", capture_cascade)
+        taps = 1 if model == "flat" else 3
+        cfg = small_config(scheme=scheme, channel_model=model, num_taps=taps,
+                           sv=sv_profile(taps), detectors=detectors,
+                           pilot_frames=3, data_frames=2)
+        # two cells; the first trials' calls are those of the first cell,
+        # before any slice writes over the white noise row
+        _run_group(cfg, [GridPoint(0.0, fd, 0.5, 2),
+                         GridPoint(10.0, fd, 0.5, 1)], seeds, False)
+        pilots = 3 if "rls" in detectors else 0
+        want = [trial_draws(cfg, seed, pilots, pilots + 2, 4, fd > 0)
+                for seed in seeds]
+        for (x_f, white, bits), (w_bits, w_x_f, w_white, _, _) in zip(
+                sent, want):
+            assert np.array_equal(bits, w_bits)
+            assert np.array_equal(x_f, w_x_f)
+            assert np.array_equal(white, w_white)
+        w_variates = [w[3] for w in want]
+        if model == "sv":
+            assert len(variates) == 2
+            for got, parts in zip(variates, zip(*w_variates)):
+                assert np.array_equal(got, np.stack(parts))
+        else:
+            assert variates == [] and w_variates == [None] * 3
+        if fd > 0:
+            assert np.array_equal(drift[0], np.stack([w[4] for w in want]))
+        else:
+            assert drift[0] is None
+
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
@@ -512,6 +595,8 @@ class TestWorkerCount:
     @pytest.fixture(autouse=True)
     def two_cpus(self, monkeypatch):
         monkeypatch.setattr("os.cpu_count", lambda: 2)
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
         monkeypatch.delenv("UWFDE_WORKERS", raising=False)
 
     @pytest.mark.parametrize("workers,trials,expected", [
@@ -528,6 +613,13 @@ class TestWorkerCount:
         monkeypatch.setenv("UWFDE_WORKERS", env)
         assert _worker_count(small_config(workers=2, trials=trials)) == expected
 
+    def test_capped_at_the_cpus_this_process_may_use(self, monkeypatch):
+        # a taskset or cpuset mask of one CPU on a four-CPU host
+        monkeypatch.setattr("os.cpu_count", lambda: 4)
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        assert _worker_count(small_config(workers=4, trials=5)) == 1
+
     @pytest.mark.parametrize("env", ["two", "1.5"])
     def test_non_integer_env_rejected(self, monkeypatch, env):
         monkeypatch.setenv("UWFDE_WORKERS", env)
@@ -539,7 +631,7 @@ class TestWorkerCount:
         (("mmse", "mrc"), 3 << 19, []),
         # adaptive groups of two: three groups for five trials, so three
         # of the four workers a pool could have
-        (("mmse", "rls"), 2 * 64 * 16 * (2 * 3 + 20), [3]),
+        (("mmse", "rls"), 2 * 64 * 16 * 2 * (3 + 20), [3]),
     ])
     def test_pool_starts_at_most_one_worker_per_group(
             self, monkeypatch, detectors, cap, pools):
@@ -559,6 +651,8 @@ class TestWorkerCount:
                 return map(fn, jobs)
 
         monkeypatch.setattr("os.cpu_count", lambda: 4)
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1, 2, 3},
+                            raising=False)
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", StubPool)
         monkeypatch.setattr(harness, "GROUP_BYTES", cap)
         cfg = small_config(block_size=64, data_frames=20, pilot_frames=3,

@@ -81,6 +81,17 @@ class TestModulateDemodulate:
             bits = rng.integers(0, 2, size=32)
             assert np.array_equal(demodulate(modulate(bits, scheme), scheme), bits)
 
+    def test_qpsk_stack_maps_every_block(self):
+        # a (trials, blocks, width) stack maps each pair of bits b0 b1 to
+        # ((1 - 2 b0) + 1j (1 - 2 b1)) / sqrt(2), block by block
+        scheme = ModulationScheme.qpsk()
+        bits = np.random.default_rng(6).integers(0, 2, size=(3, 4, 16))
+        symbols = modulate(bits, scheme)
+        assert symbols.shape == (3, 4, 8)
+        assert np.array_equal(symbols, ((1 - 2 * bits[..., 0::2]) + 1j * (
+            1 - 2 * bits[..., 1::2])) / np.sqrt(2))
+        assert np.array_equal(demodulate(symbols, scheme), bits)
+
     def test_small_perturbation_recovered(self):
         scheme = ModulationScheme.qpsk()
         bits = np.array([0, 1, 1, 0, 1, 1])
