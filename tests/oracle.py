@@ -82,8 +82,8 @@ def gauss_markov_recursion(taps, rho, step):
 
 def trial_draws(config, seed, pilots: int, blocks: int, hops: int,
                 drifts: bool):
-    """One trial's draws as the simulator made them a trial at a time,
-    before its group drew straight into shared arrays: the data bits as
+    """One trial's draws made on their own, each through the plain call,
+    in the stream's order (see ``harness._run_group``): the data bits as
     booleans, the symbol spectra from a matrix product of bit weights, the
     unit white noise through ``complex_noise``, the sv hops' (amplitudes,
     uniforms) (None for the flat model) and the drift innovations (None
