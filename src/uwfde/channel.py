@@ -16,7 +16,7 @@ not depend on how many hops are drawn.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -25,12 +25,15 @@ TWO_PI = 2.0 * np.pi
 DRIFT_TILE = 64
 
 
-def _whole_number(value, name: str) -> int:
-    """``value`` as an int; a float counts when it is a whole number, such
-    as ``2.0``, and anything else is rejected."""
-    if not (isinstance(value, numbers.Real) and float(value).is_integer()):
-        raise ValueError(f"{name} must be a whole number, got {value!r}")
-    return int(value)
+def _number(value, name: str, whole: bool = False):
+    """``value`` when it is a real number, but not a bool, which a JSON
+    true or false gives; with ``whole``, as an int, which a whole float
+    such as ``2.0`` also gives."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or whole and not float(value).is_integer()):
+        raise ValueError(f"{name} must be a {'whole ' * whole}number, "
+                         f"got {value!r}")
+    return int(value) if whole else value
 
 
 @dataclass(frozen=True)
@@ -52,15 +55,15 @@ class SvParams:
     sample_period: float = 1.0
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            object.__setattr__(self, f.name, _number(
+                getattr(self, f.name), f.name, whole=f.type == "int"))
         for name in ("cluster_rate", "ray_rate", "cluster_decay", "ray_decay",
                      "sample_period", "omega"):
             if not 0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be positive and finite")
         if not 0.5 <= self.nakagami_m < np.inf:
             raise ValueError("nakagami_m must be finite and >= 0.5")
-        for name in ("num_clusters", "rays_per_cluster"):
-            object.__setattr__(self, name,
-                               _whole_number(getattr(self, name), name))
         if self.num_clusters < 1 or self.rays_per_cluster < 1:
             raise ValueError("need at least one cluster and one ray per cluster")
 
@@ -182,8 +185,6 @@ def evolve_channel(taps: np.ndarray, fd_norm: float, blocks: int,
     ``s``, ``track[j] = rho**j * (s + sum_{k<j} rho**-(k+1) * step[k])``,
     one cumulative sum over the tile. Within a tile the scale grows by at
     most ``rho**-DRIFT_TILE < exp(DRIFT_TILE * pi)``."""
-    if not 0.0 <= fd_norm < 0.5:
-        raise ValueError("fd_norm must be in [0, 0.5)")
     track = np.repeat(np.asarray(taps, dtype=complex)[None], blocks, axis=0)
     if fd_norm == 0.0 or blocks == 1:
         return track

@@ -3,8 +3,7 @@
 Exit codes: 0 success, 2 usage error, 1 runtime error. Output files are
 written atomically (temp file in the target directory, then rename); the
 CSV's temp file is created before the run, so a directory that takes no
-new file is a usage error. Worker count can be forced through the
-``UWFDE_WORKERS`` environment variable.
+new file is a usage error.
 
 Every command runs through ``_run``, and every value of a run follows one
 rule: its flag when given, else the config file (a manifest's extras for
@@ -27,7 +26,7 @@ from functools import partial
 import numpy as np
 
 from . import __version__
-from .channel import _whole_number, channel_variates
+from .channel import _number, channel_variates
 from .harness import (DETECTOR_NAMES, STREAM_VERSION, SimConfig, _build_links,
                       _convergence_point, _relay_counts, _relay_positions,
                       _substream, _worker_count, run_ber_sweep,
@@ -150,7 +149,7 @@ def _parse_grid(text: str) -> list[float]:
 
 
 def _realizations(config: SimConfig, count) -> int:
-    count = _whole_number(count, "realizations")
+    count = _number(count, "realizations", whole=True)
     if count < 1:
         raise ValueError("--realizations must be >= 1")
     return count
@@ -212,7 +211,6 @@ def _run(parser: argparse.ArgumentParser, args: argparse.Namespace,
         values.update((k, _from_text(k, v)) for k, v in vars(args).items()
                       if k in fields and v is not None)
         config = SimConfig.from_dict(values)
-        _worker_count(config)  # a malformed UWFDE_WORKERS is a usage error
         saved, arguments = {}, []
         if extra is not None:
             raw = getattr(args, extra)

@@ -184,9 +184,6 @@ class MlDetector:
         split evenly over the channel's states in order: with ``P`` rows a
         state, state ``k`` takes rows ``kP`` to ``kP + P - 1``."""
         states = len(self._root)
-        if len(rows) % states:
-            raise ValueError(f"{len(rows)} received blocks do not split "
-                             f"evenly over {states} channel states")
         rows = rows.reshape(states, len(rows) // states, self._block_size)
         y = self._root[:, None] * rows
         y = np.concatenate([y.real, y.imag], axis=-1)

@@ -38,7 +38,7 @@ from itertools import groupby
 
 import numpy as np
 
-from .channel import (SvParams, _whole_number, af_gain, channel_variates,
+from .channel import (SvParams, _number, af_gain, channel_variates,
                       evolve_channel, freq_response, generate_channel,
                       path_gain, quantize_to_taps, sv_profile)
 from .detectors import (EffectiveChannel, MlDetector, RlsState,
@@ -58,7 +58,6 @@ STREAM_VERSION = 4
 
 DETECTOR_NAMES = ("mrc", "mmse", "ml", "lms", "rls")
 ADAPTIVE_DETECTORS = ("lms", "rls")
-WORKERS_ENV_VAR = "UWFDE_WORKERS"
 # Cap on ml's search space, constellation_order ** block_size candidate
 # blocks: the pruned search scores at most that many, at low SNR.
 ML_SEARCH_LIMIT = 2 ** 16
@@ -75,11 +74,6 @@ SLICE_BYTES = 3 << 17
 # Path gains of a grid point lie within this factor of one (1000 dB) and its
 # noise powers at most this, so no product of them in the model overflows.
 POWER_LIMIT = 1e100
-# SimConfig fields that count something; a config file may give them as
-# floats, which must be whole numbers.
-_INTEGER_FIELDS = ("block_size", "cp_len", "num_taps", "num_relays",
-                   "pilot_frames", "data_frames", "trials", "master_seed",
-                   "workers")
 
 
 @dataclass
@@ -115,9 +109,13 @@ class SimConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        for name in _INTEGER_FIELDS:
-            if not (name == "cp_len" and self.cp_len is None):
-                setattr(self, name, _whole_number(getattr(self, name), name))
+        # a number field (cp_len may be None) refuses a bool, and one that
+        # counts takes a whole float, such as a config file may give, as int
+        for f in fields(self):
+            if f.type in ("int", "float") or f.name == "cp_len" and (
+                    self.cp_len is not None):
+                setattr(self, f.name, _number(getattr(self, f.name), f.name,
+                                              whole=f.type != "float"))
         if self.block_size < 1:
             raise ValueError("block_size must be >= 1")
         if self.num_taps < 1 or self.num_taps > self.block_size:
@@ -166,8 +164,9 @@ class SimConfig:
             raise ValueError("data_frames must be >= 1")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        self.snr_grid = tuple(_grid_values(self.snr_grid, "snr_grid", float,
-                                           math.isfinite, "finite"))
+        self.snr_grid = tuple(_grid_values(
+            self.snr_grid, "snr_grid", lambda s: float(_number(s, "snr_grid")),
+            math.isfinite, "finite"))
         if not 0 <= self.relay_noise_factor < math.inf:
             raise ValueError("relay_noise_factor must be nonnegative and finite")
         if not math.isfinite(self.eta):
@@ -627,17 +626,9 @@ def _usable_cpus() -> int:
 
 
 def _worker_count(config: SimConfig) -> int:
-    """Worker processes for a run: ``UWFDE_WORKERS`` when set, else
-    ``config.workers``, capped at the usable CPUs and the trial count."""
-    requested = config.workers
-    env = os.environ.get(WORKERS_ENV_VAR)
-    if env:
-        try:
-            requested = int(env)
-        except ValueError:
-            raise ValueError(f"{WORKERS_ENV_VAR} must be an integer, "
-                             f"got {env!r}") from None
-    return max(1, min(requested, _usable_cpus(), config.trials))
+    """Worker processes for a run: ``config.workers``, capped at the usable
+    CPUs and the trial count."""
+    return min(config.workers, _usable_cpus(), config.trials)
 
 
 def run_points(config: SimConfig, points: list[GridPoint], experiment: str,
@@ -759,7 +750,7 @@ def _relay_positions(config: SimConfig, delta_grid) -> list[float]:
 def _relay_counts(relay_grid) -> list[int]:
     """The relay-count grid as whole numbers >= 1: at least one, none repeated."""
     return _grid_values(relay_grid, "relay grid",
-                        lambda u: _whole_number(u, "relay count"),
+                        lambda u: _number(u, "relay count", whole=True),
                         lambda u: u >= 1, ">= 1")
 
 

@@ -17,7 +17,6 @@ _SQRT2 = np.sqrt(2.0)
 class ModulationScheme:
     """Unit-average-power constellation indexed by its Gray bit label."""
 
-    name: str
     order: int
     points: np.ndarray
     bits_per_symbol: int
@@ -25,22 +24,19 @@ class ModulationScheme:
     @classmethod
     def bpsk(cls) -> "ModulationScheme":
         # bit 0 -> +1, bit 1 -> -1
-        return cls("bpsk", 2, np.array([1.0 + 0j, -1.0 + 0j]), 1)
+        return cls(2, np.array([1.0 + 0j, -1.0 + 0j]), 1)
 
     @classmethod
     def qpsk(cls) -> "ModulationScheme":
         # label b0b1 -> ((1-2*b0) + 1j*(1-2*b1))/sqrt(2); 00 -> (1+1j)/sqrt(2)
         points = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / _SQRT2
-        return cls("qpsk", 4, points, 2)
+        return cls(4, points, 2)
 
     @classmethod
     @lru_cache(maxsize=None)
     def from_name(cls, name: str) -> "ModulationScheme":
         """The scheme called ``name``, one shared read-only instance each."""
-        try:
-            scheme = {"bpsk": cls.bpsk, "qpsk": cls.qpsk}[name.lower()]()
-        except KeyError:
-            raise ValueError(f"unknown modulation scheme: {name!r}") from None
+        scheme = {"bpsk": cls.bpsk, "qpsk": cls.qpsk}[name.lower()]()
         scheme.points.flags.writeable = False
         return scheme
 

@@ -25,22 +25,24 @@ from pathlib import Path
 import numpy as np
 
 from uwfde.cli import main
-from uwfde.harness import STREAM_VERSION, WORKERS_ENV_VAR
+from uwfde.harness import STREAM_VERSION
 
 PINS = Path(__file__).with_name("pins.json")
 
 
-def csv_digest(args: str, configs: dict, directory: Path) -> str:
-    """The sha256 of the CSV that ``uwfde args`` writes, run in
-    ``directory``, where each config file it may name is written first
-    from ``configs``."""
+def csv_digest(args: str, configs: dict, directory: Path,
+               workers: int = 1) -> str:
+    """The sha256 of the CSV that ``uwfde args --workers workers`` writes,
+    run in ``directory``, where each config file it may name is written
+    first from ``configs``."""
     for name, config in configs.items():
         (directory / name).write_text(json.dumps(config))
     out = directory / "pin.csv"
     cwd = os.getcwd()
     os.chdir(directory)
     try:
-        code = main([*shlex.split(args), "--out", str(out)])
+        code = main([*shlex.split(args), "--workers", str(workers),
+                     "--out", str(out)])
     finally:
         os.chdir(cwd)
     if code != 0:
@@ -50,7 +52,6 @@ def csv_digest(args: str, configs: dict, directory: Path) -> str:
 
 def rewrite() -> None:
     pins = json.loads(PINS.read_text())
-    os.environ[WORKERS_ENV_VAR] = "1"
     with tempfile.TemporaryDirectory() as directory:
         digests = {args: csv_digest(args, pins["configs"], Path(directory))
                    for args in pins["digests"]}

@@ -6,6 +6,7 @@ minutes. Monte Carlo assertions use three standard errors of the binomial
 proportion unless stated otherwise.
 """
 
+import concurrent.futures
 import hashlib
 import math
 
@@ -304,15 +305,25 @@ def test_criterion_09_statistical_generators():
 def test_criterion_10_determinism(tmp_path, monkeypatch):
     """Any experiment rerun with the same master seed, at any worker
     count, produces byte-identical CSV output."""
+    # a group a trial and three usable CPUs, whatever the machine has, so
+    # that --workers 3 and --workers 2 hand the groups to a process pool
+    pools, pool = [], concurrent.futures.ProcessPoolExecutor
+
+    class CountedPool(pool):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", CountedPool)
+    monkeypatch.setattr(harness, "GROUP_BYTES", 1)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 3)
     args = ["ber", "--snr", "0,10", "--detectors", "mmse,rls", "--seed", "7",
             "--trials", "6", "--N", "16", "--L", "4", "--data-frames", "3",
             "--pilot-frames", "3"]
     paths = [tmp_path / name for name in ("a.csv", "b.csv", "c.csv")]
     assert cli_main([*args, "--out", str(paths[0])]) == 0
     assert cli_main([*args, "--out", str(paths[1])]) == 0
-    monkeypatch.setenv("UWFDE_WORKERS", "3")
-    assert cli_main([*args, "--out", str(paths[2])]) == 0
-    monkeypatch.delenv("UWFDE_WORKERS")
+    assert cli_main([*args, "--workers", "3", "--out", str(paths[2])]) == 0
     hashes = {file_hash(p) for p in paths}
     assert len(hashes) == 1
 
@@ -321,9 +332,9 @@ def test_criterion_10_determinism(tmp_path, monkeypatch):
            "--data-frames", "2", "--pilot-frames", "2"]
     p1, p2 = tmp_path / "p1.csv", tmp_path / "p2.csv"
     assert cli_main([*plc, "--out", str(p1)]) == 0
-    monkeypatch.setenv("UWFDE_WORKERS", "2")
-    assert cli_main([*plc, "--out", str(p2)]) == 0
+    assert cli_main([*plc, "--workers", "2", "--out", str(p2)]) == 0
     assert file_hash(p1) == file_hash(p2)
+    assert pools == [3, 2]
     print("PASS criterion 10: byte-identical CSV across reruns and workers")
 
 
@@ -346,7 +357,6 @@ def test_criterion_10_determinism_across_group_sizes(tmp_path, monkeypatch,
     """Trials that train their adaptive filters in groups of any size give
     the CSV of trials trained one at a time, byte for byte: BER counts,
     and converge's full-precision learning curves."""
-    monkeypatch.delenv("UWFDE_WORKERS", raising=False)
     sizes, run_group = [], harness._run_group
 
     def counted_group(config, grid, seeds, collect_mse):

@@ -295,10 +295,6 @@ class TestEvolve:
         assert out.shape == (5, 2)
         assert all(np.array_equal(row, taps) for row in out)
 
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            evolve_channel(np.array([1.0 + 0j]), 0.5, 2, np.ones((1, 2, 1)))
-
     @pytest.mark.parametrize("shape,blocks,given_power", [
         ((2, 15), 70, False), ((6, 4), 9, True), ((3,), 1, False), ((1,), 2, True),
     ])

@@ -195,23 +195,20 @@ class TestBerCommand:
                      *FAST])
         assert file_hash(a) == file_hash(b)
 
-    def test_worker_env_override_preserves_bytes(self, tmp_path, monkeypatch):
+    def test_two_workers_preserve_bytes(self, tmp_path, monkeypatch):
+        # a group a trial on two usable CPUs, so that --workers 2 hands
+        # the four groups to a pool of two processes
+        monkeypatch.setattr("uwfde.harness.GROUP_BYTES", 1)
+        monkeypatch.setattr("uwfde.harness._usable_cpus", lambda: 2)
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["ber", "--snr", "0,10", "--seed", "9", "--trials", "4",
                 "--N", "16", "--L", "4", "--data-frames", "2",
                 "--pilot-frames", "2", "--detectors", "mmse,rls"]
         run_cli([*args, "--out", str(a)])
-        monkeypatch.setenv("UWFDE_WORKERS", "2")
-        run_cli([*args, "--out", str(b)])
+        run_cli([*args, "--workers", "2", "--out", str(b)])
         assert file_hash(a) == file_hash(b)
-
-    def test_non_integer_worker_env_is_usage_error(self, tmp_path,
-                                                    monkeypatch):
-        monkeypatch.setenv("UWFDE_WORKERS", "two")
-        with pytest.raises(SystemExit) as err:
-            run_cli(["ber", "--out", str(tmp_path / "x.csv"), *FAST])
-        assert err.value.code == 2
-        assert not (tmp_path / "x.csv").exists()
+        manifest = json.loads((tmp_path / "b.csv.manifest.json").read_text())
+        assert manifest["workers_effective"] == 2
 
     def test_manifest_written(self, tmp_path):
         out = tmp_path / "ber.csv"
@@ -227,8 +224,11 @@ class TestBerCommand:
 
     def test_manifest_records_the_effective_worker_count(self, tmp_path,
                                                           monkeypatch):
+        # a taskset or cpuset mask of one CPU
+        monkeypatch.setattr("os.cpu_count", lambda: 1)
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0},
+                            raising=False)
         out = tmp_path / "ber.csv"
-        monkeypatch.setenv("UWFDE_WORKERS", "1")
         run_cli(["ber", "--snr", "5", "--out", str(out), "--workers", "2",
                  *FAST])
         manifest = json.loads((tmp_path / "ber.csv.manifest.json").read_text())
@@ -466,9 +466,8 @@ class TestConfigHandling:
 
     @pytest.mark.parametrize("flags,field,value", CONFIG_FLAGS,
                              ids=[field for _, field, _ in CONFIG_FLAGS])
-    def test_config_flag_lands_in_manifest(self, tmp_path, monkeypatch, flags,
-                                           field, value):
-        monkeypatch.setenv("UWFDE_WORKERS", "1")
+    def test_config_flag_lands_in_manifest(self, tmp_path, flags, field,
+                                           value):
         out = tmp_path / "o.csv"
         code = run_cli(["ber", "--snr", "10", "--out", str(out), *FAST,
                         *flags])
@@ -794,3 +793,69 @@ class TestOutputAtomicity:
         monkeypatch.setattr("uwfde.cli.run_ber_sweep", fail)
         assert run_cli(["ber", "--out", str(tmp_path / "o.csv"), *FAST]) == 1
         assert list(tmp_path.iterdir()) == []
+
+
+# Flags that keep each command's run small; a case's own flags follow them,
+# so they override them.
+BER_QUICK = ("--trials 2 --N 16 --L 4 --data-frames 2 --pilot-frames 0 "
+             "--detectors mmse --out x.csv")
+QUICK = {"converge": "--trials 2 --N 16 --L 4 --pilot-frames 3 --out x.csv",
+         "channel-dump": "--L 4 --out x.csv"}
+_SV = {"cluster_rate": 0.5, "ray_rate": 1.0, "cluster_decay": 6.0,
+       "ray_decay": 2.0, "num_clusters": 2, "rays_per_cluster": 2}
+USAGE_CONFIGS = {
+    "list.json": [],
+    "nakagami.json": {"sv": {**_SV, "nakagami_m": 0.4}},
+    "period.json": {"sv": {**_SV, "sample_period": 0}},
+    "grid.json": {"snr_grid": [5, 30]},
+    # a JSON true or false where a number belongs
+    "trials.json": {"trials": True},
+    "frames.json": {"data_frames": True},
+    "snr.json": {"snr_grid": [True, 5]},
+    "lambda.json": {"lambda_rls": True},
+    "mu.json": {"mu": True},
+    "relay_noise.json": {"relay_noise_factor": False},
+    "eta.json": {"eta": True},
+    "clusters.json": {"sv": {"num_clusters": True}},
+    "rate.json": {"sv": {"cluster_rate": True}},
+    "manifest.json": {"version": "0", "stream_version": STREAM_VERSION,
+                      "config": {}, "extras": {"realizations": True}},
+}
+USAGE_ERRORS = [
+    # powers that overflow or come out NaN, ranges over the size cap, no
+    # taps, empty second grids, a config file that is no object, an --out
+    # directory that does not exist, an --out that is a directory and one
+    # that names a directory by its trailing slash
+    "ber --snr -4000", "ber --snr 10 --eta 1000 --delta 0.1",
+    "placement --snr 10 --eta 1000 --delta-grid 0.1,0.9",
+    "ber --snr -20 --relay-noise 1e308", "ber --snr 0:1:20000",
+    "ber --snr 0:1e-12:30", "ber --snr=-1e308:1:100", "ber --snr 10 --L 0",
+    "placement --snr 10 --delta-grid=", "multirelay --snr 10 --relays=",
+    "ber --snr 10 --config list.json", "ber --snr 10 --out missing/x.csv",
+    "ber --snr 10 --out .", "ber --snr 10 --out nodir/",
+    # the rules that SimConfig and SvParams alone check: the RLS forgetting
+    # factor, the ml search cap, pilots for an adaptive detector, taps
+    # within the block, the Nakagami shape and the tap spacing
+    "ber --snr 10 --lambda-rls 1.5", "ber --snr 10 --detectors ml --N 32",
+    "ber --snr 10 --detectors lms", "ber --snr 10 --L 20",
+    "ber --snr 10 --config nakagami.json", "ber --snr 10 --config period.json",
+    # converge runs at one SNR, so a config grid of two is refused
+    "converge --config grid.json",
+    "channel-dump --config trials.json", "channel-dump --config frames.json",
+    "ber --config snr.json", "ber --snr 10 --config lambda.json",
+    "ber --snr 10 --config mu.json", "ber --snr 10 --config relay_noise.json",
+    "ber --snr 10 --config eta.json", "channel-dump --config clusters.json",
+    "channel-dump --config rate.json", "channel-dump --config manifest.json",
+]
+
+
+@pytest.mark.parametrize("case", USAGE_ERRORS)
+def test_usage_error_exits_2_before_any_csv(tmp_path, monkeypatch, case):
+    monkeypatch.chdir(tmp_path)
+    for name, config in USAGE_CONFIGS.items():
+        (tmp_path / name).write_text(json.dumps(config))
+    command, *flags = case.split()
+    with pytest.raises(SystemExit) as err:
+        run_cli([command, *QUICK.get(command, BER_QUICK).split(), *flags])
+    assert err.value.code == 2
+    assert list(tmp_path.rglob("*.csv")) == []

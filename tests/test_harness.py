@@ -13,6 +13,7 @@ from oracle import trial_draws
 from uwfde import harness
 from uwfde.channel import (channel_variates, complex_noise, evolve_channel,
                            freq_response, sv_profile)
+from uwfde.cli import main as cli_main
 from uwfde.detectors import (EffectiveChannel, MlDetector, effective_channel,
                              equalize, mmse_weights)
 from uwfde.harness import (DETECTOR_NAMES, GridPoint, SimConfig,
@@ -597,44 +598,11 @@ class TestWorkerCount:
         monkeypatch.setattr("os.cpu_count", lambda: 2)
         monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1},
                             raising=False)
-        monkeypatch.delenv("UWFDE_WORKERS", raising=False)
 
-    @pytest.mark.parametrize("workers,trials,expected", [
-        (1, 5, 1), (2, 5, 2), (8, 5, 2), (8, 1, 1),
-    ])
-    def test_config_workers_capped(self, workers, trials, expected):
-        cfg = small_config(workers=workers, trials=trials)
-        assert _worker_count(cfg) == expected
-
-    @pytest.mark.parametrize("env,trials,expected", [
-        ("1", 5, 1), ("64", 5, 2), ("64", 1, 1), ("0", 5, 1),
-    ])
-    def test_env_override_capped(self, monkeypatch, env, trials, expected):
-        monkeypatch.setenv("UWFDE_WORKERS", env)
-        assert _worker_count(small_config(workers=2, trials=trials)) == expected
-
-    def test_capped_at_the_cpus_this_process_may_use(self, monkeypatch):
-        # a taskset or cpuset mask of one CPU on a four-CPU host
-        monkeypatch.setattr("os.cpu_count", lambda: 4)
-        monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0},
-                            raising=False)
-        assert _worker_count(small_config(workers=4, trials=5)) == 1
-
-    @pytest.mark.parametrize("env", ["two", "1.5"])
-    def test_non_integer_env_rejected(self, monkeypatch, env):
-        monkeypatch.setenv("UWFDE_WORKERS", env)
-        with pytest.raises(ValueError, match="UWFDE_WORKERS"):
-            _worker_count(small_config())
-
-    @pytest.mark.parametrize("detectors,cap,pools", [
-        # ber --trials 20 at N = 64 is one group: it runs in-process
-        (("mmse", "mrc"), 3 << 19, []),
-        # adaptive groups of two: three groups for five trials, so three
-        # of the four workers a pool could have
-        (("mmse", "rls"), 2 * 64 * 16 * 2 * (3 + 20), [3]),
-    ])
-    def test_pool_starts_at_most_one_worker_per_group(
-            self, monkeypatch, detectors, cap, pools):
+    @pytest.fixture
+    def started(self, monkeypatch):
+        """The worker count of each pool a run starts, in a stub pool that
+        maps its jobs in-process."""
         started = []
 
         class StubPool:
@@ -650,10 +618,54 @@ class TestWorkerCount:
             def map(self, fn, jobs, chunksize):
                 return map(fn, jobs)
 
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", StubPool)
+        return started
+
+    @pytest.mark.parametrize("workers,trials,expected", [
+        (1, 5, 1), (2, 5, 2), (8, 5, 2), (8, 1, 1),
+    ])
+    def test_config_workers_capped(self, workers, trials, expected):
+        cfg = small_config(workers=workers, trials=trials)
+        assert _worker_count(cfg) == expected
+
+    def test_capped_at_the_cpus_this_process_may_use(self, monkeypatch):
+        # a taskset or cpuset mask of one CPU on a four-CPU host
+        monkeypatch.setattr("os.cpu_count", lambda: 4)
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        assert _worker_count(small_config(workers=4, trials=5)) == 1
+
+    def test_the_workers_flag_is_the_only_source(self, tmp_path, monkeypatch,
+                                                 started):
+        # every environment variable reads 1, yet --workers 2 on four
+        # groups of one trial starts a pool of two
+        class EveryVariableReadsOne(dict):
+            def __getitem__(self, key):
+                return "1"
+
+            def get(self, key, default=None):
+                return "1"
+
+        monkeypatch.setattr("os.environ", EveryVariableReadsOne())
+        monkeypatch.setattr(harness, "GROUP_BYTES", 1)
+        assert cli_main(["ber", "--snr", "5", "--trials", "4", "--N", "16",
+                         "--L", "4", "--data-frames", "2", "--pilot-frames",
+                         "0", "--workers", "2",
+                         "--out", str(tmp_path / "x.csv")]) == 0
+        assert started == [2]
+
+    @pytest.mark.parametrize("detectors,cap,pools", [
+        # ber --trials 20 at N = 64 is one group: it runs in-process
+        (("mmse", "mrc"), 3 << 19, []),
+        # adaptive groups of two: three groups for five trials, so three
+        # of the four workers a pool could have
+        (("mmse", "rls"), 2 * 64 * 16 * 2 * (3 + 20), [3]),
+    ])
+    def test_pool_starts_at_most_one_worker_per_group(
+            self, monkeypatch, started, detectors, cap, pools):
         monkeypatch.setattr("os.cpu_count", lambda: 4)
         monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1, 2, 3},
                             raising=False)
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", StubPool)
         monkeypatch.setattr(harness, "GROUP_BYTES", cap)
         cfg = small_config(block_size=64, data_frames=20, pilot_frames=3,
                            detectors=detectors, trials=20 if not pools else 5)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from make_pins import PINS, csv_digest
-from uwfde.harness import STREAM_VERSION, WORKERS_ENV_VAR, _usable_cpus
+from uwfde.harness import STREAM_VERSION, _usable_cpus
 
 PINNED = json.loads(PINS.read_text())
 
@@ -25,15 +25,14 @@ def test_every_pin_says_why():
 
 
 @pytest.mark.parametrize("args", list(PINNED["digests"]))
-def test_csv_matches_its_pin(args, tmp_path, monkeypatch):
+def test_csv_matches_its_pin(args, tmp_path):
     # a run of several groups of trials hands them to a pool at two workers
-    for workers in ("1", "2"):
-        if workers == "2" and _usable_cpus() < 2:
+    for workers in (1, 2):
+        if workers == 2 and _usable_cpus() < 2:
             # two workers would run in-process here and check nothing new
             pytest.skip("the one-worker pass matched; the two-worker pass "
                         "needs two usable CPUs to start a pool")
-        monkeypatch.setenv(WORKERS_ENV_VAR, workers)
-        got = csv_digest(args, PINNED["configs"], tmp_path)
+        got = csv_digest(args, PINNED["configs"], tmp_path, workers)
         assert got == PINNED["digests"][args], (
             f"uwfde {args} wrote other bytes at {workers} workers (pins "
             f"taken under numpy {PINNED['numpy']}, running {np.__version__})")
