@@ -115,10 +115,10 @@ def _dump_rows(config: SimConfig, count: int):
 
 
 def _parse_grid(text: str) -> list[float]:
-    """Accept 'start:step:stop' (inclusive, ascending, at most
-    ``GRID_LIMIT`` values) or a comma-separated list; either must give at
-    least one value, all of them finite. Anything but a string (a
-    manifest's extras may hold any JSON) is a ``TypeError``."""
+    """Accept 'start:step:stop' (inclusive, ascending, finite, at most
+    ``GRID_LIMIT`` values) or a comma-separated list; the grid's consumer
+    checks its values (see ``harness._grid_values``). Anything but a
+    string (a manifest's extras may hold any JSON) is a ``TypeError``."""
     if not isinstance(text, str):
         raise TypeError(f"a grid must be a string such as 1,2,3, got {text!r}")
     if ":" in text:
@@ -138,14 +138,8 @@ def _parse_grid(text: str) -> list[float]:
             raise ValueError(f"range holds {round(span) + 1:.3g} values, "
                              f"more than the limit of {GRID_LIMIT}")
         grid = [round(start + k * step, 10) for k in range(round(span) + 1)]
-        grid = [g for g in grid if g <= stop + 1e-9]
-    else:
-        grid = [float(p) for p in text.split(",") if p.strip()]
-    if not grid:
-        raise ValueError("grid must hold at least one value")
-    if not all(map(math.isfinite, grid)):
-        raise ValueError("grid values must be finite")
-    return grid
+        return [g for g in grid if g <= stop + 1e-9]
+    return [float(p) for p in text.split(",") if p.strip()]
 
 
 def _realizations(config: SimConfig, count) -> int:
@@ -224,8 +218,6 @@ def _run(parser: argparse.ArgumentParser, args: argparse.Namespace,
         parser.error(str(exc))
     if not os.path.basename(args.out) or os.path.isdir(args.out):
         parser.error(f"--out {args.out!r} is a directory, not a CSV path")
-    if not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
-        parser.error(f"the directory of --out {args.out} does not exist")
     try:  # the CSV's temp file, opened before the run
         temp = _temp_file(args.out)
     except OSError as exc:

@@ -61,7 +61,8 @@ class EffectiveChannel:
 @dataclass
 class RlsState:
     """Recursive least-squares state: per-bin weights ``w``, the per-bin
-    inverse autocorrelation diagonal and the count of bins reinitialized."""
+    inverse autocorrelation diagonal (positive) and a count of reset bins,
+    which ``rls_step`` carries through unchanged."""
 
     w: np.ndarray
     inv_corr: np.ndarray
@@ -293,19 +294,16 @@ def rls_step(state: RlsState, r_f: np.ndarray, s_f: np.ndarray,
              errors: bool = False) -> tuple[RlsState, np.ndarray | None]:
     """Closed-form RLS training of the per-bin filters on received spectra
     ``r_f`` ``(..., blocks, N)`` sent as ``s_f``, which broadcasts against
-    it: from ``(w0, P0)``, exponentially weighted least squares (Haykin,
+    it: from ``(w0, P0 > 0)``, exponentially weighted least squares (Haykin,
     *Adaptive Filter Theory*) gives ``1/P = lambda^B / P0 + sum_k
     lambda^(B-1-k) |r_k|^2`` and ``w = P (lambda^B w0 / P0 + sum_k
     lambda^(B-1-k) r_k conj(s_k))``. ``1/P`` is floored at the smallest
     normal float, so a bin that got no signal weighs 0 once ``lambda^B``
-    underflows. A bin with ``P0 <= 0`` keeps ``w0``, as a recursion step
-    does, and is reset to one and counted in ``reinits``. ``errors`` adds
-    the a priori errors ``(..., blocks, N)`` under the weights before each
-    block, from the same sums over every prefix (``blocks`` times the work).
+    underflows. ``errors`` adds the a priori errors ``(..., blocks, N)``
+    under the weights before each block, from the same sums over every
+    prefix (``blocks`` times the work).
     """
     lam, blocks = state.lambda_rls, r_f.shape[-2]
-    bad = state.inv_corr <= 0
-    w0, p0 = state.w[..., None, :], np.where(bad, 1.0, state.inv_corr)
     # row i weighs block j by lambda^(k - 1 - j) if j < k = ends[i], else 0
     ends = np.arange(blocks + 1) if errors else np.array([blocks])
     ages = ends[:, None] - np.arange(blocks) - 1
@@ -321,13 +319,11 @@ def rls_step(state: RlsState, r_f: np.ndarray, s_f: np.ndarray,
     # contract without (..., blocks, N) temporaries
     sums = (prefix_sums if errors else
             partial(np.einsum, "kj,...jn,...jn->...kn", decay))
-    prior = (lam ** ends)[:, None] / p0[..., None, :]
+    prior = (lam ** ends)[:, None] / state.inv_corr[..., None, :]
     p = 1.0 / np.maximum(prior + sums(r_f.real, r_f.real)
                          + sums(r_f.imag, r_f.imag), np.finfo(float).tiny)
-    w = np.where(bad[..., None, :], w0,
-                 p * (prior * w0 + sums(r_f, np.conj(s_f))))
-    out = RlsState(w[..., -1, :], np.where(bad, 1.0, p[..., -1, :]), lam,
-                   state.reinits + int(np.count_nonzero(bad)))
+    w = p * (prior * state.w[..., None, :] + sums(r_f, np.conj(s_f)))
+    out = RlsState(w[..., -1, :], p[..., -1, :], lam, state.reinits)
     return out, (s_f - equalize(w[..., :-1, :], r_f)) if errors else None
 
 

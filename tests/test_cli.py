@@ -5,6 +5,8 @@ import hashlib
 import json
 import math
 import os
+import re
+from functools import partial
 
 import numpy as np
 import pytest
@@ -13,7 +15,8 @@ from hypothesis import strategies as st
 
 from uwfde.channel import sv_profile
 from uwfde.cli import _parse_grid, _substream, main
-from uwfde.harness import STREAM_VERSION
+from uwfde.harness import (STREAM_VERSION, SimConfig, _relay_counts,
+                           _relay_positions)
 
 
 def run_cli(args):
@@ -56,7 +59,7 @@ CONFIG_FLAGS = [
 ]
 
 
-# Grid texts for the _parse_grid property: finite values stay within
+# Grid texts for the grid property: finite values stay within
 # [-100, 100] and finite steps at or above 0.5, so no accepted range holds
 # more than 401 values.
 _GRID_VALUE = st.one_of(st.floats(-100, 100).map(repr),
@@ -96,14 +99,13 @@ class TestGridParsing:
         with pytest.raises(ValueError):
             _parse_grid("0:-1:30")
 
-    @pytest.mark.parametrize("text", ["10:2:0", ",", ""])
+    @pytest.mark.parametrize("text", ["10:2:0"])
     def test_empty_or_reversed_grid_rejected(self, text):
         with pytest.raises(ValueError):
             _parse_grid(text)
 
     @pytest.mark.parametrize("text", ["0:1:inf", "0.1:inf:0.9", "1:inf:3",
-                                      "nan:1:3", "-1e308:1:1e308", "nan",
-                                      "1,inf"])
+                                      "nan:1:3", "-1e308:1:1e308"])
     def test_non_finite_grid_rejected(self, text):
         with pytest.raises(ValueError, match="finite"):
             _parse_grid(text)
@@ -111,11 +113,38 @@ class TestGridParsing:
     @settings(max_examples=300, deadline=None)
     @given(text=_GRID_TEXT)
     def test_accepted_grid_is_finite_and_not_empty(self, text):
+        # _parse_grid checks a range's syntax and size; the values of every
+        # grid it returns are checked by _grid_values in each consumer: the
+        # SNR grid in SimConfig, relay positions and relay counts
         try:
-            grid = _parse_grid(text)
+            parsed = _parse_grid(text)
         except ValueError:
             return
-        assert grid and all(math.isfinite(g) for g in grid)
+        for accept in (lambda g: SimConfig(snr_grid=tuple(g)).snr_grid,
+                       partial(_relay_positions, SimConfig()), _relay_counts):
+            try:
+                grid = accept(parsed)
+            except ValueError:
+                continue
+            assert grid and all(math.isfinite(g) for g in grid)
+
+    @pytest.mark.parametrize("text", [",", "", "nan", "1,inf"])
+    @pytest.mark.parametrize("command, flag, name", [
+        ("ber", "--snr", "snr_grid"),
+        ("placement", "--delta-grid", "delta grid"),
+        ("multirelay", "--relays", "relay (grid|count)"),
+    ], ids=["ber", "placement", "multirelay"])
+    def test_empty_or_non_finite_list_is_usage_error(self, tmp_path, capsys,
+                                                     command, flag, name,
+                                                     text):
+        # _parse_grid returns a list as given; the grid's own check refuses
+        # it before any CSV is written, and its message names the grid
+        with pytest.raises(SystemExit) as err:
+            run_cli([command, f"{flag}={text}", "--detectors", "mmse",
+                     "--out", str(tmp_path / "x.csv"), *FAST])
+        assert err.value.code == 2
+        assert re.search(name, capsys.readouterr().err)
+        assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("flags", [
         ["ber", "--snr", "0:1:inf"],
@@ -352,7 +381,9 @@ class TestConfigHandling:
         with pytest.raises(SystemExit) as err:
             run_cli(["ber", "--out", str(tmp_path / "nope" / "o.csv"), *FAST])
         assert err.value.code == 2
-        assert "directory of --out" in capsys.readouterr().err
+        message = capsys.readouterr().err
+        assert "directory of --out" in message
+        assert "No such file or directory" in message
         assert list(tmp_path.iterdir()) == []
 
     def test_out_directory_is_usage_error(self, tmp_path, capsys,
