@@ -533,8 +533,7 @@ class TestRls:
                              rng.uniform(0.1, 10.0, size=n), lam)
         out, err = rls_step(state, r, s, errors=True)
         # from a positive P0 the floored closed form keeps every bin's P
-        # positive and finite, all-zero bins included, so no bin needs a
-        # restart
+        # positive and finite, all-zero bins included
         assert np.all((out.inv_corr > 0) & np.isfinite(out.inv_corr))
         with np.errstate(over="ignore", invalid="ignore"):
             w, inv_corr, err_oracle = rls_recursion(state.w, state.inv_corr,
